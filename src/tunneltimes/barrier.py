@@ -17,6 +17,14 @@ Two families of amplitudes appear:
    two-packet collision.  Their sum is exactly unimodular,
    R_B + T_B = exp(-i [kL + phi]), with phi given by `collision_phase`.
 
+Every closed form derives from one private kernel, `_scaled_solution`,
+which evaluates the interior solution once as (c, sh, scale) with
+cosh(rho L) = c / scale and sinh(rho L)/(rho L) = sh / scale.  Up to
+(rho L)^2 = 9e4 the scale is 1 and (sh, c) come from the shared
+sinhc/coshc pass of `numerics`; above it, where cosh and sinh would
+overflow, the scale is e^{-rho L}.  That switch is made there and nowhere
+else.
+
 An independent transfer-matrix solver and a four-unknown continuity
 matcher provide cross-checks that never share code with the closed forms.
 """
@@ -29,10 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import coshc_sq, sinhc_sq
+from .numerics import sinhc_coshc_sq
 
 # Above (rho L)^2 = _Z_SCALED the direct sinh/cosh forms are at overflow
-# risk; the amplitude formulas switch to exponentially rescaled variants.
+# risk; the kernel switches to exponentially rescaled variants.
 _Z_SCALED = 9.0e4  # rho L = 300
 
 
@@ -41,8 +49,8 @@ class BarrierConfig:
     """Rectangular barrier on [-width/2, width/2] plus the particle mass.
 
     height is the potential V0 (> 0), width the barrier length L (>= 0),
-    mass the particle mass m (> 0).  The derived top wavenumber is
-    w = sqrt(2 m V0).
+    mass the particle mass m (> 0); all three must be finite.  The derived
+    top wavenumber is w = sqrt(2 m V0).
     """
 
     height: float
@@ -50,18 +58,18 @@ class BarrierConfig:
     mass: float = 1.0
 
     def __post_init__(self):
-        if not self.mass > 0.0:
-            raise ValueError("mass must be positive")
-        if not self.height > 0.0:
-            raise ValueError("height must be positive")
-        if self.width < 0.0:
-            raise ValueError("width must be nonnegative")
+        if not 0.0 < self.mass < math.inf:
+            raise ValueError("mass must be positive and finite")
+        if not 0.0 < self.height < math.inf:
+            raise ValueError("height must be positive and finite")
+        if not 0.0 <= self.width < math.inf:
+            raise ValueError("width must be nonnegative and finite")
 
     @classmethod
     def from_w(cls, w: float, width: float, mass: float = 1.0) -> "BarrierConfig":
         """Construct from the top wavenumber w instead of the height."""
-        if not w > 0.0:
-            raise ValueError("w must be positive")
+        if not 0.0 < w < math.inf:
+            raise ValueError("w must be positive and finite")
         return cls(height=0.5 * w * w / mass, width=width, mass=mass)
 
     @property
@@ -72,23 +80,6 @@ class BarrierConfig:
     @property
     def half_width(self) -> float:
         return 0.5 * self.width
-
-
-@dataclass(frozen=True)
-class EvanescentWavenumber:
-    """rho(k) = sqrt(w^2 - k^2), continued to i q with q = sqrt(k^2 - w^2) above the top."""
-
-    k: float
-    value: complex
-
-    @property
-    def is_evanescent(self) -> bool:
-        return self.value.imag == 0.0
-
-    @property
-    def q(self) -> float:
-        """Oscillatory interior wavenumber for k > w (0 below the top)."""
-        return self.value.imag
 
 
 @dataclass(frozen=True)
@@ -128,19 +119,37 @@ class InteriorCoefficients:
     transmission: complex
 
 
-def _validate_k(k, allow_zero: bool = False) -> np.ndarray:
-    arr = np.asarray(k, dtype=float)
-    if np.any(arr < 0.0) or (not allow_zero and np.any(arr == 0.0)):
-        raise ValueError("wavenumber k must be positive")
-    return arr
+def _scaled_solution(k, barrier: BarrierConfig):
+    """(k, c, sh, scale) with cosh(rho L) = c/scale, sinh(rho L)/(rho L) = sh/scale.
+
+    scale is 1 up to (rho L)^2 = _Z_SCALED and e^{-rho L} above it, so c
+    and sh stay finite for any rho L.  k must be positive and finite;
+    scalar or array.
+    """
+    karr = np.asarray(k, dtype=float)
+    if not np.all((karr > 0.0) & (karr < np.inf)):
+        raise ValueError("wavenumber k must be positive and finite")
+    w, L = barrier.w, barrier.width
+    z = (w * w - karr * karr) * L * L
+    c = np.empty_like(karr)
+    sh = np.empty_like(karr)
+    scale = np.ones_like(karr)
+    small = z <= _Z_SCALED
+    if small.any():
+        sh[small], c[small] = sinhc_coshc_sq(z[small])
+    big = ~small
+    if big.any():
+        kb = karr[big]
+        rl = np.sqrt(w * w - kb * kb) * L
+        e = np.exp(-2.0 * rl)
+        c[big] = 0.5 * (1.0 + e)
+        sh[big] = 0.5 * (1.0 - e) / rl
+        scale[big] = np.exp(-rl)
+    return karr, c, sh, scale
 
 
-def rho(k: float, barrier: BarrierConfig) -> EvanescentWavenumber:
-    """Evanescent wavenumber at k: sqrt(w^2 - k^2), continued as i q above the top."""
-    if k < 0.0:
-        raise ValueError("wavenumber k must be nonnegative")
-    w = barrier.w
-    return EvanescentWavenumber(k=k, value=cmath.sqrt(complex(w * w - k * k)))
+def _float_if_scalar(out):
+    return out if out.ndim else float(out)
 
 
 def transmission_modulus(k, barrier: BarrierConfig):
@@ -150,23 +159,10 @@ def transmission_modulus(k, barrier: BarrierConfig):
     top (sin(q L)/q).  Exponentially small moduli are evaluated in a
     rescaled form, so any rho*L is safe.  Scalar or array k.
     """
-    karr = _validate_k(k)
+    k, c, sh, scale = _scaled_solution(k, barrier)
     w, L = barrier.w, barrier.width
-    z = (w * w - karr * karr) * L * L
-    out = np.empty_like(karr, dtype=float)
-    small = z <= _Z_SCALED
-    if small.any():
-        ks = karr[small]
-        b = w * w * L * sinhc_sq(z[small]) / (2.0 * ks)
-        out[small] = 1.0 / np.sqrt(1.0 + b * b)
-    big = ~small
-    if big.any():
-        kb = karr[big]
-        r = np.sqrt(w * w - kb * kb)
-        rl = r * L
-        one_minus = -np.expm1(-2.0 * rl)
-        out[big] = 4.0 * kb * r * np.exp(-rl) / (w * w * one_minus)
-    return out if out.ndim else float(out)
+    b = w * w * L * sh / (2.0 * k)
+    return _float_if_scalar(scale / np.sqrt(scale * scale + b * b))
 
 
 def transmission_phase(k, barrier: BarrierConfig):
@@ -176,22 +172,9 @@ def transmission_phase(k, barrier: BarrierConfig):
     argument of T(k) e^{i k L}; Theta(w/sqrt(2)) = 0 and Theta -> 0 as
     L -> 0.  Continued through and above k = w.  Scalar or array k.
     """
-    karr = _validate_k(k)
+    k, c, sh, _ = _scaled_solution(k, barrier)
     w, L = barrier.w, barrier.width
-    z = (w * w - karr * karr) * L * L
-    out = np.empty_like(karr, dtype=float)
-    small = z <= _Z_SCALED
-    if small.any():
-        ks = karr[small]
-        num = (2.0 * ks * ks - w * w) * L * sinhc_sq(z[small])
-        den = 2.0 * ks * coshc_sq(z[small])
-        out[small] = np.arctan2(num, den)
-    big = ~small
-    if big.any():
-        kb = karr[big]
-        r = np.sqrt(w * w - kb * kb)
-        out[big] = np.arctan2((2.0 * kb * kb - w * w) * np.tanh(r * L) / r, 2.0 * kb)
-    return out if out.ndim else float(out)
+    return _float_if_scalar(np.arctan2((2.0 * k * k - w * w) * L * sh, 2.0 * k * c))
 
 
 def collision_phase(k, barrier: BarrierConfig):
@@ -203,54 +186,20 @@ def collision_phase(k, barrier: BarrierConfig):
     the atan2 branch: phi in (0, pi) for 0 < k < w, L > 0.  Scalar or
     array k.
     """
-    karr = _validate_k(k)
+    k, c, sh, scale = _scaled_solution(k, barrier)
     w, L = barrier.w, barrier.width
-    z = (w * w - karr * karr) * L * L
-    out = np.empty_like(karr, dtype=float)
-    small = z <= _Z_SCALED
-    if small.any():
-        ks = karr[small]
-        num = 2.0 * ks * (w * w - ks * ks) * L * sinhc_sq(z[small])
-        den = w * w + (2.0 * ks * ks - w * w) * coshc_sq(z[small])
-        out[small] = np.arctan2(num, den)
-    big = ~small
-    if big.any():
-        kb = karr[big]
-        r = np.sqrt(w * w - kb * kb)
-        rl = r * L
-        e = np.exp(-2.0 * rl)
-        num = 2.0 * kb * r * (1.0 - e)
-        den = 2.0 * w * w * np.exp(-rl) + (2.0 * kb * kb - w * w) * (1.0 + e)
-        out[big] = np.arctan2(num, den)
-    return out if out.ndim else float(out)
+    num = 2.0 * k * (w * w - k * k) * L * sh
+    den = w * w * scale + (2.0 * k * k - w * w) * c
+    return _float_if_scalar(np.arctan2(num, den))
 
 
 def _collision_amplitudes(k, barrier: BarrierConfig):
     """(R_B, T_B) vectorized over k; overflow-safe; valid on both sides of the top."""
-    karr = _validate_k(k)
+    k, c, sh, scale = _scaled_solution(k, barrier)
     w, L = barrier.w, barrier.width
-    z = (w * w - karr * karr) * L * L
-    refl = np.empty_like(karr, dtype=complex)
-    trans = np.empty_like(karr, dtype=complex)
-    plane = np.exp(-1j * karr * L)
-    small = z <= _Z_SCALED
-    if small.any():
-        ks = karr[small]
-        c = coshc_sq(z[small])
-        s = L * sinhc_sq(z[small])          # sinh(rho L)/rho, continued
-        t = plane[small] / (c + 1j * (w * w - 2.0 * ks * ks) * s / (2.0 * ks))
-        trans[small] = t
-        refl[small] = -1j * (w * w) * s / (2.0 * ks) * t
-    big = ~small
-    if big.any():
-        kb = karr[big]
-        r = np.sqrt(w * w - kb * kb)
-        rl = r * L
-        e = np.exp(-2.0 * rl)
-        den = (1.0 + e) + 1j * (w * w - 2.0 * kb * kb) * (1.0 - e) / (2.0 * kb * r)
-        trans[big] = 2.0 * plane[big] * np.exp(-rl) / den
-        refl[big] = -1j * w * w * (1.0 - e) * plane[big] / (2.0 * kb * r * den)
-    return refl, trans
+    s = L * sh  # sinh(rho L)/rho, continued, times scale
+    q = np.exp(-1j * k * L) / (c + 1j * (w * w - 2.0 * k * k) * s / (2.0 * k))
+    return -1j * (w * w) * s / (2.0 * k) * q, scale * q
 
 
 def symmetric_amplitudes(k: float, barrier: BarrierConfig) -> ScatteringAmplitudes:
@@ -374,5 +323,5 @@ def interior_field(k, barrier: BarrierConfig, x, transmission):
     h = barrier.half_width
     karr = np.asarray(k, dtype=float)
     d = h - np.asarray(x, dtype=float)
-    zx = (w * w - karr * karr) * d * d
-    return transmission * np.exp(1j * karr * h) * (coshc_sq(zx) - 1j * karr * d * sinhc_sq(zx))
+    sh, c = sinhc_coshc_sq((w * w - karr * karr) * d * d)
+    return transmission * np.exp(1j * karr * h) * (c - 1j * karr * d * sh)

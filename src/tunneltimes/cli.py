@@ -241,21 +241,19 @@ def cmd_packet(args) -> int:
         _snapshot_csv(out / name, fld, "packet snapshot")
         files.append(name)
     rep = transmission_timing_report(spec, barrier, quad=quad)
-    rep_dict = dataclasses.asdict(rep)
-    cols = list(rep_dict.keys())
+    timing = {k: (str(v) if isinstance(v, bool) else v)
+              for k, v in dataclasses.asdict(rep).items()}
     _write_csv(out / "packet_timing.csv",
                _manifest("packet", {"w_a": args.w_a, "k0_a": args.k0_a,
                                     "l_a": args.l_a, "out": str(args.out)}),
-               cols, [tuple(str(v) if isinstance(v, bool) else v
-                            for v in rep_dict.values())])
+               list(timing), [tuple(timing.values())])
     manifest = _manifest("packet", {
         "w_a": args.w_a, "k0_a": args.k0_a, "l_a": args.l_a,
         "x_min": x_min, "x_max": args.x_max, "x_points": args.x_points,
         "t_min": args.t_min, "t_max": args.t_max, "t_steps": args.t_steps,
         "tolerance": args.tolerance, "out": str(args.out),
     }, diagnostics={"quadrature_change_on_doubling": achieved,
-                    "timing": {k: (str(v) if isinstance(v, bool) else v)
-                               for k, v in rep_dict.items()}})
+                    "timing": timing})
     manifest["outputs"] = files + ["packet_timing.csv"]
     _write_manifest(out, manifest)
     return 0
@@ -285,16 +283,8 @@ def cmd_collide(args) -> int:
         "x_min": args.x_min, "x_max": args.x_max, "x_points": args.x_points,
         "t_min": t_lo, "t_max": args.t_max, "t_steps": args.t_steps,
         "tolerance": args.tolerance, "out": str(args.out),
-    }, diagnostics={
-        "quadrature_change_on_doubling": achieved,
-        "t_sync": rep.t_sync,
-        "delay_predicted": rep.delay_predicted,
-        "delay_measured": rep.delay_measured,
-        "velocity_fit": rep.velocity_fit,
-        "symmetry_residual": rep.symmetry_residual,
-        "spectral_residual_max": rep.spectral_residual_max,
-        "spectral_residual_integrated": rep.spectral_residual_integrated,
-    })
+    }, diagnostics={"quadrature_change_on_doubling": achieved,
+                    **dataclasses.asdict(rep)})
     manifest["outputs"] = files
     _write_manifest(out, manifest)
     return 0

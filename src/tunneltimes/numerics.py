@@ -1,9 +1,11 @@
 """Shared numerical kernels.
 
-Dimension-agnostic plumbing used throughout the package: stable evaluation
-of sinh/cosh ratios through their removable singularities, a golden-section
-maximizer, Ridders' polynomial-extrapolated derivative, and composite
-Gauss-Legendre quadrature nodes.
+Dimension-agnostic plumbing used throughout the package: one pass that
+evaluates the pair sinh(sqrt z)/sqrt z and cosh(sqrt z) of the signed
+square z through the removable singularity at z = 0 (the unscaled half of
+the barrier amplitude kernel), a golden-section maximizer, Ridders'
+polynomial-extrapolated derivative, and composite Gauss-Legendre
+quadrature nodes.
 """
 
 from __future__ import annotations
@@ -20,45 +22,36 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def sinhc_sq(z):
-    """sinh(sqrt(z))/sqrt(z) as a function of the signed square z.
+def sinhc_coshc_sq(z):
+    """(sinh(sqrt(z))/sqrt(z), cosh(sqrt(z))) as functions of the signed square z.
 
-    Entire in z, so negative arguments continue analytically to
-    sin(sqrt(-z))/sqrt(-z).  Scalars in, scalar out; arrays in, array out.
-    Overflows for z > ~5e5; callers switch to scaled forms before that.
+    Both are entire in z, so negative arguments continue analytically to
+    sin(sqrt(-z))/sqrt(-z) and cos(sqrt(-z)).  One pass shares the branch
+    masks and the square root between the pair.  Scalars in, a pair of
+    floats out; arrays in, a pair of arrays out.  Overflows for z > ~5e5;
+    callers switch to scaled forms before that.
     """
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
+    s = np.empty_like(z)
+    c = np.empty_like(z)
     pos = z > _SERIES_CUT
     neg = z < -_SERIES_CUT
     mid = ~(pos | neg)
     if pos.any():
         r = np.sqrt(z[pos])
-        out[pos] = np.sinh(r) / r
+        s[pos] = np.sinh(r) / r
+        c[pos] = np.cosh(r)
     if neg.any():
         q = np.sqrt(-z[neg])
-        out[neg] = np.sin(q) / q
+        s[neg] = np.sin(q) / q
+        c[neg] = np.cos(q)
     if mid.any():
         zm = z[mid]
-        out[mid] = 1.0 + zm / 6.0 + zm * zm / 120.0 + zm**3 / 5040.0
-    return out if out.ndim else float(out)
-
-
-def coshc_sq(z):
-    """cosh(sqrt(z)) as a function of the signed square z (cos(sqrt(-z)) for z < 0)."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z > _SERIES_CUT
-    neg = z < -_SERIES_CUT
-    mid = ~(pos | neg)
-    if pos.any():
-        out[pos] = np.cosh(np.sqrt(z[pos]))
-    if neg.any():
-        out[neg] = np.cos(np.sqrt(-z[neg]))
-    if mid.any():
-        zm = z[mid]
-        out[mid] = 1.0 + zm / 2.0 + zm * zm / 24.0 + zm**3 / 720.0
-    return out if out.ndim else float(out)
+        s[mid] = 1.0 + zm / 6.0 + zm * zm / 120.0 + zm**3 / 5040.0
+        c[mid] = 1.0 + zm / 2.0 + zm * zm / 24.0 + zm**3 / 720.0
+    if z.ndim:
+        return s, c
+    return float(s), float(c)
 
 
 def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12) -> float:
@@ -90,23 +83,24 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-def ridders_derivative(f, x: float, h: float, max_steps: int = 10,
-                       shrink: float = 1.4) -> tuple[float, float]:
+def ridders_derivative(f, x: float, h: float) -> tuple[float, float]:
     """First derivative of f at x by Ridders' extrapolated central differences.
 
-    h is the initial step (should span a region where f varies noticeably).
-    Returns (derivative, error_estimate).  The tableau stops early once the
+    h is the initial step (should span a region where f varies noticeably);
+    each further step is h shrunk by 1.4, for at most 10 steps.  Returns
+    (derivative, error_estimate).  The tableau stops early once the
     extrapolation error grows again.
     """
     if h == 0.0:
         raise ValueError("initial step h must be nonzero")
+    shrink = 1.4
     con2 = shrink * shrink
     a = {}
     hh = h
     a[0, 0] = (f(x + hh) - f(x - hh)) / (2.0 * hh)
     err = math.inf
     best = a[0, 0]
-    for i in range(1, max_steps):
+    for i in range(1, 10):
         hh /= shrink
         a[0, i] = (f(x + hh) - f(x - hh)) / (2.0 * hh)
         fac = con2

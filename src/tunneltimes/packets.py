@@ -10,11 +10,11 @@ spectrum; there is no PDE time stepping anywhere.  Three configurations:
    the explicit left- and right-incident solutions.
 
 Arrival analysis works on |psi|^2: per-snapshot peak positions with
-parabolic sub-grid refinement, plane-crossing arrival records, and two
-report objects that compare measured delays against the stationary-phase
-closed forms.  Peaks of broadband packets are genuinely ambiguous (that
-ambiguity is the point of the exercise), so the reports carry explicit
-multimodality and filter-effect flags instead of averaging anything away.
+parabolic sub-grid refinement, and two report objects that compare
+measured delays against the stationary-phase closed forms.  Peaks of
+broadband packets are genuinely ambiguous (that ambiguity is the point of
+the exercise), so the reports carry explicit multimodality and
+filter-effect flags instead of averaging anything away.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .phase_times import TimeParams, rate_scattering, rate_standard
 from .spectrum import ContainmentWarning, GaussianSpectrum, find_kmax
 
 _X_CHUNK = 512  # rows of the (x, k) phase matrix evaluated at a time
+_MODE_THRESHOLD = 0.25  # local maxima below this fraction of the peak are ignored
 
 
 class ConvergenceError(RuntimeError):
@@ -109,19 +110,22 @@ class PacketField:
         dens = self.density
         return parabolic_refine(self.x, dens, int(np.argmax(dens)))
 
-    def local_max_positions(self, rel_threshold: float = 0.25) -> np.ndarray:
-        """Positions of interior local maxima above rel_threshold * global max."""
+    def local_max_positions(self) -> np.ndarray:
+        """Positions of interior local maxima above 0.25 * global max."""
         dens = self.density
         dm = dens[1:-1]
-        mask = (dm >= dens[:-2]) & (dm > dens[2:]) & (dm > rel_threshold * dens.max())
+        mask = (dm >= dens[:-2]) & (dm > dens[2:]) & (dm > _MODE_THRESHOLD * dens.max())
         return self.x[1:-1][mask]
 
-    def is_multimodal(self, rel_threshold: float = 0.25) -> bool:
-        return len(self.local_max_positions(rel_threshold)) > 1
+    def is_multimodal(self) -> bool:
+        return len(self.local_max_positions()) > 1
 
 
 def _phase_matvec(x: np.ndarray, ks: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    """sum_i amp_i e^{i k_i x_j}, chunked over x to bound memory."""
+    """sum_i amp_i e^{i k_i x_j}, chunked over x to bound memory.
+
+    Also the time signal at a fixed plane, with x -> t and k -> -k^2/2m.
+    """
     out = np.empty(len(x), dtype=complex)
     for lo in range(0, len(x), _X_CHUNK):
         sl = slice(lo, lo + _X_CHUNK)
@@ -243,22 +247,10 @@ class PeakTrack:
     multimodal: np.ndarray
 
 
-@dataclass(frozen=True)
-class ArrivalRecord:
-    """Crossing of the tracked peak through a plane; arrived=False if none."""
-
-    arrived: bool
-    time: float | None
-    plane: float
-    multimodal_seen: bool
-
-
-def track_peak(fields, region: tuple[float, float] | None = None,
-               rel_threshold: float = 0.25) -> PeakTrack:
+def track_peak(fields) -> PeakTrack:
     """Per-snapshot peak positions by parabolic refinement of |psi|^2.
 
-    `region` restricts the search to a spatial window.  Needs at least
-    three snapshots with strictly increasing times.
+    Needs at least three snapshots with strictly increasing times.
     """
     fields = list(fields)
     if len(fields) < 3:
@@ -269,31 +261,9 @@ def track_peak(fields, region: tuple[float, float] | None = None,
     pos = np.empty(len(fields))
     multi = np.empty(len(fields), dtype=bool)
     for i, f in enumerate(fields):
-        if region is not None:
-            mask = (f.x >= region[0]) & (f.x <= region[1])
-            if not mask.any():
-                raise ValueError("region selects no grid points")
-            sub = PacketField(x=f.x[mask], t=f.t, psi=f.psi[mask])
-        else:
-            sub = f
-        pos[i] = sub.peak_position
-        multi[i] = sub.is_multimodal(rel_threshold)
+        pos[i] = f.peak_position
+        multi[i] = f.is_multimodal()
     return PeakTrack(times=times, positions=pos, multimodal=multi)
-
-
-def arrival_time(track: PeakTrack, plane: float) -> ArrivalRecord:
-    """First crossing of the peak trajectory through `plane` (linear interpolation)."""
-    s = track.positions - plane
-    for i in range(len(s) - 1):
-        if s[i] == 0.0:
-            return ArrivalRecord(True, float(track.times[i]), plane,
-                                 bool(track.multimodal[: i + 1].any()))
-        if s[i] * s[i + 1] < 0.0:
-            frac = -s[i] / (s[i + 1] - s[i])
-            t = track.times[i] + frac * (track.times[i + 1] - track.times[i])
-            return ArrivalRecord(True, float(t), plane,
-                                 bool(track.multimodal[: i + 2].any()))
-    return ArrivalRecord(False, None, plane, bool(track.multimodal.any()))
 
 
 def ensure_converged(synth, quad: QuadratureSpec,
@@ -331,10 +301,11 @@ class TransmissionTimingReport:
     same for a reference packet with identical modulated amplitude but no
     phase shift, which isolates the phase-induced delay from envelope
     reshaping.  t_spm is the transit-time closed form evaluated at the
-    modulated-spectrum maximum; band is band_fraction * tau.  The flags
-    record the two breakdown symptoms: a multimodal emergence profile and
-    a filter-effect shift of the spectral maximum (in units of the
-    intensity width 1/a).
+    modulated-spectrum maximum; band is the fixed 5 % of tau.  The flags
+    record the two breakdown symptoms: a multimodal emergence profile
+    (a second local maximum of |psi|^2 above 0.25 of the peak in any of 24
+    snapshots) and a filter-effect shift of the spectral maximum by more
+    than one intensity width 1/a.
 
     Agreement with t_spm is a narrow-spectrum limit: at fixed w/k0 and
     L k0 the discrepancy falls as (k0 a)^-2.  containment_outside above
@@ -359,22 +330,8 @@ class TransmissionTimingReport:
     spm_reliable: bool
 
 
-def _plane_signal(amp: np.ndarray, ks: np.ndarray, mass: float,
-                  ts: np.ndarray) -> np.ndarray:
-    """|sum_i amp_i e^{-i k_i^2 t / 2m}|^2 for each t, chunked."""
-    out = np.empty(len(ts))
-    for lo in range(0, len(ts), _X_CHUNK):
-        sl = slice(lo, lo + _X_CHUNK)
-        ph = np.exp(-1j * np.outer(ts[sl], ks * ks / (2.0 * mass)))
-        out[sl] = np.abs(ph @ amp) ** 2
-    return out
-
-
 def transmission_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfig,
                                quad: QuadratureSpec | None = None,
-                               band_fraction: float = 0.05,
-                               mode_threshold: float = 0.25,
-                               filter_threshold_sigmas: float = 1.0,
                                dt: float = 0.002) -> TransmissionTimingReport:
     """Compare the synthesized transmitted-packet arrival with the
     stationary-phase prediction at the modulated-spectrum maximum.
@@ -401,7 +358,7 @@ def transmission_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfi
         params = TimeParams.from_k(kr.k_max, barrier)
         t_spm = params.tau * rate_standard(params.alpha, params.n)
         tau = params.tau
-        band = band_fraction * tau
+        band = 0.05 * tau
 
     if quad is None:
         quad = QuadratureSpec(k_lo=1e-9 * w, k_hi=w)
@@ -415,8 +372,9 @@ def transmission_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfi
     t_k0 = TimeParams.from_k(min(k0, 0.999 * w), barrier)
     upper = 6.0 * m * a / k0 + 2.0 * abs(t_k0.tau * rate_standard(t_k0.alpha, t_k0.n))
     ts = np.arange(-6.0 * m * a / k0, upper, dt)
-    sig_t = _plane_signal(shifted, ks, m, ts)
-    sig_r = _plane_signal(base, ks, m, ts)
+    energies = -ks * ks / (2.0 * m)
+    sig_t = np.abs(_phase_matvec(ts, energies, shifted)) ** 2
+    sig_r = np.abs(_phase_matvec(ts, energies, base)) ** 2
     arrival = parabolic_refine(ts, sig_t, int(np.argmax(sig_t)))
     reference = parabolic_refine(ts, sig_r, int(np.argmax(sig_r)))
     delay = arrival - reference
@@ -427,12 +385,12 @@ def transmission_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfi
     multimodal = False
     for t in np.linspace(0.05 * t0_scale, 3.0 * t0_scale, 24):
         f = synthesize_transmitted(spectrum, barrier, xs, float(t), quad=quad)
-        if f.is_multimodal(mode_threshold):
+        if f.is_multimodal():
             multimodal = True
             break
 
     shift_sigmas = (kr.k_max - k0) * a
-    filter_effect = shift_sigmas > filter_threshold_sigmas
+    filter_effect = shift_sigmas > 1.0
     discrepancy = delay - t_spm
     within = bool(math.isfinite(discrepancy) and abs(discrepancy) <= band)
     return TransmissionTimingReport(
@@ -468,8 +426,7 @@ class CollisionTimingReport:
 
 
 def collision_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfig,
-                            quad: QuadratureSpec | None = None,
-                            n_fit_times: int = 12) -> CollisionTimingReport:
+                            quad: QuadratureSpec | None = None) -> CollisionTimingReport:
     """Measure the collision delay and the two exactness properties
     (mirror symmetry, unimodular outgoing spectrum)."""
     k0 = spectrum.k0
@@ -494,8 +451,8 @@ def collision_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     res_int = float(abs(np.sum(wts * g * g * (s_abs**2 - 1.0))
                         / np.sum(wts * g * g)))
 
-    # ballistic fit of the outgoing peak, 4a..14a past the exit face
-    t_fit = t_sync + pred + (np.linspace(4.0, 14.0, n_fit_times) * a + h) * m / k0
+    # ballistic fit of the outgoing peak at 12 times, 4a..14a past the exit face
+    t_fit = t_sync + pred + (np.linspace(4.0, 14.0, 12) * a + h) * m / k0
     x_hi = h + (k0 / m) * (t_fit[-1] - t_sync) + 8.0 * a
     n_x = min(8001, max(2001, int((x_hi - h) * 40 / a)))
     xs = np.linspace(h, x_hi, n_x)

@@ -66,33 +66,10 @@ class PhaseTimeResult:
     extras: dict = field(default_factory=dict)
 
 
-def g_aux(alpha: float) -> float:
-    """G(alpha) = [sinh(a) cosh(a) - a] / sinh^2(a).
-
-    G/alpha -> 2/3 as alpha -> 0 (series below alpha = 1e-3) and
-    G -> 1 for large alpha; evaluated in a rescaled form that never
-    overflows.
-    """
-    if alpha < 0.0:
-        raise ValueError("alpha must be nonnegative")
-    if alpha == 0.0:
-        return 0.0
-    if alpha < _ALPHA_SERIES:
-        a2 = alpha * alpha
-        # (sinh cosh - a)/a^3 over sinh^2/a^2, each through a^6
-        num = 2.0 / 3.0 + (2.0 / 15.0) * a2 + (4.0 / 315.0) * a2 * a2 \
-            + (2.0 / 2835.0) * a2**3
-        den = 1.0 + a2 / 3.0 + (2.0 / 45.0) * a2 * a2 + a2**3 / 315.0
-        return alpha * num / den
-    e = math.exp(-2.0 * alpha)
-    one_minus = -math.expm1(-2.0 * alpha)
-    return (-math.expm1(-4.0 * alpha) - 4.0 * alpha * e) / (one_minus * one_minus)
-
-
 def _validate_rate_args(alpha, n: float) -> np.ndarray:
     arr = np.asarray(alpha, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("alpha must be nonnegative")
+    if not np.all((arr >= 0.0) & (arr < np.inf)):
+        raise ValueError("alpha must be nonnegative and finite")
     if not 0.0 < n <= 1.0:
         raise ValueError("n must lie in (0, 1]")
     return arr
@@ -166,18 +143,21 @@ def standard_transit_time(k_eval: float, barrier: BarrierConfig,
     The closed form tau * rate_standard(alpha, n) is exact and is the
     returned `time`; a Ridders finite-difference derivative of the
     transmission phase is attached as an independent cross-check when
-    `derivative` is true.
+    `derivative` is true, with its error estimate (in time units) as
+    extras["derivative_error_estimate"].
     """
     params = TimeParams.from_k(k_eval, barrier)
     closed = params.tau * rate_standard(params.alpha, params.n)
     deriv = None
+    extras = {}
     if derivative:
         w = barrier.w
         h0 = 0.125 * min(k_eval, w - k_eval)
-        d, _ = ridders_derivative(lambda q: transmission_phase(q, barrier), k_eval, h0)
+        d, err = ridders_derivative(lambda q: transmission_phase(q, barrier), k_eval, h0)
         deriv = barrier.mass / k_eval * d
+        extras["derivative_error_estimate"] = barrier.mass / k_eval * err
     return PhaseTimeResult(time=closed, method="standard", params=params,
-                           closed_form=closed, derivative=deriv)
+                           closed_form=closed, derivative=deriv, extras=extras)
 
 
 def opaque_limit_time(k_eval: float, barrier: BarrierConfig) -> float:

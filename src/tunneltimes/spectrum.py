@@ -50,10 +50,10 @@ class GaussianSpectrum:
     cutoff: float | None = None
 
     def __post_init__(self):
-        if not self.k0 > 0.0:
-            raise ValueError("k0 must be positive")
-        if not self.width > 0.0:
-            raise ValueError("width must be positive")
+        if not 0.0 < self.k0 < math.inf:
+            raise ValueError("k0 must be positive and finite")
+        if not 0.0 < self.width < math.inf:
+            raise ValueError("width must be positive and finite")
         if self.cutoff is not None and not 0.0 <= self.cutoff < 1.0:
             raise ValueError("cutoff fraction must lie in [0, 1)")
 
@@ -109,16 +109,18 @@ class KmaxResult:
 
 
 def find_kmax(spectrum: GaussianSpectrum, barrier: BarrierConfig,
-              scan_points: int = 4096, tol: float = 1e-10) -> KmaxResult:
+              scan_points: int = 4096) -> KmaxResult:
     """Global maximizer of the modulated spectrum on (0, w].
 
-    Dense scan followed by golden-section refinement of the bracketed
-    interior maximum (the product can be bimodal near the distortion
-    onset, so a local method alone would be unsafe).  When no interior
-    maximum beats the value at k = w the result is flagged
-    boundary-dominated and k_max = w is returned.  Containment violations
-    warn but do not fail.
+    Dense scan of `scan_points` (at least 3) followed by golden-section
+    refinement, to a bracket of 1e-10, of the bracketed interior maximum
+    (the product can be bimodal near the distortion onset, so a local
+    method alone would be unsafe).  When no interior maximum beats the
+    value at k = w the result is flagged boundary-dominated and k_max = w
+    is returned.  Containment violations warn but do not fail.
     """
+    if scan_points < 3:
+        raise ValueError("scan_points must be at least 3")
     outside = _warn_if_leaky(spectrum, barrier)
     w, L = barrier.w, barrier.width
     k0 = spectrum.k0
@@ -146,7 +148,7 @@ def find_kmax(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     else:
         lo = ks[max(i - 1, 0)]
         hi = ks[min(i + 1, scan_points - 1)]
-        km = golden_section_max(lambda q: float(objective(q)), lo, hi, tol=tol)
+        km = golden_section_max(lambda q: float(objective(q)), lo, hi, tol=1e-10)
         if objective(km) <= vals[-1]:
             km = w
             boundary = True
@@ -213,31 +215,9 @@ class DistortionReport:
     t_logderiv_linear_variant: float
 
 
-def _slope_at_top(spectrum: GaussianSpectrum, barrier: BarrierConfig) -> float:
-    """d/dk [g |T|] at k = w by one-sided differences with step extrapolation."""
-    w = barrier.w
-
-    def f(k):
-        return float(modulated_spectrum(k, spectrum, barrier))
-
-    fw = f(w)
-    eps = 1e-4 * w
-    d1 = (fw - f(w - eps)) / eps
-    d2 = (fw - f(w - eps / 2.0)) / (eps / 2.0)
-    d3 = (fw - f(w - eps / 4.0)) / (eps / 4.0)
-    # two Richardson levels for the O(eps) one-sided error
-    r1 = 2.0 * d2 - d1
-    r2 = 2.0 * d3 - d2
-    return 2.0 * r2 - r1
-
-
-def transmission_logderiv_at_top(barrier: BarrierConfig) -> float:
-    """lim_{k->w} |T|'/|T|, by one-sided differences with step extrapolation."""
-    w = barrier.w
-
-    def f(k):
-        return math.log(transmission_modulus(float(k), barrier))
-
+def _slope_at_top(f, w: float) -> float:
+    """d f/dk at k = w from below, by one-sided differences with two
+    Richardson levels for their O(eps) error."""
     fw = f(w)
     eps = 1e-4 * w
     d1 = (fw - f(w - eps)) / eps
@@ -260,7 +240,8 @@ def distortion_onset(spectrum: GaussianSpectrum, w: float) -> DistortionReport:
     k0 = spectrum.k0
 
     def slope(length: float) -> float:
-        return _slope_at_top(spectrum, BarrierConfig.from_w(w=w, width=length))
+        b = BarrierConfig.from_w(w=w, width=length)
+        return _slope_at_top(lambda k: float(modulated_spectrum(k, spectrum, b)), w)
 
     lo, hi = 1e-3 / w, 30.0 / w
     if slope(lo) > 0.0:
@@ -297,7 +278,8 @@ def distortion_onset(spectrum: GaussianSpectrum, w: float) -> DistortionReport:
         onset_sqrt_candidate=sqr,
         onset_quadratic_limit=onset_quad,
         gaussian_logderiv=a * a * (w - k0) / 2.0,
-        t_logderiv_numeric=transmission_logderiv_at_top(bl),
+        t_logderiv_numeric=_slope_at_top(
+            lambda k: math.log(transmission_modulus(float(k), bl)), w),
         t_logderiv_quadratic=quad,
         t_logderiv_linear_variant=linvar,
     )

@@ -1,11 +1,12 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from tunneltimes import (BarrierConfig, collision_phase, interior_field,
-                         interior_matching, rho, symmetric_amplitudes,
+                         interior_matching, symmetric_amplitudes,
                          transfer_matrix_amplitudes, transmission_modulus,
                          transmission_phase)
 
@@ -31,22 +32,16 @@ def test_barrier_config_validation():
         BarrierConfig(height=1.0, width=-0.5)
     with pytest.raises(ValueError):
         BarrierConfig(height=1.0, width=0.5, mass=0.0)
+    for height, width, mass in [(1.0, math.nan, 1.0), (math.inf, 0.5, 1.0),
+                                (math.nan, 0.5, 1.0), (1.0, math.inf, 1.0),
+                                (1.0, 0.5, math.inf), (1.0, 0.5, math.nan)]:
+        with pytest.raises(ValueError):
+            BarrierConfig(height=height, width=width, mass=mass)
+    for w in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            BarrierConfig.from_w(w=w, width=0.5)
     b = BarrierConfig(height=2.0, width=0.3, mass=1.5)
     assert b.w**2 == pytest.approx(2.0 * b.mass * b.height, rel=1e-15)
-
-
-def test_rho_special_points():
-    b = barrier(w=2.0, L=1.0)
-    assert rho(0.0, b).value == pytest.approx(2.0)
-    assert rho(2.0, b).value == pytest.approx(0.0, abs=1e-15)
-    r = rho(2.0 / math.sqrt(2.0), b)
-    assert r.value.real == pytest.approx(2.0 / math.sqrt(2.0), rel=1e-15)
-    assert r.is_evanescent
-    above = rho(3.0, b)
-    assert not above.is_evanescent
-    assert above.q == pytest.approx(math.sqrt(5.0), rel=1e-15)
-    with pytest.raises(ValueError):
-        rho(-0.1, b)
 
 
 def test_modulus_sech_special_case():
@@ -76,6 +71,11 @@ def test_modulus_rejects_k_zero():
         transmission_modulus(0.0, barrier())
     with pytest.raises(ValueError):
         transmission_phase(0.0, barrier())
+    for k in (math.nan, math.inf, np.array([1.0, math.nan])):
+        with pytest.raises(ValueError):
+            transmission_modulus(k, barrier())
+        with pytest.raises(ValueError):
+            collision_phase(k, barrier())
 
 
 def _one_sided_limit(f, w, side, eps=1e-4):
@@ -195,6 +195,37 @@ def test_large_width_amplitudes_stay_finite():
         assert math.isfinite(abs(amps.transmission))
         assert abs(abs(amps.combined) - 1.0) < 1e-12
         assert transmission_modulus(k, BarrierConfig.from_w(w=w, width=L)) >= 0.0
+
+
+def test_scaled_seam_matches_mpmath():
+    # the amplitude kernel switches to e^{-rho L}-scaled forms at
+    # (rho L)^2 = 9e4; both sides of the switch must match 50-digit closed forms
+    for w, L in [(40.0, 10.0), (1000.0, 0.5), (3.0, 120.0)]:
+        b = BarrierConfig.from_w(w=w, width=L)
+        sides = set()
+        for rl in (300.0 - 1e-6, 300.0 - 1e-9, 300.0 + 1e-9, 300.0 + 1e-6):
+            k = math.sqrt(w * w - (rl / L) ** 2)
+            sides.add((w * w - k * k) * L * L <= 9.0e4)
+            with mp.workdps(50):
+                km, wm = mp.mpf(k), mp.mpf(w)
+                r = mp.sqrt(wm**2 - km**2)
+                sh, ch = mp.sinh(r * L), mp.cosh(r * L)
+                t_b = mp.exp(-1j * km * L) / (ch + 1j * (wm**2 - 2 * km**2) * sh
+                                              / (2 * km * r))
+                want = {key: complex(val) for key, val in {
+                    "mod": 1 / mp.sqrt(1 + (wm**2 * sh / (2 * km * r)) ** 2),
+                    "theta": mp.atan((2 * km**2 - wm**2) * mp.tanh(r * L) / (2 * km * r)),
+                    "phi": mp.atan2(2 * km * r * sh, wm**2 + (2 * km**2 - wm**2) * ch),
+                    "R_B": -1j * wm**2 * sh / (2 * km * r) * t_b,
+                    "T_B": t_b,
+                }.items()}
+            amps = symmetric_amplitudes(k, b)
+            got = {"mod": amps.modulus, "theta": amps.theta, "phi": amps.phi,
+                   "R_B": amps.reflection, "T_B": amps.transmission}
+            for key, val in got.items():
+                assert abs(val - want[key]) <= 1e-12 * abs(want[key]), key
+            assert abs(abs(amps.combined) - 1.0) < 1e-12
+        assert sides == {True, False}
 
 
 def test_oracle_unitarity_and_no_barrier():

@@ -75,6 +75,7 @@ class TestTable1:
     def test_invalid_parameters_exit_2(self, tmp_path):
         assert run(["table1", "--k0-a", -1.0, "--out", tmp_path]) == 2
         assert run(["table1", "--k0-a", 5.0, "--w-a", 4.0, "--out", tmp_path]) == 2
+        assert run(["table1", "--scan-points", 2, "--out", tmp_path]) == 2
 
     def test_custom_k0_respects_bracket(self, tmp_path):
         assert run(["table1", "--k0-a", 0.5, "--w-a", 1.5, "--w-a", 4.0,
@@ -156,6 +157,8 @@ class TestPacketCmd:
 
     def test_validation(self, tmp_path):
         assert run(["packet", "--k0-a", 5.0, "--out", tmp_path]) == 2
+        assert run(["packet", "--l-a", "nan", "--out", tmp_path]) == 2
+        assert run(["packet", "--w-a", "inf", "--out", tmp_path]) == 2
 
     def test_unreachable_tolerance_exits_3(self, tmp_path):
         assert run(["packet", "--tolerance", 1e-30, "--x-points", 101,
@@ -179,3 +182,5 @@ class TestCollideCmd:
 
     def test_validation(self, tmp_path):
         assert run(["collide", "--k0-a", 20.0, "--w-a", 16.0, "--out", tmp_path]) == 2
+        assert run(["collide", "--w-a", "inf", "--out", tmp_path]) == 2
+        assert run(["collide", "--l-a", "nan", "--out", tmp_path]) == 2

@@ -4,9 +4,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from tunneltimes.numerics import (coshc_sq, gauss_legendre_panels,
-                                  golden_section_max, parabolic_refine,
-                                  ridders_derivative, sinhc_sq)
+from tunneltimes.numerics import (gauss_legendre_panels, golden_section_max,
+                                  parabolic_refine, ridders_derivative,
+                                  sinhc_coshc_sq)
 
 mp.mp.dps = 40
 
@@ -16,17 +16,16 @@ def test_sinhc_coshc_match_mpmath(z):
     r = mp.sqrt(mp.mpf(z)) if z >= 0 else 1j * mp.sqrt(-mp.mpf(z))
     want_s = float(mp.re(mp.sinh(r) / r)) if z != 0 else 1.0
     want_c = float(mp.re(mp.cosh(r))) if z != 0 else 1.0
-    assert sinhc_sq(z) == pytest.approx(want_s, rel=1e-14)
-    assert coshc_sq(z) == pytest.approx(want_c, rel=1e-14)
+    got_s, got_c = sinhc_coshc_sq(z)
+    assert got_s == pytest.approx(want_s, rel=1e-14)
+    assert got_c == pytest.approx(want_c, rel=1e-14)
 
 
 def test_sinhc_vectorized_matches_scalar():
     zs = np.array([-25.0, -1e-7, 0.0, 1e-7, 2.5, 1e4])
-    vec_s = sinhc_sq(zs)
-    vec_c = coshc_sq(zs)
+    vec_s, vec_c = sinhc_coshc_sq(zs)
     for i, z in enumerate(zs):
-        assert vec_s[i] == sinhc_sq(float(z))
-        assert vec_c[i] == coshc_sq(float(z))
+        assert (vec_s[i], vec_c[i]) == sinhc_coshc_sq(float(z))
 
 
 def test_golden_section_max_quadratic():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tunneltimes import (BarrierConfig, GaussianSpectrum, PacketField,
-                         QuadratureSpec, arrival_time, collision_sync_time,
+                         QuadratureSpec, collision_sync_time,
                          collision_timing_report, ensure_converged,
                          symmetric_amplitudes, synthesize_collision,
                          synthesize_incident, synthesize_transmitted,
@@ -42,9 +42,9 @@ class TestPacketField:
         x = np.linspace(-6, 6, 1201)
         psi = np.exp(-(x + 2) ** 2) + 0.7 * np.exp(-(x - 2) ** 2)
         f = PacketField(x=x, t=0.0, psi=psi.astype(complex))
-        assert f.is_multimodal(0.25)
+        assert f.is_multimodal()
         g = PacketField(x=x, t=0.0, psi=np.exp(-x**2).astype(complex))
-        assert not g.is_multimodal(0.25)
+        assert not g.is_multimodal()
 
 
 class TestQuadrature:
@@ -171,25 +171,6 @@ class TestCollision:
 
 
 class TestTrackPeak:
-    def test_free_packet_arrival(self):
-        spec = spectrum(k0=2.0)
-        xs = np.linspace(-10, 25, 3501)
-        ts = np.linspace(0.0, 6.0, 25)
-        fields = [synthesize_incident(spec, xs, float(t)) for t in ts]
-        trk = track_peak(fields)
-        rec = arrival_time(trk, plane=8.0)
-        assert rec.arrived
-        assert rec.time == pytest.approx(4.0, abs=ts[1] - ts[0])
-
-    def test_no_crossing_is_explicit(self):
-        spec = spectrum(k0=2.0)
-        xs = np.linspace(-10, 25, 701)
-        fields = [synthesize_incident(spec, xs, float(t))
-                  for t in (0.0, 0.2, 0.4)]
-        rec = arrival_time(track_peak(fields), plane=20.0)
-        assert not rec.arrived
-        assert rec.time is None
-
     def test_needs_three_samples(self):
         spec = spectrum(k0=2.0)
         xs = np.linspace(-10, 10, 501)

@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from tunneltimes import (BarrierConfig, TimeParams, collision_phase, g_aux,
+from tunneltimes import (BarrierConfig, TimeParams, collision_phase,
                          opaque_limit_time, rate_scattering, rate_standard,
                          rate_table, scattering_phase_time,
                          scattering_time_coshsq_variant, standard_transit_time,
@@ -21,7 +21,6 @@ def barrier(w=4.0, L=0.5):
 T_TRANSIT_AT_21155 = 0.27441651338284889009     # k a = 2.1155
 T_SCATT_AT_K1 = -0.68149921179846080906         # (m/k0) dphi/dk at k0 a = 1
 T_SCATT_COSHSQ_AT_K1 = 0.14510571648379781027   # diagnostic variant there
-G_AT_03 = 0.19763049101940928823
 
 
 def mp_dtheta(k, w, L):
@@ -43,29 +42,6 @@ class TestTimeParams:
             TimeParams.from_k(4.0, barrier())
         with pytest.raises(ValueError):
             TimeParams.from_k(0.0, barrier())
-
-
-class TestGAux:
-    def test_small_alpha_slope(self):
-        assert g_aux(1e-8) / 1e-8 == pytest.approx(2.0 / 3.0, rel=1e-12)
-        assert g_aux(0.0) == 0.0
-
-    def test_large_alpha_saturates(self):
-        assert abs(g_aux(50.0) - 1.0) < 1e-6
-        assert g_aux(1e6) == pytest.approx(1.0, rel=1e-12)
-
-    def test_reference_value(self):
-        assert g_aux(0.3) == pytest.approx(G_AT_03, rel=1e-12)
-
-    def test_branch_seam_overlap(self):
-        # series and rescaled closed form agree through the crossover at 0.1
-        for a in (0.0999, 0.1001):
-            want = float((mp.sinh(a) * mp.cosh(a) - a) / mp.sinh(a) ** 2)
-            assert g_aux(a) == pytest.approx(want, rel=1e-12)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            g_aux(-0.1)
 
 
 class TestRates:
@@ -126,6 +102,12 @@ class TestRates:
             rate_standard(1.0, 0.0)
         with pytest.raises(ValueError):
             rate_scattering(1.0, 1.5)
+        for alpha, n in [(math.nan, 0.5), (math.inf, 0.5), (1.0, math.nan),
+                         ([1.0, math.nan], 0.5)]:
+            with pytest.raises(ValueError):
+                rate_standard(alpha, n)
+            with pytest.raises(ValueError):
+                rate_scattering(alpha, n)
 
     def test_rate_table_layout(self):
         rows = rate_table([0.5, 1.0], [0.1, 1.0, 10.0])
@@ -140,6 +122,8 @@ class TestStandardTransitTime:
         assert res.time == pytest.approx(T_TRANSIT_AT_21155, rel=1e-13)
         assert res.derivative == pytest.approx(res.time, rel=1e-6)
         assert res.time == pytest.approx(mp_dtheta(2.1155, 4.0, 0.5) / 2.1155, rel=1e-12)
+        err = res.extras["derivative_error_estimate"]
+        assert math.isfinite(err) and err < 1e-10
 
     def test_derivative_consistency_random(self):
         rng = np.random.default_rng(42)
@@ -163,8 +147,6 @@ class TestStandardTransitTime:
     def test_linear_small_alpha_regime_near_top(self):
         # alpha -> 0 with n = 1: t -> (2 m L / w) * (2/3) = 4 m L / (3 w)
         L, w = 0.5, 4.0
-        t0 = (2.0 * L / w) * (g_aux(1e-6) / 1e-6)
-        assert t0 == pytest.approx(4.0 * L / (3.0 * w), rel=1e-10)
         assert rate_standard(1e-6, 1.0) * (L / w) == pytest.approx(
             4.0 * L / (3.0 * w), rel=1e-10)
 
