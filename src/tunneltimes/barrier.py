@@ -152,6 +152,36 @@ def _float_if_scalar(out):
     return out if out.ndim else float(out)
 
 
+# Derivations from one kernel evaluation, sol = _scaled_solution(k, barrier).
+def _modulus(sol, barrier: BarrierConfig):
+    k, _, sh, scale = sol
+    w, L = barrier.w, barrier.width
+    b = w * w * L * sh / (2.0 * k)
+    return scale / np.sqrt(scale * scale + b * b)
+
+
+def _theta(sol, barrier: BarrierConfig):
+    k, c, sh, _ = sol
+    w, L = barrier.w, barrier.width
+    return np.arctan2((2.0 * k * k - w * w) * L * sh, 2.0 * k * c)
+
+
+def _phi(sol, barrier: BarrierConfig):
+    k, c, sh, scale = sol
+    w, L = barrier.w, barrier.width
+    num = 2.0 * k * (w * w - k * k) * L * sh
+    den = w * w * scale + (2.0 * k * k - w * w) * c
+    return np.arctan2(num, den)
+
+
+def _pair(sol, barrier: BarrierConfig):
+    k, c, sh, scale = sol
+    w, L = barrier.w, barrier.width
+    s = L * sh  # sinh(rho L)/rho, continued, times scale
+    q = np.exp(-1j * k * L) / (c + 1j * (w * w - 2.0 * k * k) * s / (2.0 * k))
+    return -1j * (w * w) * s / (2.0 * k) * q, scale * q
+
+
 def transmission_modulus(k, barrier: BarrierConfig):
     """|T(k, L)| = [1 + w^4 sinh^2(rho L) / (4 k^2 rho^2)]^{-1/2}.
 
@@ -159,10 +189,7 @@ def transmission_modulus(k, barrier: BarrierConfig):
     top (sin(q L)/q).  Exponentially small moduli are evaluated in a
     rescaled form, so any rho*L is safe.  Scalar or array k.
     """
-    k, c, sh, scale = _scaled_solution(k, barrier)
-    w, L = barrier.w, barrier.width
-    b = w * w * L * sh / (2.0 * k)
-    return _float_if_scalar(scale / np.sqrt(scale * scale + b * b))
+    return _float_if_scalar(_modulus(_scaled_solution(k, barrier), barrier))
 
 
 def transmission_phase(k, barrier: BarrierConfig):
@@ -172,9 +199,7 @@ def transmission_phase(k, barrier: BarrierConfig):
     argument of T(k) e^{i k L}; Theta(w/sqrt(2)) = 0 and Theta -> 0 as
     L -> 0.  Continued through and above k = w.  Scalar or array k.
     """
-    k, c, sh, _ = _scaled_solution(k, barrier)
-    w, L = barrier.w, barrier.width
-    return _float_if_scalar(np.arctan2((2.0 * k * k - w * w) * L * sh, 2.0 * k * c))
+    return _float_if_scalar(_theta(_scaled_solution(k, barrier), barrier))
 
 
 def collision_phase(k, barrier: BarrierConfig):
@@ -186,20 +211,12 @@ def collision_phase(k, barrier: BarrierConfig):
     the atan2 branch: phi in (0, pi) for 0 < k < w, L > 0.  Scalar or
     array k.
     """
-    k, c, sh, scale = _scaled_solution(k, barrier)
-    w, L = barrier.w, barrier.width
-    num = 2.0 * k * (w * w - k * k) * L * sh
-    den = w * w * scale + (2.0 * k * k - w * w) * c
-    return _float_if_scalar(np.arctan2(num, den))
+    return _float_if_scalar(_phi(_scaled_solution(k, barrier), barrier))
 
 
 def _collision_amplitudes(k, barrier: BarrierConfig):
     """(R_B, T_B) vectorized over k; overflow-safe; valid on both sides of the top."""
-    k, c, sh, scale = _scaled_solution(k, barrier)
-    w, L = barrier.w, barrier.width
-    s = L * sh  # sinh(rho L)/rho, continued, times scale
-    q = np.exp(-1j * k * L) / (c + 1j * (w * w - 2.0 * k * k) * s / (2.0 * k))
-    return -1j * (w * w) * s / (2.0 * k) * q, scale * q
+    return _pair(_scaled_solution(k, barrier), barrier)
 
 
 def symmetric_amplitudes(k: float, barrier: BarrierConfig) -> ScatteringAmplitudes:
@@ -207,20 +224,20 @@ def symmetric_amplitudes(k: float, barrier: BarrierConfig) -> ScatteringAmplitud
 
     Valid for any k > 0 (tunneling branch and the trigonometric
     continuation above the top).  At L = 0 the reflection vanishes
-    identically and the combined amplitude is exactly 1.
+    identically and the combined amplitude is exactly 1.  The kernel is
+    evaluated once and every field derived from it.
     """
     kf = float(k)
-    refl, trans = _collision_amplitudes(kf, barrier)
-    refl = complex(refl)
-    trans = complex(trans)
+    sol = _scaled_solution(kf, barrier)
+    refl, trans = (complex(v) for v in _pair(sol, barrier))
     return ScatteringAmplitudes(
         k=kf,
-        modulus=transmission_modulus(kf, barrier),
-        theta=transmission_phase(kf, barrier),
+        modulus=float(_modulus(sol, barrier)),
+        theta=float(_theta(sol, barrier)),
         reflection=refl,
         transmission=trans,
         combined=refl + trans,
-        phi=collision_phase(kf, barrier),
+        phi=float(_phi(sol, barrier)),
     )
 
 

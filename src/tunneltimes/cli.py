@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -218,8 +219,20 @@ def _parse_common_packet(args) -> tuple[GaussianSpectrum, BarrierConfig]:
         raise ValueError("need 0 < k0-a < w-a (tunneling regime)")
     if args.l_a is None or args.l_a < 0:
         raise ValueError("l-a must be nonnegative")
+    for name in ("t_min", "t_max", "x_min", "x_max"):
+        if not math.isfinite(getattr(args, name)):
+            raise ValueError(f"{name.replace('_', '-')} must be finite")
     return (GaussianSpectrum(k0=args.k0_a, width=1.0),
             BarrierConfig.from_w(w=args.w_a, width=args.l_a))
+
+
+def _gated_snapshots(synth, quad: QuadratureSpec) -> tuple[list, float]:
+    """Snapshots on `quad`, gated on every time by one quadrature doubling
+    test; the snapshots are that test's first, coarse evaluation."""
+    snapshots = synth(quad)
+    _, achieved = ensure_converged(
+        lambda q: snapshots if q == quad else synth(q), quad)
+    return snapshots, achieved
 
 
 def cmd_packet(args) -> int:
@@ -230,13 +243,10 @@ def cmd_packet(args) -> int:
     xs = np.linspace(x_min, args.x_max, args.x_points)
     ts = np.linspace(args.t_min, args.t_max, args.t_steps)
     quad = QuadratureSpec(k_lo=1e-9 * barrier.w, k_hi=barrier.w, tol=args.tolerance)
-    # convergence gate on the first snapshot
-    _, achieved = ensure_converged(
-        lambda q: synthesize_transmitted(spec, barrier, xs, float(ts[0]), quad=q),
-        quad)
+    snapshots, achieved = _gated_snapshots(
+        lambda q: synthesize_transmitted(spec, barrier, xs, ts, quad=q), quad)
     files = []
-    for i, t in enumerate(ts):
-        fld = synthesize_transmitted(spec, barrier, xs, float(t), quad=quad)
+    for i, fld in enumerate(snapshots):
         name = f"packet_{i:03d}.csv"
         _snapshot_csv(out / name, fld, "packet snapshot")
         files.append(name)
@@ -268,12 +278,10 @@ def cmd_collide(args) -> int:
     xs = np.linspace(args.x_min, args.x_max, args.x_points)
     quad = QuadratureSpec(k_lo=1e-9 * spec.k0, k_hi=spec.k0 + 8.0 / spec.width,
                           tol=args.tolerance)
-    _, achieved = ensure_converged(
-        lambda q: synthesize_collision(spec, barrier, xs, float(ts[0]), quad=q),
-        quad)
+    snapshots, achieved = _gated_snapshots(
+        lambda q: synthesize_collision(spec, barrier, xs, ts, quad=q), quad)
     files = []
-    for i, t in enumerate(ts):
-        fld = synthesize_collision(spec, barrier, xs, float(t), quad=quad)
+    for i, fld in enumerate(snapshots):
         name = f"collide_{i:03d}.csv"
         _snapshot_csv(out / name, fld, "collision snapshot")
         files.append(name)

@@ -9,6 +9,9 @@ spectrum; there is no PDE time stepping anywhere.  Three configurations:
  * the symmetric two-packet collision, assembled region by region from
    the explicit left- and right-incident solutions.
 
+The transmitted and collision syntheses take one time or a batch of
+times; a batch shares each exp(i k x) block across all its times.
+
 Arrival analysis works on |psi|^2: per-snapshot peak positions with
 parabolic sub-grid refinement, and two report objects that compare
 measured delays against the stationary-phase closed forms.  Peaks of
@@ -121,16 +124,50 @@ class PacketField:
         return len(self.local_max_positions()) > 1
 
 
+def _chunked_matmul(x: np.ndarray, block, amp: np.ndarray) -> np.ndarray:
+    """block(x) @ amp, evaluated _X_CHUNK rows of x at a time.
+
+    block maps a chunk of x to its (chunk, n_k) matrix; amp is (n_k,) or
+    (n_k, n_t) and the result (n_x,) or (n_x, n_t).
+    """
+    out = np.empty((len(x),) + np.shape(amp)[1:], dtype=complex)
+    for lo in range(0, len(x), _X_CHUNK):
+        sl = slice(lo, lo + _X_CHUNK)
+        out[sl] = block(x[sl]) @ amp
+    return out
+
+
 def _phase_matvec(x: np.ndarray, ks: np.ndarray, amp: np.ndarray) -> np.ndarray:
     """sum_i amp_i e^{i k_i x_j}, chunked over x to bound memory.
 
-    Also the time signal at a fixed plane, with x -> t and k -> -k^2/2m.
+    amp is (n_k,) or (n_k, n_t): one column per snapshot time, so a batch
+    of times costs one exp block per chunk and one gemm.  The block is
+    built in place, so memory is bounded by one _X_CHUNK x n_k complex
+    block; no (x, k) basis is cached between calls.  Also the time
+    signal at a fixed plane, with x -> t and k -> -k^2/2m.
     """
-    out = np.empty(len(x), dtype=complex)
-    for lo in range(0, len(x), _X_CHUNK):
-        sl = slice(lo, lo + _X_CHUNK)
-        out[sl] = np.exp(1j * np.outer(x[sl], ks)) @ amp
-    return out
+    phase = 1j * ks
+
+    def block(xc):
+        b = np.outer(xc, phase)
+        return np.exp(b, out=b)
+
+    return _chunked_matmul(x, block, amp)
+
+
+def _times(t) -> np.ndarray:
+    """Snapshot times as a finite 1-D array (a scalar t is one time)."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if ts.ndim != 1 or not np.all(np.isfinite(ts)):
+        raise ValueError("t must be a finite time or a 1-D array of finite times")
+    return ts
+
+
+def _fields(x: np.ndarray, t, ts: np.ndarray,
+            psi: np.ndarray) -> PacketField | list[PacketField]:
+    """One PacketField per column of psi; a bare field when t is a scalar."""
+    fields = [PacketField(x=x, t=float(tj), psi=psi[:, j]) for j, tj in enumerate(ts)]
+    return fields[0] if np.ndim(t) == 0 else fields
 
 
 def synthesize_incident(spectrum: GaussianSpectrum, x_grid, t: float,
@@ -159,24 +196,30 @@ def synthesize_incident(spectrum: GaussianSpectrum, x_grid, t: float,
 
 
 def synthesize_transmitted(spectrum: GaussianSpectrum, barrier: BarrierConfig,
-                           x_grid, t: float,
-                           quad: QuadratureSpec | None = None) -> PacketField:
+                           x_grid, t, quad: QuadratureSpec | None = None
+                           ) -> PacketField | list[PacketField]:
     """Transmitted packet behind the barrier (defined for x >= L/2 only).
 
     (1/2pi) int_0^w dk g(k - k0) |T| e^{i [k (x - L/2) - k^2 t / 2m + Theta]}.
+
+    Batched over times: a scalar t returns one PacketField, a 1-D array
+    of times a list of fields, and either way each chunk of x builds one
+    exp(i k x) block shared by all times (see _phase_matvec).
     """
     x = np.asarray(x_grid, dtype=float)
+    ts = _times(t)
     h = barrier.half_width
     if np.min(x) < h - 1e-12:
         raise ValueError("transmitted field is defined for x >= L/2 only")
     if quad is None:
         quad = QuadratureSpec(k_lo=1e-9 * barrier.w, k_hi=barrier.w)
     ks, wts = quad.nodes()
-    amp = (spectrum.amplitude(ks) * transmission_modulus(ks, barrier)
-           * wts / (2.0 * math.pi)
-           * np.exp(1j * (transmission_phase(ks, barrier)
-                          - ks * h - ks * ks * t / (2.0 * barrier.mass))))
-    return PacketField(x=x, t=t, psi=_phase_matvec(x, ks, amp))
+    base = (spectrum.amplitude(ks) * transmission_modulus(ks, barrier)
+            * wts / (2.0 * math.pi))
+    phase = ((transmission_phase(ks, barrier) - ks * h)[:, None]
+             - np.outer(ks * ks, ts) / (2.0 * barrier.mass))
+    amp = base[:, None] * np.exp(1j * phase)
+    return _fields(x, t, ts, _phase_matvec(x, ks, amp))
 
 
 def collision_sync_time(spectrum: GaussianSpectrum, barrier: BarrierConfig) -> float:
@@ -185,8 +228,8 @@ def collision_sync_time(spectrum: GaussianSpectrum, barrier: BarrierConfig) -> f
 
 
 def synthesize_collision(spectrum: GaussianSpectrum, barrier: BarrierConfig,
-                         x_grid, t: float,
-                         quad: QuadratureSpec | None = None) -> PacketField:
+                         x_grid, t, quad: QuadratureSpec | None = None
+                         ) -> PacketField | list[PacketField]:
     """Symmetric two-packet collision field at time t.
 
     Superposes the explicit left- and right-incident stationary solutions
@@ -197,45 +240,48 @@ def synthesize_collision(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     collision-integral convention; only shapes and ratios of this field
     are meaningful.
 
-    t must not precede the synchronization instant -m L / (2 k0).
+    Batched over times like synthesize_transmitted: a scalar t returns
+    one PacketField, a 1-D array of times a list of fields.  With
+    S = R_B + T_B and e^{-ikx} = conj(e^{ikx}), the left exterior field is
+    E w + conj(E conj(S w)) and the right one E S w + conj(E conj(w)),
+    so each exterior region needs one chunked exp(i k x) block per chunk;
+    the interior is chunked the same way.  No basis is cached.
+
+    No time may precede the synchronization instant -m L / (2 k0).
     """
     x = np.asarray(x_grid, dtype=float)
+    ts = _times(t)
     t_sync = collision_sync_time(spectrum, barrier)
-    if t < t_sync - 1e-12:
+    if np.any(ts < t_sync - 1e-12):
         raise ValueError(f"collision field is defined for t >= {t_sync} "
                          "(simultaneous arrival of the incident peaks)")
     if quad is None:
         quad = QuadratureSpec(k_lo=1e-9 * spectrum.k0,
                               k_hi=spectrum.k0 + 8.0 / spectrum.width)
     ks, wts = quad.nodes()
-    g = spectrum.amplitude(ks)
     refl, trans = _collision_amplitudes(ks, barrier)
-    weight = g * wts * np.exp(-1j * ks * ks * t / (2.0 * barrier.mass))
+    weight = ((spectrum.amplitude(ks) * wts)[:, None]
+              * np.exp(-1j * np.outer(ks * ks, ts) / (2.0 * barrier.mass)))
+    s_weight = (refl + trans)[:, None] * weight
     h = barrier.half_width
+    n_t = len(ts)
 
     left = x < -h
     right = x > h
     inner = ~(left | right)
-    assert int(left.sum() + right.sum() + inner.sum()) == len(x), \
-        "region bookkeeping failure: grid point unassigned"
-    psi = np.empty(len(x), dtype=complex)
-
-    if left.any():
-        xc = x[left][:, None]
-        phi_l = np.exp(1j * ks * xc) + refl * np.exp(-1j * ks * xc)
-        phi_r = trans * np.exp(-1j * ks * xc)
-        psi[left] = (phi_l + phi_r) @ weight
-    if right.any():
-        xc = x[right][:, None]
-        phi_l = trans * np.exp(1j * ks * xc)
-        phi_r = np.exp(-1j * ks * xc) + refl * np.exp(1j * ks * xc)
-        psi[right] = (phi_l + phi_r) @ weight
+    psi = np.empty((len(x), n_t), dtype=complex)
+    for region, direct, mirrored in ((left, weight, s_weight),
+                                     (right, s_weight, weight)):
+        if region.any():
+            both = _phase_matvec(x[region], ks,
+                                 np.concatenate([direct, mirrored.conj()], axis=1))
+            psi[region] = both[:, :n_t] + both[:, n_t:].conj()
     if inner.any():
-        xc = x[inner][:, None]
-        phi_l = interior_field(ks, barrier, xc, trans)
-        phi_r = interior_field(ks, barrier, -xc, trans)
-        psi[inner] = (phi_l + phi_r) @ weight
-    return PacketField(x=x, t=t, psi=psi)
+        psi[inner] = _chunked_matmul(
+            x[inner], lambda xc: (interior_field(ks, barrier, xc[:, None], trans)
+                                  + interior_field(ks, barrier, -xc[:, None], trans)),
+            weight)
+    return _fields(x, t, ts, psi)
 
 
 @dataclass(frozen=True)
@@ -266,24 +312,34 @@ def track_peak(fields) -> PeakTrack:
     return PeakTrack(times=times, positions=pos, multimodal=multi)
 
 
-def ensure_converged(synth, quad: QuadratureSpec,
-                     max_doublings: int = 3) -> tuple[PacketField, float]:
-    """Refine the quadrature until doubling changes no |psi| probe by more
-    than quad.tol (relative to the field maximum).
+def _change(coarse: PacketField, fine: PacketField) -> float:
+    """Largest change of |psi|, relative to the finer field's maximum."""
+    scale = float(np.abs(fine.psi).max())
+    if scale == 0.0:
+        return 0.0
+    return float(np.abs(np.abs(fine.psi) - np.abs(coarse.psi)).max() / scale)
 
-    `synth` maps a QuadratureSpec to a PacketField.  Returns the finest
-    field and the achieved change; raises ConvergenceError with
-    diagnostics if the tolerance is still unmet after max_doublings.
+
+def ensure_converged(synth, quad: QuadratureSpec, max_doublings: int = 3
+                     ) -> tuple[PacketField | list[PacketField], float]:
+    """Refine the quadrature until doubling changes no |psi| probe by more
+    than quad.tol (relative to the maximum of each field).
+
+    `synth` maps a QuadratureSpec to a PacketField or to a list of them
+    (one per snapshot time); the change is the largest over the list.
+    Returns the finest result and the achieved change; raises
+    ConvergenceError with diagnostics if the tolerance is still unmet
+    after max_doublings.
     """
+    def as_list(result):
+        return [result] if isinstance(result, PacketField) else result
+
     coarse = synth(quad)
     change = math.inf
     for _ in range(max_doublings):
         quad = quad.doubled()
         fine = synth(quad)
-        scale = float(np.abs(fine.psi).max())
-        if scale == 0.0:
-            return fine, 0.0
-        change = float(np.abs(np.abs(fine.psi) - np.abs(coarse.psi)).max() / scale)
+        change = max(map(_change, as_list(coarse), as_list(fine)), default=0.0)
         if change < quad.tol:
             return fine, change
         coarse = fine
@@ -373,8 +429,8 @@ def transmission_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfi
     upper = 6.0 * m * a / k0 + 2.0 * abs(t_k0.tau * rate_standard(t_k0.alpha, t_k0.n))
     ts = np.arange(-6.0 * m * a / k0, upper, dt)
     energies = -ks * ks / (2.0 * m)
-    sig_t = np.abs(_phase_matvec(ts, energies, shifted)) ** 2
-    sig_r = np.abs(_phase_matvec(ts, energies, base)) ** 2
+    sig_t, sig_r = (np.abs(_phase_matvec(ts, energies,
+                                         np.stack([shifted, base], axis=1))) ** 2).T
     arrival = parabolic_refine(ts, sig_t, int(np.argmax(sig_t)))
     reference = parabolic_refine(ts, sig_r, int(np.argmax(sig_r)))
     delay = arrival - reference
@@ -382,12 +438,10 @@ def transmission_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfi
     # multimodality scan over the emergence window
     t0_scale = (t_spm if math.isfinite(t_spm) else 0.0) + m * a / k0
     xs = np.linspace(h, h + 12.0 * a, 2401)
-    multimodal = False
-    for t in np.linspace(0.05 * t0_scale, 3.0 * t0_scale, 24):
-        f = synthesize_transmitted(spectrum, barrier, xs, float(t), quad=quad)
-        if f.is_multimodal():
-            multimodal = True
-            break
+    snapshots = synthesize_transmitted(
+        spectrum, barrier, xs, np.linspace(0.05 * t0_scale, 3.0 * t0_scale, 24),
+        quad=quad)
+    multimodal = any(f.is_multimodal() for f in snapshots)
 
     shift_sigmas = (kr.k_max - k0) * a
     filter_effect = shift_sigmas > 1.0
@@ -456,16 +510,14 @@ def collision_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     x_hi = h + (k0 / m) * (t_fit[-1] - t_sync) + 8.0 * a
     n_x = min(8001, max(2001, int((x_hi - h) * 40 / a)))
     xs = np.linspace(h, x_hi, n_x)
-    fields = [synthesize_collision(spectrum, barrier, xs, float(t), quad=quad)
-              for t in t_fit]
-    trk = track_peak(fields)
+    trk = track_peak(synthesize_collision(spectrum, barrier, xs, t_fit, quad=quad))
     v, b = np.polyfit(trk.times, trk.positions, 1)
     delay = (h - b) / v - t_sync
 
     xs_sym = np.linspace(-x_hi, x_hi, 2401)
     sym = 0.0
-    for t in (t_sync, t_sync + 0.5 * (t_fit[0] - t_sync), t_fit[-1]):
-        f = synthesize_collision(spectrum, barrier, xs_sym, float(t), quad=quad)
+    t_sym = np.array([t_sync, t_sync + 0.5 * (t_fit[0] - t_sync), t_fit[-1]])
+    for f in synthesize_collision(spectrum, barrier, xs_sym, t_sym, quad=quad):
         mag = np.abs(f.psi)
         sym = max(sym, float(np.abs(mag - mag[::-1]).max() / mag.max()))
 

@@ -159,6 +159,9 @@ class TestPacketCmd:
         assert run(["packet", "--k0-a", 5.0, "--out", tmp_path]) == 2
         assert run(["packet", "--l-a", "nan", "--out", tmp_path]) == 2
         assert run(["packet", "--w-a", "inf", "--out", tmp_path]) == 2
+        for opt, val in (("--t-max", "nan"), ("--t-min", "-inf"),
+                         ("--x-min", "nan"), ("--x-max", "inf")):
+            assert run(["packet", f"{opt}={val}", "--out", tmp_path]) == 2
 
     def test_unreachable_tolerance_exits_3(self, tmp_path):
         assert run(["packet", "--tolerance", 1e-30, "--x-points", 101,
@@ -184,3 +187,6 @@ class TestCollideCmd:
         assert run(["collide", "--k0-a", 20.0, "--w-a", 16.0, "--out", tmp_path]) == 2
         assert run(["collide", "--w-a", "inf", "--out", tmp_path]) == 2
         assert run(["collide", "--l-a", "nan", "--out", tmp_path]) == 2
+        for opt, val in (("--t-max", "nan"), ("--t-min", "nan"),
+                         ("--x-min", "-inf"), ("--x-max", "nan")):
+            assert run(["collide", f"{opt}={val}", "--out", tmp_path]) == 2

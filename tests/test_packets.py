@@ -9,7 +9,8 @@ from tunneltimes import (BarrierConfig, GaussianSpectrum, PacketField,
                          symmetric_amplitudes, synthesize_collision,
                          synthesize_incident, synthesize_transmitted,
                          track_peak, transmission_timing_report)
-from tunneltimes.packets import ConvergenceError
+from tunneltimes.barrier import _collision_amplitudes, interior_field
+from tunneltimes.packets import _X_CHUNK, ConvergenceError, _phase_matvec
 
 
 def barrier(w=4.0, L=0.2):
@@ -72,6 +73,101 @@ class TestQuadrature:
             ensure_converged(
                 lambda q: synthesize_transmitted(spec, b, xs, 0.4, quad=q),
                 quad, max_doublings=1)
+
+    def test_every_snapshot_is_gated(self):
+        # 4 x 16 nodes resolve t <= 2 but not t = 20, where the phase
+        # k^2 t / 2m winds ~160 rad across [0, w]: a set gated only on its
+        # first time would pass
+        spec, b = spectrum(), barrier()
+        xs = np.linspace(b.half_width, b.half_width + 8.0, 129)
+        quad = QuadratureSpec(k_lo=1e-9 * b.w, k_hi=b.w, panels=4, order=16)
+
+        def synth(ts):
+            return lambda q: synthesize_transmitted(spec, b, xs, ts, quad=q)
+
+        fields, change = ensure_converged(synth([0.4, 1.0, 2.0]), quad,
+                                          max_doublings=1)
+        assert [f.t for f in fields] == [0.4, 1.0, 2.0]
+        assert change < quad.tol
+        ensure_converged(synth([0.4]), quad, max_doublings=1)
+        with pytest.raises(ConvergenceError):
+            ensure_converged(synth([0.4, 1.0, 20.0]), quad, max_doublings=1)
+
+
+class TestBatchedSynthesis:
+    @pytest.mark.parametrize("n_x", [_X_CHUNK - 1, _X_CHUNK, _X_CHUNK + 1,
+                                     2 * _X_CHUNK + 1])
+    def test_phase_matvec_matches_unchunked_product(self, n_x):
+        rng = np.random.default_rng(n_x)
+        x = np.sort(rng.uniform(-20.0, 20.0, n_x))
+        ks = rng.uniform(0.0, 6.0, 97)
+        amp = rng.normal(size=(97, 3)) + 1j * rng.normal(size=(97, 3))
+        naive = np.exp(1j * np.outer(x, ks))
+        scale = np.abs(amp).sum(axis=0)
+        got = _phase_matvec(x, ks, amp)
+        assert got.shape == (n_x, 3)
+        assert np.abs(got - naive @ amp).max() < 1e-13 * scale.max()
+        col = _phase_matvec(x, ks, amp[:, 1])
+        assert col.shape == (n_x,)
+        assert np.abs(col - naive @ amp[:, 1]).max() < 1e-13 * scale[1]
+
+    def test_time_batch_matches_one_call_per_time(self):
+        spec, b = spectrum(), barrier()
+        xs = np.linspace(b.half_width, b.half_width + 10.0, 601)
+        ts = [0.0, 0.7, 1.9, 4.0]
+        batch = synthesize_transmitted(spec, b, xs, ts)
+        assert isinstance(batch, list) and len(batch) == len(ts)
+        single = [synthesize_transmitted(spec, b, xs, float(t)) for t in ts]
+        assert all(isinstance(f, PacketField) for f in single)
+        peak = max(np.abs(f.psi).max() for f in single)
+        for f, g in zip(batch, single):
+            assert f.t == g.t
+            assert np.abs(f.psi - g.psi).max() <= 1e-12 * peak
+
+        spec2, b2 = spectrum(k0=2.0), BarrierConfig.from_w(w=4.0, width=0.4)
+        xs2 = np.linspace(-12.0, 12.0, 1201)
+        ts2 = collision_sync_time(spec2, b2) + np.array([0.0, 0.5, 1.5])
+        batch = synthesize_collision(spec2, b2, xs2, ts2)
+        single = [synthesize_collision(spec2, b2, xs2, float(t)) for t in ts2]
+        peak = max(np.abs(f.psi).max() for f in single)
+        for f, g in zip(batch, single):
+            assert f.t == g.t
+            assert np.abs(f.psi - g.psi).max() <= 1e-12 * peak
+
+    def test_rejects_non_finite_times(self):
+        spec, b = spectrum(), barrier()
+        xs = np.linspace(b.half_width, b.half_width + 4.0, 65)
+        for t in (math.nan, [0.0, math.inf], [[0.0, 1.0]]):
+            with pytest.raises(ValueError):
+                synthesize_transmitted(spec, b, xs, t)
+            with pytest.raises(ValueError):
+                synthesize_collision(spec, b, xs - 2.0, t)
+
+    def test_collision_regions_match_explicit_solutions(self):
+        # reference: each region summed from its explicit left- and
+        # right-incident solutions, e^{-ikx} evaluated directly
+        spec = spectrum(k0=2.0)
+        b = BarrierConfig.from_w(w=4.0, width=1.0)
+        xs = np.linspace(-6.0, 6.0, 241)
+        h = b.half_width
+        assert np.count_nonzero(np.abs(xs) < h) > 10
+        ts = np.array([0.0, 0.8])
+        quad = QuadratureSpec(k_lo=1e-9 * spec.k0, k_hi=spec.k0 + 8.0 / spec.width,
+                              panels=8, order=32)
+        fields = synthesize_collision(spec, b, xs, ts, quad=quad)
+
+        ks, wts = quad.nodes()
+        refl, trans = _collision_amplitudes(ks, b)
+        xc = xs[:, None]
+        e_in, e_out = np.exp(1j * ks * xc), np.exp(-1j * ks * xc)
+        solution = np.where(
+            xc < -h, e_in + refl * e_out + trans * e_out,
+            np.where(xc > h, trans * e_in + e_out + refl * e_in,
+                     interior_field(ks, b, xc, trans)
+                     + interior_field(ks, b, -xc, trans)))
+        for f, t in zip(fields, ts):
+            ref = solution @ (spec.amplitude(ks) * wts * np.exp(-0.5j * ks * ks * t))
+            assert np.abs(f.psi - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestIncident:
