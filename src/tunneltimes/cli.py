@@ -16,6 +16,7 @@ import dataclasses
 import json
 import math
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: Path, manifest: dict, columns: list[str],
-               rows: list[tuple]) -> None:
+               rows: Iterable[tuple]) -> None:
     with path.open("w", encoding="utf-8") as fh:
         fh.write(f"# tunneltimes {manifest['subcommand']}\n")
         for key, val in sorted(manifest["parameters"].items()):
@@ -83,16 +84,6 @@ def _outdir(args) -> Path:
     return out
 
 
-def _snapshot_csv(path: Path, field, label: str) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(f"# tunneltimes {label}\n")
-        fh.write(f"# t = {_fmt(field.t)}\n")
-        fh.write("x,re_psi,im_psi,abs2\n")
-        dens = field.density
-        for xv, pv, dv in zip(field.x, field.psi, dens):
-            fh.write(f"{_fmt(xv)},{_fmt(pv.real)},{_fmt(pv.imag)},{_fmt(dv)}\n")
-
-
 def cmd_table1(args) -> int:
     wa = args.w_a or _TABLE1_WA
     la = args.l_a or _TABLE1_LA
@@ -113,16 +104,13 @@ def cmd_table1(args) -> int:
     _write_csv(out / "table1.csv", manifest, ["w_a", "L_a", "kmax_a", "flag"], rows)
 
     # wide, human-readable grid with the boundary-dominated star markers
-    with (out / "table1_grid.csv").open("w", encoding="utf-8") as fh:
-        fh.write("# tunneltimes table1 (grid layout; * = boundary-dominated)\n")
-        fh.write("L_a\\w_a," + ",".join(_fmt(w) for w in wa) + "\n")
-        by_key = {(c.w_a, c.l_a): c for c in cells}
-        for lv in la:
-            vals = []
-            for wv in wa:
-                c = by_key[(wv, lv)]
-                vals.append("*" if c.boundary_dominated else f"{c.kmax_a:.4f}")
-            fh.write(f"{lv:.2f}," + ",".join(vals) + "\n")
+    mark = {(c.w_a, c.l_a): "*" if c.boundary_dominated else f"{c.kmax_a:.4f}"
+            for c in cells}
+    _write_csv(out / "table1_grid.csv",
+               {"subcommand": "table1 (grid layout; * = boundary-dominated)",
+                "parameters": {}},
+               ["L_a\\w_a"] + [_fmt(w) for w in wa],
+               [(f"{lv:.2f}", *(mark[wv, lv] for wv in wa)) for lv in la])
     manifest["outputs"] = ["table1.csv", "table1_grid.csv"]
     _write_manifest(out, manifest)
     return 0
@@ -226,30 +214,28 @@ def _parse_common_packet(args) -> tuple[GaussianSpectrum, BarrierConfig]:
             BarrierConfig.from_w(w=args.w_a, width=args.l_a))
 
 
-def _gated_snapshots(synth, quad: QuadratureSpec) -> tuple[list, float]:
-    """Snapshots on `quad`, gated on every time by one quadrature doubling
-    test; the snapshots are that test's first, coarse evaluation."""
-    snapshots = synth(quad)
-    _, achieved = ensure_converged(
-        lambda q: snapshots if q == quad else synth(q), quad)
-    return snapshots, achieved
+def _write_snapshots(out: Path, prefix: str, label: str, fields) -> list[str]:
+    """One CSV per snapshot, headed by its time; returns the file names."""
+    files = [f"{prefix}_{i:03d}.csv" for i in range(len(fields))]
+    for name, fld in zip(files, fields):
+        _write_csv(out / name,
+                   {"subcommand": label, "parameters": {"t": _fmt(fld.t)}},
+                   ["x", "re_psi", "im_psi", "abs2"],
+                   zip(fld.x, fld.psi.real, fld.psi.imag, fld.density))
+    return files
 
 
 def cmd_packet(args) -> int:
     spec, barrier = _parse_common_packet(args)
+    quad = QuadratureSpec(tol=args.tolerance)
     out = _outdir(args)
     h = barrier.half_width
     x_min = max(args.x_min, h)
     xs = np.linspace(x_min, args.x_max, args.x_points)
     ts = np.linspace(args.t_min, args.t_max, args.t_steps)
-    quad = QuadratureSpec(k_lo=1e-9 * barrier.w, k_hi=barrier.w, tol=args.tolerance)
-    snapshots, achieved = _gated_snapshots(
+    snapshots, achieved = ensure_converged(
         lambda q: synthesize_transmitted(spec, barrier, xs, ts, quad=q), quad)
-    files = []
-    for i, fld in enumerate(snapshots):
-        name = f"packet_{i:03d}.csv"
-        _snapshot_csv(out / name, fld, "packet snapshot")
-        files.append(name)
+    files = _write_snapshots(out, "packet", "packet snapshot", snapshots)
     rep = transmission_timing_report(spec, barrier, quad=quad)
     timing = {k: (str(v) if isinstance(v, bool) else v)
               for k, v in dataclasses.asdict(rep).items()}
@@ -271,20 +257,15 @@ def cmd_packet(args) -> int:
 
 def cmd_collide(args) -> int:
     spec, barrier = _parse_common_packet(args)
+    quad = QuadratureSpec(tol=args.tolerance)
     out = _outdir(args)
     t_sync = collision_sync_time(spec, barrier)
     t_lo = max(args.t_min, t_sync)
     ts = np.linspace(t_lo, args.t_max, args.t_steps)
     xs = np.linspace(args.x_min, args.x_max, args.x_points)
-    quad = QuadratureSpec(k_lo=1e-9 * spec.k0, k_hi=spec.k0 + 8.0 / spec.width,
-                          tol=args.tolerance)
-    snapshots, achieved = _gated_snapshots(
+    snapshots, achieved = ensure_converged(
         lambda q: synthesize_collision(spec, barrier, xs, ts, quad=q), quad)
-    files = []
-    for i, fld in enumerate(snapshots):
-        name = f"collide_{i:03d}.csv"
-        _snapshot_csv(out / name, fld, "collision snapshot")
-        files.append(name)
+    files = _write_snapshots(out, "collide", "collision snapshot", snapshots)
     rep = collision_timing_report(spec, barrier, quad=quad)
     manifest = _manifest("collide", {
         "w_a": args.w_a, "k0_a": args.k0_a, "l_a": args.l_a,

@@ -12,6 +12,9 @@ spectrum; there is no PDE time stepping anywhere.  Three configurations:
 The transmitted and collision syntheses take one time or a batch of
 times; a batch shares each exp(i k x) block across all its times.
 
+A QuadratureSpec is only the rule; each synthesis lays it over its own k
+window, and ensure_converged returns the evaluation whose doubling passed.
+
 Arrival analysis works on |psi|^2: per-snapshot peak positions with
 parabolic sub-grid refinement, and two report objects that compare
 measured delays against the stationary-phase closed forms.  Peaks of
@@ -32,7 +35,8 @@ from .barrier import (BarrierConfig, _collision_amplitudes, interior_field,
                       transmission_modulus, transmission_phase)
 from .numerics import gauss_legendre_panels, parabolic_refine
 from .phase_times import TimeParams, rate_scattering, rate_standard
-from .spectrum import ContainmentWarning, GaussianSpectrum, find_kmax
+from .spectrum import (_CONTAINMENT_LIMIT, ContainmentWarning, GaussianSpectrum,
+                       find_kmax)
 
 _X_CHUNK = 512  # rows of the (x, k) phase matrix evaluated at a time
 _MODE_THRESHOLD = 0.25  # local maxima below this fraction of the peak are ignored
@@ -44,32 +48,26 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Composite fixed-order Gauss-Legendre rule on [k_lo, k_hi].
+    """Composite fixed-order Gauss-Legendre rule, without a k window.
 
-    `tol` is the acceptance threshold for the doubling test: the
-    peak-relative change of |psi| at probe points when the panel count is
-    doubled must stay below it.
+    Each synthesis lays the rule over its own window.  `tol` is the
+    acceptance threshold of ensure_converged: the peak-relative change of
+    |psi| when the panel count is doubled must stay below it.
     """
 
-    k_lo: float
-    k_hi: float
     panels: int = 24
     order: int = 48
     tol: float = 1e-8
 
     def __post_init__(self):
-        if not self.k_hi > self.k_lo:
-            raise ValueError("need k_hi > k_lo")
         if self.panels < 1 or self.order < 2:
             raise ValueError("need panels >= 1 and order >= 2")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
 
-    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        return gauss_legendre_panels(self.k_lo, self.k_hi, self.panels, self.order)
-
-    def doubled(self) -> "QuadratureSpec":
-        return replace(self, panels=2 * self.panels)
+    def nodes(self, k_lo: float, k_hi: float) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights of the rule on [k_lo, k_hi]."""
+        return gauss_legendre_panels(k_lo, k_hi, self.panels, self.order)
 
 
 @dataclass(frozen=True)
@@ -171,13 +169,13 @@ def _fields(x: np.ndarray, t, ts: np.ndarray,
 
 
 def synthesize_incident(spectrum: GaussianSpectrum, x_grid, t: float,
-                        quad: QuadratureSpec | None = None,
-                        k_interval: tuple[float, float] | None = None,
-                        mass: float = 1.0) -> PacketField:
-    """Free packet (1/2pi) int dk g(k - k0) e^{i (k x - k^2 t / 2m)}.
+                        quad: QuadratureSpec = QuadratureSpec(),
+                        k_interval: tuple[float, float] | None = None
+                        ) -> PacketField:
+    """Free packet (1/2pi) int dk g(k - k0) e^{i (k x - k^2 t / 2)}, m = 1.
 
     By default the integral covers k0 +- 8/width, so the full gaussian is
-    retained and the centroid moves at exactly k0/m; pass
+    retained and the centroid moves at exactly k0; pass
     k_interval=(0, w) to reproduce the truncated-window convention of the
     transmitted-packet integral.
     """
@@ -185,18 +183,22 @@ def synthesize_incident(spectrum: GaussianSpectrum, x_grid, t: float,
     if k_interval is None:
         k_interval = (spectrum.k0 - 8.0 / spectrum.width,
                       spectrum.k0 + 8.0 / spectrum.width)
-    if quad is None:
-        quad = QuadratureSpec(k_lo=k_interval[0], k_hi=k_interval[1])
-    else:
-        quad = replace(quad, k_lo=k_interval[0], k_hi=k_interval[1])
-    ks, wts = quad.nodes()
+    ks, wts = quad.nodes(*k_interval)
     amp = spectrum.amplitude(ks) * wts / (2.0 * math.pi) \
-        * np.exp(-1j * ks * ks * t / (2.0 * mass))
+        * np.exp(-1j * ks * ks * t / 2.0)
     return PacketField(x=x, t=t, psi=_phase_matvec(x, ks, amp))
 
 
+def _transmitted_nodes(spectrum: GaussianSpectrum, barrier: BarrierConfig,
+                       quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of `quad` on (0, w] and the weighted amplitudes g |T| wts / 2pi."""
+    ks, wts = quad.nodes(1e-9 * barrier.w, barrier.w)
+    return ks, (spectrum.amplitude(ks) * transmission_modulus(ks, barrier)
+                * wts / (2.0 * math.pi))
+
+
 def synthesize_transmitted(spectrum: GaussianSpectrum, barrier: BarrierConfig,
-                           x_grid, t, quad: QuadratureSpec | None = None
+                           x_grid, t, quad: QuadratureSpec = QuadratureSpec()
                            ) -> PacketField | list[PacketField]:
     """Transmitted packet behind the barrier (defined for x >= L/2 only).
 
@@ -211,11 +213,7 @@ def synthesize_transmitted(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     h = barrier.half_width
     if np.min(x) < h - 1e-12:
         raise ValueError("transmitted field is defined for x >= L/2 only")
-    if quad is None:
-        quad = QuadratureSpec(k_lo=1e-9 * barrier.w, k_hi=barrier.w)
-    ks, wts = quad.nodes()
-    base = (spectrum.amplitude(ks) * transmission_modulus(ks, barrier)
-            * wts / (2.0 * math.pi))
+    ks, base = _transmitted_nodes(spectrum, barrier, quad)
     phase = ((transmission_phase(ks, barrier) - ks * h)[:, None]
              - np.outer(ks * ks, ts) / (2.0 * barrier.mass))
     amp = base[:, None] * np.exp(1j * phase)
@@ -227,8 +225,14 @@ def collision_sync_time(spectrum: GaussianSpectrum, barrier: BarrierConfig) -> f
     return -barrier.mass * barrier.width / (2.0 * spectrum.k0)
 
 
+def _collision_nodes(spectrum: GaussianSpectrum,
+                     quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of `quad` on (0, k0 + 8/width]."""
+    return quad.nodes(1e-9 * spectrum.k0, spectrum.k0 + 8.0 / spectrum.width)
+
+
 def synthesize_collision(spectrum: GaussianSpectrum, barrier: BarrierConfig,
-                         x_grid, t, quad: QuadratureSpec | None = None
+                         x_grid, t, quad: QuadratureSpec = QuadratureSpec()
                          ) -> PacketField | list[PacketField]:
     """Symmetric two-packet collision field at time t.
 
@@ -255,10 +259,7 @@ def synthesize_collision(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     if np.any(ts < t_sync - 1e-12):
         raise ValueError(f"collision field is defined for t >= {t_sync} "
                          "(simultaneous arrival of the incident peaks)")
-    if quad is None:
-        quad = QuadratureSpec(k_lo=1e-9 * spectrum.k0,
-                              k_hi=spectrum.k0 + 8.0 / spectrum.width)
-    ks, wts = quad.nodes()
+    ks, wts = _collision_nodes(spectrum, quad)
     refl, trans = _collision_amplitudes(ks, barrier)
     weight = ((spectrum.amplitude(ks) * wts)[:, None]
               * np.exp(-1j * np.outer(ks * ks, ts) / (2.0 * barrier.mass)))
@@ -322,14 +323,16 @@ def _change(coarse: PacketField, fine: PacketField) -> float:
 
 def ensure_converged(synth, quad: QuadratureSpec, max_doublings: int = 3
                      ) -> tuple[PacketField | list[PacketField], float]:
-    """Refine the quadrature until doubling changes no |psi| probe by more
-    than quad.tol (relative to the maximum of each field).
+    """Evaluate `synth` on `quad`, doubling the panel count until one
+    doubling changes no |psi| by more than quad.tol (relative to the
+    maximum of the finer field).
 
     `synth` maps a QuadratureSpec to a PacketField or to a list of them
     (one per snapshot time); the change is the largest over the list.
-    Returns the finest result and the achieved change; raises
-    ConvergenceError with diagnostics if the tolerance is still unmet
-    after max_doublings.
+    Returns the evaluation whose doubling passed (the coarser of the last
+    pair) and that change, so the change bounds the returned fields'
+    distance from the doubled rule.  Raises ConvergenceError with
+    diagnostics if the tolerance is still unmet after max_doublings.
     """
     def as_list(result):
         return [result] if isinstance(result, PacketField) else result
@@ -337,11 +340,11 @@ def ensure_converged(synth, quad: QuadratureSpec, max_doublings: int = 3
     coarse = synth(quad)
     change = math.inf
     for _ in range(max_doublings):
-        quad = quad.doubled()
+        quad = replace(quad, panels=2 * quad.panels)
         fine = synth(quad)
         change = max(map(_change, as_list(coarse), as_list(fine)), default=0.0)
         if change < quad.tol:
-            return fine, change
+            return coarse, change
         coarse = fine
     raise ConvergenceError(
         f"quadrature not converged: change {change:.3e} > tol {quad.tol:.3e} "
@@ -366,7 +369,7 @@ class TransmissionTimingReport:
     Agreement with t_spm is a narrow-spectrum limit: at fixed w/k0 and
     L k0 the discrepancy falls as (k0 a)^-2.  containment_outside above
     1e-3 puts the point outside the analysis's validity window, where no
-    agreement is implied.
+    agreement is implied and spm_reliable is False.
     """
 
     k_max: float
@@ -387,20 +390,19 @@ class TransmissionTimingReport:
 
 
 def transmission_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfig,
-                               quad: QuadratureSpec | None = None,
+                               quad: QuadratureSpec = QuadratureSpec(),
                                dt: float = 0.002) -> TransmissionTimingReport:
     """Compare the synthesized transmitted-packet arrival with the
     stationary-phase prediction at the modulated-spectrum maximum.
 
     The two agree in the narrow-spectrum limit, approached as (k0 a)^-2
-    at fixed w/k0 and L k0.  The ContainmentWarning of find_kmax is
-    silenced; a containment_outside above 1e-3 in the result marks a
-    point outside the validity window.
+    at fixed w/k0 and L k0.  Needs k0 < w.  The ContainmentWarning of
+    find_kmax is silenced; a containment_outside above 1e-3 in the result
+    marks a point outside the validity window and clears spm_reliable.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ContainmentWarning)
         kr = find_kmax(spectrum, barrier)
-    w = barrier.w
     m = barrier.mass
     k0 = spectrum.k0
     a = spectrum.width
@@ -416,16 +418,12 @@ def transmission_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfi
         tau = params.tau
         band = 0.05 * tau
 
-    if quad is None:
-        quad = QuadratureSpec(k_lo=1e-9 * w, k_hi=w)
-    ks, wts = quad.nodes()
-    base = (spectrum.amplitude(ks) * transmission_modulus(ks, barrier)
-            * wts / (2.0 * math.pi))
+    ks, base = _transmitted_nodes(spectrum, barrier, quad)
     shifted = base * np.exp(1j * transmission_phase(ks, barrier))
 
     # generous scan window: the reference peaks at t = 0, the transmitted
     # delay is bounded by the transit time at k0
-    t_k0 = TimeParams.from_k(min(k0, 0.999 * w), barrier)
+    t_k0 = TimeParams.from_k(k0, barrier)
     upper = 6.0 * m * a / k0 + 2.0 * abs(t_k0.tau * rate_standard(t_k0.alpha, t_k0.n))
     ts = np.arange(-6.0 * m * a / k0, upper, dt)
     energies = -ks * ks / (2.0 * m)
@@ -456,7 +454,8 @@ def transmission_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfi
         within_band=within, multimodal=multimodal,
         filter_shift_sigmas=shift_sigmas, filter_effect=filter_effect,
         spm_reliable=bool(within and not multimodal and not filter_effect
-                          and not kr.boundary_dominated),
+                          and not kr.boundary_dominated
+                          and kr.containment_outside <= _CONTAINMENT_LIMIT),
     )
 
 
@@ -480,24 +479,22 @@ class CollisionTimingReport:
 
 
 def collision_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfig,
-                            quad: QuadratureSpec | None = None) -> CollisionTimingReport:
+                            quad: QuadratureSpec = QuadratureSpec()
+                            ) -> CollisionTimingReport:
     """Measure the collision delay and the two exactness properties
     (mirror symmetry, unimodular outgoing spectrum)."""
     k0 = spectrum.k0
     a = spectrum.width
     m = barrier.mass
     h = barrier.half_width
-    w = barrier.w
-    if not k0 < w:
+    if not k0 < barrier.w:
         raise ValueError("collision timing needs the tunneling regime k0 < w")
     t_sync = collision_sync_time(spectrum, barrier)
     params = TimeParams.from_k(k0, barrier) if barrier.width > 0.0 else None
     pred = (params.tau * rate_scattering(params.alpha, params.n)
             if params is not None else 0.0)
 
-    if quad is None:
-        quad = QuadratureSpec(k_lo=1e-9 * k0, k_hi=k0 + 8.0 / a)
-    ks, wts = quad.nodes()
+    ks, wts = _collision_nodes(spectrum, quad)
     g = spectrum.amplitude(ks)
     refl, trans = _collision_amplitudes(ks, barrier)
     s_abs = np.abs(refl + trans)

@@ -117,20 +117,21 @@ def find_kmax(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     (the product can be bimodal near the distortion onset, so a local
     method alone would be unsafe).  When no interior maximum beats the
     value at k = w the result is flagged boundary-dominated and k_max = w
-    is returned.  Containment violations warn but do not fail.
+    is returned.  Needs k0 < w; containment violations only warn.
     """
     if scan_points < 3:
         raise ValueError("scan_points must be at least 3")
-    outside = _warn_if_leaky(spectrum, barrier)
     w, L = barrier.w, barrier.width
     k0 = spectrum.k0
+    if not k0 < w:
+        raise ValueError("find_kmax needs the tunneling regime k0 < w")
+    outside = _warn_if_leaky(spectrum, barrier)
 
     if L == 0.0:
-        # |T| = 1: the maximum is the gaussian's own peak (or the edge)
-        km = min(k0, w)
-        val = float(modulated_spectrum(km, spectrum, barrier))
+        # |T| = 1: the maximum is the gaussian's own peak
+        val = float(modulated_spectrum(k0, spectrum, barrier))
         top = float(modulated_spectrum(w, spectrum, barrier))
-        return KmaxResult(km, km == w, val, top, outside)
+        return KmaxResult(k0, False, val, top, outside)
 
     def objective(k):
         a = spectrum.width
@@ -297,8 +298,7 @@ def cutoff_time_estimate(delta: float, barrier: BarrierConfig) -> float:
 
 
 def cutoff_packet_profile(spectrum: GaussianSpectrum, x_grid,
-                          barrier: BarrierConfig | None = None,
-                          quad=None):
+                          barrier: BarrierConfig | None = None):
     """|psi(x)| at t = 0 for the truncated spectrum, as a PacketField.
 
     The support is [0, (1 - delta) w_ref]; w_ref is the barrier top when a
@@ -311,5 +311,5 @@ def cutoff_packet_profile(spectrum: GaussianSpectrum, x_grid,
     upper = spectrum.support_upper(w_ref)
     if upper <= 1e-9 * spectrum.k0:
         raise ValueError("cutoff removes essentially the whole support")
-    return synthesize_incident(spectrum, x_grid, t=0.0, quad=quad,
+    return synthesize_incident(spectrum, x_grid, t=0.0,
                                k_interval=(1e-12, upper))

@@ -271,7 +271,7 @@ def _spectral_group_delays(k0a: float) -> tuple[float, float]:
     """Transit time t_T(k) averaged over the transmitted spectrum on the
     report's default nodes: weighted by |g T|^2 and by the flux k |g T|^2."""
     spec, b = _criterion_9_case(k0a)
-    ks, wts = QuadratureSpec(k_lo=1e-9 * b.w, k_hi=b.w).nodes()
+    ks, wts = QuadratureSpec().nodes(1e-9 * b.w, b.w)
     t_k = np.array([standard_transit_time(float(q), b, derivative=False).time
                     for q in ks])
     weight = wts * (spec.amplitude(ks) * transmission_modulus(ks, b)) ** 2

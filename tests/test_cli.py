@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from tunneltimes import (BarrierConfig, GaussianSpectrum, QuadratureSpec,
+                         synthesize_collision)
 from tunneltimes.cli import main
 
 
@@ -160,7 +162,8 @@ class TestPacketCmd:
         assert run(["packet", "--l-a", "nan", "--out", tmp_path]) == 2
         assert run(["packet", "--w-a", "inf", "--out", tmp_path]) == 2
         for opt, val in (("--t-max", "nan"), ("--t-min", "-inf"),
-                         ("--x-min", "nan"), ("--x-max", "inf")):
+                         ("--x-min", "nan"), ("--x-max", "inf"),
+                         ("--tolerance", "inf")):
             assert run(["packet", f"{opt}={val}", "--out", tmp_path]) == 2
 
     def test_unreachable_tolerance_exits_3(self, tmp_path):
@@ -188,5 +191,27 @@ class TestCollideCmd:
         assert run(["collide", "--w-a", "inf", "--out", tmp_path]) == 2
         assert run(["collide", "--l-a", "nan", "--out", tmp_path]) == 2
         for opt, val in (("--t-max", "nan"), ("--t-min", "nan"),
-                         ("--x-min", "-inf"), ("--x-max", "nan")):
+                         ("--x-min", "-inf"), ("--x-max", "nan"),
+                         ("--tolerance", "inf")):
             assert run(["collide", f"{opt}={val}", "--out", tmp_path]) == 2
+
+    def test_written_snapshots_meet_tolerance(self, tmp_path):
+        # on this wide grid the first doubling (24 -> 48 panels) misses the
+        # tolerance; the files must hold an evaluation whose doubling passed
+        assert run(["collide", "--x-min=-200", "--x-max=200", "--x-points", 401,
+                    "--t-steps", 2, "--out", tmp_path]) == 0
+        p = json.loads((tmp_path / "manifest.json").read_text())["parameters"]
+        xs = np.linspace(p["x_min"], p["x_max"], p["x_points"])
+        ts = np.linspace(p["t_min"], p["t_max"], p["t_steps"])
+        doubled = synthesize_collision(
+            GaussianSpectrum(k0=p["k0_a"], width=1.0),
+            BarrierConfig.from_w(w=p["w_a"], width=p["l_a"]), xs, ts,
+            quad=QuadratureSpec(panels=2 * QuadratureSpec().panels))
+        for i, fine in enumerate(doubled):
+            _, rows, comments = read_csv(tmp_path / f"collide_{i:03d}.csv")
+            assert comments[1] == f"# t = {fine.t:.12g}"
+            cells = np.array(rows, dtype=float)
+            np.testing.assert_array_equal(cells[:, 0], xs)
+            mag = np.hypot(cells[:, 1], cells[:, 2])
+            ref = np.abs(fine.psi)
+            assert np.abs(mag - ref).max() / ref.max() < p["tolerance"]

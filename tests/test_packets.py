@@ -51,14 +51,16 @@ class TestPacketField:
 class TestQuadrature:
     def test_validation(self):
         with pytest.raises(ValueError):
-            QuadratureSpec(k_lo=1.0, k_hi=0.5)
+            QuadratureSpec().nodes(1.0, 0.5)
         with pytest.raises(ValueError):
-            QuadratureSpec(k_lo=0.0, k_hi=1.0, panels=0)
+            QuadratureSpec(panels=0)
+        with pytest.raises(ValueError):
+            QuadratureSpec(tol=math.inf)
 
     def test_convergence_at_default_resolution(self):
         spec, b = spectrum(), barrier()
         xs = np.linspace(b.half_width, b.half_width + 8.0, 257)
-        quad = QuadratureSpec(k_lo=1e-9 * b.w, k_hi=b.w, panels=8, order=32)
+        quad = QuadratureSpec(panels=8, order=32)
         fld, change = ensure_converged(
             lambda q: synthesize_transmitted(spec, b, xs, 0.4, quad=q), quad)
         assert change < quad.tol
@@ -67,8 +69,7 @@ class TestQuadrature:
         # an impossibly tight tolerance with a tiny doubling budget must fail loudly
         spec, b = spectrum(), barrier()
         xs = np.linspace(b.half_width, b.half_width + 8.0, 65)
-        quad = QuadratureSpec(k_lo=1e-9 * b.w, k_hi=b.w, panels=1, order=2,
-                              tol=1e-16)
+        quad = QuadratureSpec(panels=1, order=2, tol=1e-16)
         with pytest.raises(ConvergenceError):
             ensure_converged(
                 lambda q: synthesize_transmitted(spec, b, xs, 0.4, quad=q),
@@ -80,7 +81,7 @@ class TestQuadrature:
         # first time would pass
         spec, b = spectrum(), barrier()
         xs = np.linspace(b.half_width, b.half_width + 8.0, 129)
-        quad = QuadratureSpec(k_lo=1e-9 * b.w, k_hi=b.w, panels=4, order=16)
+        quad = QuadratureSpec(panels=4, order=16)
 
         def synth(ts):
             return lambda q: synthesize_transmitted(spec, b, xs, ts, quad=q)
@@ -152,11 +153,10 @@ class TestBatchedSynthesis:
         h = b.half_width
         assert np.count_nonzero(np.abs(xs) < h) > 10
         ts = np.array([0.0, 0.8])
-        quad = QuadratureSpec(k_lo=1e-9 * spec.k0, k_hi=spec.k0 + 8.0 / spec.width,
-                              panels=8, order=32)
+        quad = QuadratureSpec(panels=8, order=32)
         fields = synthesize_collision(spec, b, xs, ts, quad=quad)
 
-        ks, wts = quad.nodes()
+        ks, wts = quad.nodes(1e-9 * spec.k0, spec.k0 + 8.0 / spec.width)
         refl, trans = _collision_amplitudes(ks, b)
         xc = xs[:, None]
         e_in, e_out = np.exp(1j * ks * xc), np.exp(-1j * ks * xc)
@@ -293,6 +293,15 @@ class TestTransmissionTimingReport:
         rep = transmission_timing_report(spectrum(), barrier(4.0, 1.0))
         assert rep.filter_effect or rep.multimodal
         assert rep.filter_shift_sigmas > 1.0
+        assert not rep.spm_reliable
+
+    def test_leaky_spectrum_is_not_reliable(self):
+        # k0 a = 2, w a = 4: the delay lands inside the band with neither
+        # breakdown flag set, but 4.6 % of the intensity lies outside [0, w]
+        rep = transmission_timing_report(spectrum(k0=2.0), barrier(4.0, 0.2))
+        assert rep.containment_outside == pytest.approx(0.0455, abs=1e-4)
+        assert rep.within_band
+        assert not (rep.multimodal or rep.filter_effect or rep.boundary_dominated)
         assert not rep.spm_reliable
 
     def test_narrow_spectrum_converges_to_spm(self):

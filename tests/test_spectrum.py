@@ -178,6 +178,13 @@ class TestDistortionOnset:
         with pytest.raises(ValueError):
             distortion_onset(spectrum(1.0), 1.0)
 
+    def test_find_kmax_rejects_k0_at_or_above_w(self):
+        # outside the tunneling regime there is no interior maximum to find
+        for w in (1.0, 0.5):
+            for L in (0.0, 0.3):
+                with pytest.raises(ValueError):
+                    find_kmax(spectrum(1.0), barrier(w, L))
+
 
 def rep_logderiv_matches(s, w):
     rep = distortion_onset(s, w)
