@@ -10,7 +10,10 @@ spectrum; there is no PDE time stepping anywhere.  Three configurations:
    the explicit left- and right-incident solutions.
 
 The transmitted and collision syntheses take one time or a batch of
-times; a batch shares each exp(i k x) block across all its times.
+times; a batch shares each chunk's phase block across all its times.  On
+a uniform grid that block is one offset block e^{i k r dx} per call,
+scaled per chunk by an n_k-vector exp; other grids get the direct
+exp(i k x) block per chunk.
 
 A QuadratureSpec is only the rule; each synthesis lays it over its own k
 window, and ensure_converged returns the evaluation whose doubling passed.
@@ -123,15 +126,16 @@ class PacketField:
 
 
 def _chunked_matmul(x: np.ndarray, block, amp: np.ndarray) -> np.ndarray:
-    """block(x) @ amp, evaluated _X_CHUNK rows of x at a time.
+    """Sum over k of a (x, k) matrix times amp, _X_CHUNK rows of x at a time.
 
-    block maps a chunk of x to its (chunk, n_k) matrix; amp is (n_k,) or
-    (n_k, n_t) and the result (n_x,) or (n_x, n_t).
+    block maps a chunk of x and amp ((n_k,) or (n_k, n_t)) to a pair
+    (matrix, a) whose product is that chunk of the result; each product
+    is written straight into the one (n_x,) or (n_x, n_t) output.
     """
     out = np.empty((len(x),) + np.shape(amp)[1:], dtype=complex)
     for lo in range(0, len(x), _X_CHUNK):
         sl = slice(lo, lo + _X_CHUNK)
-        out[sl] = block(x[sl]) @ amp
+        np.matmul(*block(x[sl], amp), out=out[sl])
     return out
 
 
@@ -139,16 +143,29 @@ def _phase_matvec(x: np.ndarray, ks: np.ndarray, amp: np.ndarray) -> np.ndarray:
     """sum_i amp_i e^{i k_i x_j}, chunked over x to bound memory.
 
     amp is (n_k,) or (n_k, n_t): one column per snapshot time, so a batch
-    of times costs one exp block per chunk and one gemm.  The block is
-    built in place, so memory is bounded by one _X_CHUNK x n_k complex
-    block; no (x, k) basis is cached between calls.  Also the time
-    signal at a fixed plane, with x -> t and k -> -k^2/2m.
+    of times costs one gemm per chunk.  On a uniform grid (every x within
+    a few ulps of x_0 + j dx) e^{i k (x_c + r dx)} = e^{i k r dx} e^{i k x_c}:
+    one _X_CHUNK x n_k offset block e^{i k r dx} is built per call, and a
+    chunk starting at x_c costs an n_k exp folded into amp.  Other grids
+    build each chunk's exp(i k x) block directly.  Memory is bounded by
+    one _X_CHUNK x n_k complex block; nothing is cached between calls.
+    Also the time signal at a fixed plane, with x -> t and k -> -k^2/2m.
     """
     phase = 1j * ks
+    n = len(x)
+    if n > 1:
+        steps = np.arange(n) * ((x[-1] - x[0]) / (n - 1))
+        if (np.abs(x - (x[0] + steps)).max()
+                <= 4.0 * np.finfo(float).eps * np.abs(x).max()):
+            offs = np.outer(steps[:_X_CHUNK], phase)
+            np.exp(offs, out=offs)
+            # (a.T * e).T scales row i of a 1-D or 2-D amp by e_i, no reshape needed
+            return _chunked_matmul(x, lambda xc, a: (
+                offs[:len(xc)], (a.T * np.exp(xc[0] * phase)).T), amp)
 
-    def block(xc):
+    def block(xc, a):
         b = np.outer(xc, phase)
-        return np.exp(b, out=b)
+        return np.exp(b, out=b), a
 
     return _chunked_matmul(x, block, amp)
 
@@ -174,12 +191,15 @@ def synthesize_incident(spectrum: GaussianSpectrum, x_grid, t: float,
                         ) -> PacketField:
     """Free packet (1/2pi) int dk g(k - k0) e^{i (k x - k^2 t / 2)}, m = 1.
 
+    t is one finite time.
+
     By default the integral covers k0 +- 8/width, so the full gaussian is
     retained and the centroid moves at exactly k0; pass
     k_interval=(0, w) to reproduce the truncated-window convention of the
     transmitted-packet integral.
     """
     x = np.asarray(x_grid, dtype=float)
+    t = _times(t).item()  # .item() rejects a batch
     if k_interval is None:
         k_interval = (spectrum.k0 - 8.0 / spectrum.width,
                       spectrum.k0 + 8.0 / spectrum.width)
@@ -205,8 +225,10 @@ def synthesize_transmitted(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     (1/2pi) int_0^w dk g(k - k0) |T| e^{i [k (x - L/2) - k^2 t / 2m + Theta]}.
 
     Batched over times: a scalar t returns one PacketField, a 1-D array
-    of times a list of fields, and either way each chunk of x builds one
-    exp(i k x) block shared by all times (see _phase_matvec).
+    of times a list of fields, and either way each chunk of x costs one
+    gemm shared by all times, against one offset block per call on a
+    uniform grid and the direct exp(i k x) block otherwise (see
+    _phase_matvec).
     """
     x = np.asarray(x_grid, dtype=float)
     ts = _times(t)
@@ -248,8 +270,10 @@ def synthesize_collision(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     one PacketField, a 1-D array of times a list of fields.  With
     S = R_B + T_B and e^{-ikx} = conj(e^{ikx}), the left exterior field is
     E w + conj(E conj(S w)) and the right one E S w + conj(E conj(w)),
-    so each exterior region needs one chunked exp(i k x) block per chunk;
-    the interior is chunked the same way.  No basis is cached.
+    so each exterior region is one _phase_matvec call: one offset block
+    per call on a uniform grid (a slice of a linspace stays uniform), the
+    direct exp(i k x) block per chunk otherwise.  The interior is chunked
+    the same way.  No basis is cached.
 
     No time may precede the synchronization instant -m L / (2 k0).
     """
@@ -279,8 +303,9 @@ def synthesize_collision(spectrum: GaussianSpectrum, barrier: BarrierConfig,
             psi[region] = both[:, :n_t] + both[:, n_t:].conj()
     if inner.any():
         psi[inner] = _chunked_matmul(
-            x[inner], lambda xc: (interior_field(ks, barrier, xc[:, None], trans)
-                                  + interior_field(ks, barrier, -xc[:, None], trans)),
+            x[inner], lambda xc, a: (
+                interior_field(ks, barrier, xc[:, None], trans)
+                + interior_field(ks, barrier, -xc[:, None], trans), a),
             weight)
     return _fields(x, t, ts, psi)
 

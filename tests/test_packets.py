@@ -95,22 +95,49 @@ class TestQuadrature:
             ensure_converged(synth([0.4, 1.0, 20.0]), quad, max_doublings=1)
 
 
+def _assert_matches_naive_product(x, rng, k_max=6.0):
+    """_phase_matvec against exp(i outer(x, k)) @ amp, for 2-D and 1-D amp."""
+    ks = rng.uniform(0.0, k_max, 97)
+    amp = rng.normal(size=(97, 3)) + 1j * rng.normal(size=(97, 3))
+    naive = np.exp(1j * np.outer(x, ks))
+    scale = np.abs(amp).sum(axis=0)
+    got = _phase_matvec(x, ks, amp)
+    assert got.shape == (len(x), 3)
+    assert np.abs(got - naive @ amp).max() < 1e-13 * scale.max()
+    col = _phase_matvec(x, ks, amp[:, 1])
+    assert col.shape == (len(x),)
+    assert np.abs(col - naive @ amp[:, 1]).max() < 1e-13 * scale[1]
+
+
 class TestBatchedSynthesis:
     @pytest.mark.parametrize("n_x", [_X_CHUNK - 1, _X_CHUNK, _X_CHUNK + 1,
                                      2 * _X_CHUNK + 1])
     def test_phase_matvec_matches_unchunked_product(self, n_x):
+        # non-uniform grid: each chunk's exp block is built directly
         rng = np.random.default_rng(n_x)
         x = np.sort(rng.uniform(-20.0, 20.0, n_x))
-        ks = rng.uniform(0.0, 6.0, 97)
-        amp = rng.normal(size=(97, 3)) + 1j * rng.normal(size=(97, 3))
-        naive = np.exp(1j * np.outer(x, ks))
-        scale = np.abs(amp).sum(axis=0)
-        got = _phase_matvec(x, ks, amp)
-        assert got.shape == (n_x, 3)
-        assert np.abs(got - naive @ amp).max() < 1e-13 * scale.max()
-        col = _phase_matvec(x, ks, amp[:, 1])
-        assert col.shape == (n_x,)
-        assert np.abs(col - naive @ amp[:, 1]).max() < 1e-13 * scale[1]
+        _assert_matches_naive_product(x, rng)
+
+    @pytest.mark.parametrize("n_x", [1, 2, _X_CHUNK - 1, _X_CHUNK, _X_CHUNK + 1,
+                                     2 * _X_CHUNK + 1])
+    def test_phase_matvec_factors_uniform_grids(self, n_x):
+        # linspace, arange, |x| up to 1e3, and a contiguous slice of a
+        # linspace as synthesize_collision passes x[region].  On the 1e3
+        # grid k stays below 1: at k x ~ 6e3 the naive product's own phase
+        # rounding (~5e-13 rad per term) reaches the bound.
+        grids = [(np.linspace(-20.0, 20.0, n_x), 6.0),
+                 (np.arange(-3.7, -3.7 + (n_x - 0.5) * 0.013, 0.013), 6.0),
+                 (np.linspace(-1e3, 1e3, n_x), 1.0),
+                 (np.linspace(-12.0, 12.0, 3 * n_x)[n_x:2 * n_x], 6.0)]
+        for x, k_max in grids:
+            assert len(x) == n_x
+            _assert_matches_naive_product(x, np.random.default_rng(n_x), k_max)
+
+    def test_phase_matvec_uniformity_check_is_tight(self):
+        # a factored evaluation of this grid misses by about k * 1e-6 dx
+        x = np.linspace(-20.0, 20.0, 2 * _X_CHUNK + 1)
+        x[700] += 1e-6 * (x[1] - x[0])
+        _assert_matches_naive_product(x, np.random.default_rng(7))
 
     def test_time_batch_matches_one_call_per_time(self):
         spec, b = spectrum(), barrier()
@@ -143,6 +170,12 @@ class TestBatchedSynthesis:
                 synthesize_transmitted(spec, b, xs, t)
             with pytest.raises(ValueError):
                 synthesize_collision(spec, b, xs - 2.0, t)
+
+    def test_incident_rejects_non_finite_time(self):
+        xs = np.linspace(-5.0, 5.0, 11)
+        for t in (math.nan, math.inf, [0.0, 1.0]):
+            with pytest.raises(ValueError):
+                synthesize_incident(spectrum(k0=2.0), xs, t)
 
     def test_collision_regions_match_explicit_solutions(self):
         # reference: each region summed from its explicit left- and
