@@ -138,7 +138,7 @@ def gauss_legendre_panels(lo: float, hi: float, panels: int,
 
 
 def parabolic_refine(grid: np.ndarray, values: np.ndarray, i: int) -> float:
-    """Sub-grid location of a local maximum near index i by parabola fit."""
+    """Sub-grid maximum near index i by parabola fit; grid must be equally spaced."""
     if 0 < i < len(grid) - 1:
         y0, y1, y2 = values[i - 1], values[i], values[i + 1]
         denom = y0 - 2.0 * y1 + y2

@@ -10,10 +10,10 @@ spectrum; there is no PDE time stepping anywhere.  Three configurations:
    the explicit left- and right-incident solutions.
 
 The transmitted and collision syntheses take one time or a batch of
-times; a batch shares each chunk's phase block across all its times.  On
-a uniform grid that block is one offset block e^{i k r dx} per call,
-scaled per chunk by an n_k-vector exp; other grids get the direct
-exp(i k x) block per chunk.
+times; a batch shares each chunk's phase block across all its times.
+Every x grid must be uniform (_grid_steps is the one check; anything else
+raises ValueError), so that block is one offset block e^{i k r dx} per
+call, scaled per chunk by an n_k-vector exp.
 
 A QuadratureSpec is only the rule; each synthesis lays it over its own k
 window, and ensure_converged returns the evaluation whose doubling passed.
@@ -37,7 +37,7 @@ import numpy as np
 from .barrier import (BarrierConfig, _collision_amplitudes, interior_field,
                       transmission_modulus, transmission_phase)
 from .numerics import gauss_legendre_panels, parabolic_refine
-from .phase_times import TimeParams, rate_scattering, rate_standard
+from .phase_times import TimeParams, rate_scattering, standard_transit_time
 from .spectrum import (_CONTAINMENT_LIMIT, ContainmentWarning, GaussianSpectrum,
                        find_kmax)
 
@@ -73,9 +73,25 @@ class QuadratureSpec:
         return gauss_legendre_panels(k_lo, k_hi, self.panels, self.order)
 
 
+def _grid_steps(x: np.ndarray, scale: float | None = None) -> np.ndarray:
+    """Offsets j dx from x_0 of the uniform grid x; ValueError for any other x.
+
+    Uniform: 1-D, increasing (one point is a grid), each x_j within 4 ulps
+    of `scale` of x_0 + j dx.  scale defaults to max |x|; a slice of a
+    linspace carries the whole grid's rounding and passes that grid's.
+    """
+    n = len(x) if x.ndim == 1 else 0
+    dx = (x[-1] - x[0]) / max(n - 1, 1) if n else math.nan
+    steps = np.arange(n) * dx
+    if not ((dx > 0.0 or n == 1) and np.abs(x - (x[0] + steps)).max()
+            <= 4.0 * np.finfo(float).eps * (scale or np.abs(x).max())):
+        raise ValueError("x must be a finite, increasing uniform grid")
+    return steps
+
+
 @dataclass(frozen=True)
 class PacketField:
-    """Complex field samples on a spatial grid at one instant."""
+    """Complex field samples at one instant on a uniform x grid (else ValueError)."""
 
     x: np.ndarray
     t: float
@@ -85,8 +101,7 @@ class PacketField:
         x = np.asarray(self.x, dtype=float)
         if x.ndim != 1 or len(x) < 3:
             raise ValueError("x must be a 1-D grid with at least 3 points")
-        if not np.all(np.diff(x) > 0.0):
-            raise ValueError("x must be strictly increasing")
+        _grid_steps(x)
         if len(self.psi) != len(x):
             raise ValueError("psi and x must have matching lengths")
         object.__setattr__(self, "x", x)
@@ -139,35 +154,24 @@ def _chunked_matmul(x: np.ndarray, block, amp: np.ndarray) -> np.ndarray:
     return out
 
 
-def _phase_matvec(x: np.ndarray, ks: np.ndarray, amp: np.ndarray) -> np.ndarray:
+def _phase_matvec(x: np.ndarray, ks: np.ndarray, amp: np.ndarray,
+                  scale: float | None = None) -> np.ndarray:
     """sum_i amp_i e^{i k_i x_j}, chunked over x to bound memory.
 
     amp is (n_k,) or (n_k, n_t): one column per snapshot time, so a batch
-    of times costs one gemm per chunk.  On a uniform grid (every x within
-    a few ulps of x_0 + j dx) e^{i k (x_c + r dx)} = e^{i k r dx} e^{i k x_c}:
-    one _X_CHUNK x n_k offset block e^{i k r dx} is built per call, and a
-    chunk starting at x_c costs an n_k exp folded into amp.  Other grids
-    build each chunk's exp(i k x) block directly.  Memory is bounded by
-    one _X_CHUNK x n_k complex block; nothing is cached between calls.
-    Also the time signal at a fixed plane, with x -> t and k -> -k^2/2m.
+    of times costs one gemm per chunk.  x must be a uniform grid (checked
+    by _grid_steps at `scale`), so e^{i k (x_c + r dx)} = e^{i k r dx} e^{i k x_c}:
+    one _X_CHUNK x n_k offset block e^{i k r dx} per call, and an n_k exp
+    per chunk folded into amp.  Memory is bounded by one _X_CHUNK x n_k
+    complex block; nothing is cached.  Also the time signal at a fixed
+    plane, with x -> t and k -> -k^2/2m.
     """
     phase = 1j * ks
-    n = len(x)
-    if n > 1:
-        steps = np.arange(n) * ((x[-1] - x[0]) / (n - 1))
-        if (np.abs(x - (x[0] + steps)).max()
-                <= 4.0 * np.finfo(float).eps * np.abs(x).max()):
-            offs = np.outer(steps[:_X_CHUNK], phase)
-            np.exp(offs, out=offs)
-            # (a.T * e).T scales row i of a 1-D or 2-D amp by e_i, no reshape needed
-            return _chunked_matmul(x, lambda xc, a: (
-                offs[:len(xc)], (a.T * np.exp(xc[0] * phase)).T), amp)
-
-    def block(xc, a):
-        b = np.outer(xc, phase)
-        return np.exp(b, out=b), a
-
-    return _chunked_matmul(x, block, amp)
+    offs = np.outer(_grid_steps(x, scale)[:_X_CHUNK], phase)
+    np.exp(offs, out=offs)
+    # (a.T * e).T scales row i of a 1-D or 2-D amp by e_i, no reshape needed
+    return _chunked_matmul(x, lambda xc, a: (
+        offs[:len(xc)], (a.T * np.exp(xc[0] * phase)).T), amp)
 
 
 def _times(t) -> np.ndarray:
@@ -191,7 +195,7 @@ def synthesize_incident(spectrum: GaussianSpectrum, x_grid, t: float,
                         ) -> PacketField:
     """Free packet (1/2pi) int dk g(k - k0) e^{i (k x - k^2 t / 2)}, m = 1.
 
-    t is one finite time.
+    t is one finite time, x_grid a uniform grid (ValueError otherwise).
 
     By default the integral covers k0 +- 8/width, so the full gaussian is
     retained and the centroid moves at exactly k0; pass
@@ -224,11 +228,10 @@ def synthesize_transmitted(spectrum: GaussianSpectrum, barrier: BarrierConfig,
 
     (1/2pi) int_0^w dk g(k - k0) |T| e^{i [k (x - L/2) - k^2 t / 2m + Theta]}.
 
-    Batched over times: a scalar t returns one PacketField, a 1-D array
-    of times a list of fields, and either way each chunk of x costs one
-    gemm shared by all times, against one offset block per call on a
-    uniform grid and the direct exp(i k x) block otherwise (see
-    _phase_matvec).
+    x_grid must be uniform (ValueError otherwise).  Batched over times: a
+    scalar t returns one PacketField, a 1-D array of times a list of
+    fields, and either way each chunk of x costs one gemm shared by all
+    times and one offset block per call (see _phase_matvec).
     """
     x = np.asarray(x_grid, dtype=float)
     ts = _times(t)
@@ -270,14 +273,15 @@ def synthesize_collision(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     one PacketField, a 1-D array of times a list of fields.  With
     S = R_B + T_B and e^{-ikx} = conj(e^{ikx}), the left exterior field is
     E w + conj(E conj(S w)) and the right one E S w + conj(E conj(w)),
-    so each exterior region is one _phase_matvec call: one offset block
-    per call on a uniform grid (a slice of a linspace stays uniform), the
-    direct exp(i k x) block per chunk otherwise.  The interior is chunked
-    the same way.  No basis is cached.
+    so each exterior region, a slice of the uniform x_grid (ValueError
+    otherwise), is one _phase_matvec call with one offset block.  The
+    interior is chunked the same way.  No basis is cached.
 
     No time may precede the synchronization instant -m L / (2 k0).
     """
     x = np.asarray(x_grid, dtype=float)
+    _grid_steps(x)
+    scale = np.abs(x).max()
     ts = _times(t)
     t_sync = collision_sync_time(spectrum, barrier)
     if np.any(ts < t_sync - 1e-12):
@@ -298,8 +302,8 @@ def synthesize_collision(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     for region, direct, mirrored in ((left, weight, s_weight),
                                      (right, s_weight, weight)):
         if region.any():
-            both = _phase_matvec(x[region], ks,
-                                 np.concatenate([direct, mirrored.conj()], axis=1))
+            both = _phase_matvec(x[region], ks, np.concatenate(
+                [direct, mirrored.conj()], axis=1), scale)
             psi[region] = both[:, :n_t] + both[:, n_t:].conj()
     if inner.any():
         psi[inner] = _chunked_matmul(
@@ -312,11 +316,10 @@ def synthesize_collision(spectrum: GaussianSpectrum, barrier: BarrierConfig,
 
 @dataclass(frozen=True)
 class PeakTrack:
-    """Peak positions over a sequence of snapshots (with multimodality flags)."""
+    """Peak positions over a sequence of snapshots."""
 
     times: np.ndarray
     positions: np.ndarray
-    multimodal: np.ndarray
 
 
 def track_peak(fields) -> PeakTrack:
@@ -330,12 +333,8 @@ def track_peak(fields) -> PeakTrack:
     times = np.array([f.t for f in fields], dtype=float)
     if not np.all(np.diff(times) > 0.0):
         raise ValueError("snapshots must be ordered by strictly increasing time")
-    pos = np.empty(len(fields))
-    multi = np.empty(len(fields), dtype=bool)
-    for i, f in enumerate(fields):
-        pos[i] = f.peak_position
-        multi[i] = f.is_multimodal()
-    return PeakTrack(times=times, positions=pos, multimodal=multi)
+    pos = np.array([f.peak_position for f in fields])
+    return PeakTrack(times=times, positions=pos)
 
 
 def _change(coarse: PacketField, fine: PacketField) -> float:
@@ -438,9 +437,9 @@ def transmission_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfi
         tau = math.nan
         band = math.nan
     else:
-        params = TimeParams.from_k(kr.k_max, barrier)
-        t_spm = params.tau * rate_standard(params.alpha, params.n)
-        tau = params.tau
+        spm = standard_transit_time(kr.k_max, barrier, derivative=False)
+        t_spm = spm.time
+        tau = spm.params.tau
         band = 0.05 * tau
 
     ks, base = _transmitted_nodes(spectrum, barrier, quad)
@@ -448,8 +447,8 @@ def transmission_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfi
 
     # generous scan window: the reference peaks at t = 0, the transmitted
     # delay is bounded by the transit time at k0
-    t_k0 = TimeParams.from_k(k0, barrier)
-    upper = 6.0 * m * a / k0 + 2.0 * abs(t_k0.tau * rate_standard(t_k0.alpha, t_k0.n))
+    t_k0 = standard_transit_time(k0, barrier, derivative=False).time
+    upper = 6.0 * m * a / k0 + 2.0 * abs(t_k0)
     ts = np.arange(-6.0 * m * a / k0, upper, dt)
     energies = -ks * ks / (2.0 * m)
     sig_t, sig_r = (np.abs(_phase_matvec(ts, energies,
