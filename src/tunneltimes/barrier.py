@@ -1,8 +1,7 @@
 """Exact single-wavenumber scattering quantities for a rectangular barrier.
 
-Conventions (hbar = 1 throughout): the barrier occupies [-L/2, L/2] with
-height V0 and the particle has mass m.  The wavenumber matching the barrier
-top is w = sqrt(2 m V0).  Below the top the interior solutions decay with
+The barrier occupies [-L/2, L/2] and w is the wavenumber matching its
+top.  Below the top the interior solutions decay with
 rho(k) = sqrt(w^2 - k^2); above it they oscillate with q = sqrt(k^2 - w^2).
 All formulas are written in terms of the signed square z = (w^2 - k^2) L^2,
 which makes the continuation through k = w automatic and removes the
@@ -44,38 +43,21 @@ from .numerics import sinhc_coshc_sq
 _Z_SCALED = 9.0e4  # rho L = 300
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BarrierConfig:
-    """Rectangular barrier on [-width/2, width/2] plus the particle mass.
+    """Rectangular barrier on [-width/2, width/2] with top wavenumber w.
 
-    height is the potential V0 (> 0), width the barrier length L (>= 0),
-    mass the particle mass m (> 0); all three must be finite.  The derived
-    top wavenumber is w = sqrt(2 m V0).
+    w must be positive and width (the length L) nonnegative, both finite.
     """
 
-    height: float
+    w: float
     width: float
-    mass: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.mass < math.inf:
-            raise ValueError("mass must be positive and finite")
-        if not 0.0 < self.height < math.inf:
-            raise ValueError("height must be positive and finite")
+        if not 0.0 < self.w < math.inf:
+            raise ValueError("w must be positive and finite")
         if not 0.0 <= self.width < math.inf:
             raise ValueError("width must be nonnegative and finite")
-
-    @classmethod
-    def from_w(cls, w: float, width: float, mass: float = 1.0) -> "BarrierConfig":
-        """Construct from the top wavenumber w instead of the height."""
-        if not 0.0 < w < math.inf:
-            raise ValueError("w must be positive and finite")
-        return cls(height=0.5 * w * w / mass, width=width, mass=mass)
-
-    @property
-    def w(self) -> float:
-        """Top wavenumber sqrt(2 m V0)."""
-        return math.sqrt(2.0 * self.mass * self.height)
 
     @property
     def half_width(self) -> float:

@@ -142,7 +142,7 @@ def cmd_distortion(args) -> int:
     if not (args.k0_a > 0 and args.w_a > args.k0_a):
         raise ValueError("need 0 < k0-a < w-a")
     out = _outdir(args)
-    rep = distortion_onset(GaussianSpectrum(k0=args.k0_a, width=1.0), args.w_a)
+    rep = distortion_onset(GaussianSpectrum(k0=args.k0_a), args.w_a)
     manifest = _manifest("distortion", {
         "w_a": args.w_a, "k0_a": args.k0_a, "out": str(args.out),
     }, notes=["onset candidates disagree; onset_numeric is authoritative"])
@@ -171,13 +171,13 @@ def cmd_cutoff(args) -> int:
         raise ValueError("every delta must lie in [0, 1)")
     out = _outdir(args)
     xs = np.linspace(args.x_min, args.x_max, args.x_points)
-    barrier = BarrierConfig.from_w(w=w_a, width=0.0)
+    barrier = BarrierConfig(w=w_a, width=0.0)
     rows = []
     tail_metrics = {}
     estimates = {}
     # always include the untruncated reference profile
     for delta in [None] + list(deltas):
-        spec = GaussianSpectrum(k0=k0_a, width=1.0, cutoff=delta)
+        spec = GaussianSpectrum(k0=k0_a, cutoff=delta)
         fld = cutoff_packet_profile(spec, xs, barrier=barrier)
         mag = np.abs(fld.psi)
         peak = mag.max()
@@ -210,8 +210,8 @@ def _parse_common_packet(args) -> tuple[GaussianSpectrum, BarrierConfig]:
     for name in ("t_min", "t_max", "x_min", "x_max"):
         if not math.isfinite(getattr(args, name)):
             raise ValueError(f"{name.replace('_', '-')} must be finite")
-    return (GaussianSpectrum(k0=args.k0_a, width=1.0),
-            BarrierConfig.from_w(w=args.w_a, width=args.l_a))
+    return (GaussianSpectrum(k0=args.k0_a),
+            BarrierConfig(w=args.w_a, width=args.l_a))
 
 
 def _write_snapshots(out: Path, prefix: str, label: str, fields) -> list[str]:
@@ -239,10 +239,6 @@ def cmd_packet(args) -> int:
     rep = transmission_timing_report(spec, barrier, quad=quad)
     timing = {k: (str(v) if isinstance(v, bool) else v)
               for k, v in dataclasses.asdict(rep).items()}
-    _write_csv(out / "packet_timing.csv",
-               _manifest("packet", {"w_a": args.w_a, "k0_a": args.k0_a,
-                                    "l_a": args.l_a, "out": str(args.out)}),
-               list(timing), [tuple(timing.values())])
     manifest = _manifest("packet", {
         "w_a": args.w_a, "k0_a": args.k0_a, "l_a": args.l_a,
         "x_min": x_min, "x_max": args.x_max, "x_points": args.x_points,
@@ -250,6 +246,8 @@ def cmd_packet(args) -> int:
         "tolerance": args.tolerance, "out": str(args.out),
     }, diagnostics={"quadrature_change_on_doubling": achieved,
                     "timing": timing})
+    _write_csv(out / "packet_timing.csv", manifest,
+               list(timing), [tuple(timing.values())])
     manifest["outputs"] = files + ["packet_timing.csv"]
     _write_manifest(out, manifest)
     return 0

@@ -164,7 +164,7 @@ def _phase_matvec(x: np.ndarray, ks: np.ndarray, amp: np.ndarray,
     one _X_CHUNK x n_k offset block e^{i k r dx} per call, and an n_k exp
     per chunk folded into amp.  Memory is bounded by one _X_CHUNK x n_k
     complex block; nothing is cached.  Also the time signal at a fixed
-    plane, with x -> t and k -> -k^2/2m.
+    plane, with x -> t and k -> -k^2/2.
     """
     phase = 1j * ks
     offs = np.outer(_grid_steps(x, scale)[:_X_CHUNK], phase)
@@ -175,10 +175,10 @@ def _phase_matvec(x: np.ndarray, ks: np.ndarray, amp: np.ndarray,
 
 
 def _times(t) -> np.ndarray:
-    """Snapshot times as a finite 1-D array (a scalar t is one time)."""
+    """Snapshot times as a finite, nonempty 1-D array (a scalar t is one time)."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if ts.ndim != 1 or not np.all(np.isfinite(ts)):
-        raise ValueError("t must be a finite time or a 1-D array of finite times")
+    if ts.ndim != 1 or not ts.size or not np.all(np.isfinite(ts)):
+        raise ValueError("t must be a finite time or a nonempty 1-D array of finite times")
     return ts
 
 
@@ -193,11 +193,11 @@ def synthesize_incident(spectrum: GaussianSpectrum, x_grid, t: float,
                         quad: QuadratureSpec = QuadratureSpec(),
                         k_interval: tuple[float, float] | None = None
                         ) -> PacketField:
-    """Free packet (1/2pi) int dk g(k - k0) e^{i (k x - k^2 t / 2)}, m = 1.
+    """Free packet (1/2pi) int dk g(k - k0) e^{i (k x - k^2 t / 2)}.
 
     t is one finite time, x_grid a uniform grid (ValueError otherwise).
 
-    By default the integral covers k0 +- 8/width, so the full gaussian is
+    By default the integral covers k0 +- 8, so the full gaussian is
     retained and the centroid moves at exactly k0; pass
     k_interval=(0, w) to reproduce the truncated-window convention of the
     transmitted-packet integral.
@@ -205,8 +205,7 @@ def synthesize_incident(spectrum: GaussianSpectrum, x_grid, t: float,
     x = np.asarray(x_grid, dtype=float)
     t = _times(t).item()  # .item() rejects a batch
     if k_interval is None:
-        k_interval = (spectrum.k0 - 8.0 / spectrum.width,
-                      spectrum.k0 + 8.0 / spectrum.width)
+        k_interval = (spectrum.k0 - 8.0, spectrum.k0 + 8.0)
     ks, wts = quad.nodes(*k_interval)
     amp = spectrum.amplitude(ks) * wts / (2.0 * math.pi) \
         * np.exp(-1j * ks * ks * t / 2.0)
@@ -226,7 +225,7 @@ def synthesize_transmitted(spectrum: GaussianSpectrum, barrier: BarrierConfig,
                            ) -> PacketField | list[PacketField]:
     """Transmitted packet behind the barrier (defined for x >= L/2 only).
 
-    (1/2pi) int_0^w dk g(k - k0) |T| e^{i [k (x - L/2) - k^2 t / 2m + Theta]}.
+    (1/2pi) int_0^w dk g(k - k0) |T| e^{i [k (x - L/2) - k^2 t / 2 + Theta]}.
 
     x_grid must be uniform (ValueError otherwise).  Batched over times: a
     scalar t returns one PacketField, a 1-D array of times a list of
@@ -234,26 +233,27 @@ def synthesize_transmitted(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     times and one offset block per call (see _phase_matvec).
     """
     x = np.asarray(x_grid, dtype=float)
+    _grid_steps(x)
     ts = _times(t)
     h = barrier.half_width
-    if np.min(x) < h - 1e-12:
+    if x[0] < h - 1e-12:
         raise ValueError("transmitted field is defined for x >= L/2 only")
     ks, base = _transmitted_nodes(spectrum, barrier, quad)
     phase = ((transmission_phase(ks, barrier) - ks * h)[:, None]
-             - np.outer(ks * ks, ts) / (2.0 * barrier.mass))
+             - np.outer(ks * ks, ts) / 2.0)
     amp = base[:, None] * np.exp(1j * phase)
     return _fields(x, t, ts, _phase_matvec(x, ks, amp))
 
 
 def collision_sync_time(spectrum: GaussianSpectrum, barrier: BarrierConfig) -> float:
-    """Instant -m L / (2 k0) at which both incident peaks reach the barrier faces."""
-    return -barrier.mass * barrier.width / (2.0 * spectrum.k0)
+    """Instant -L / (2 k0) at which both incident peaks reach the barrier faces."""
+    return -barrier.width / (2.0 * spectrum.k0)
 
 
 def _collision_nodes(spectrum: GaussianSpectrum,
                      quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of `quad` on (0, k0 + 8/width]."""
-    return quad.nodes(1e-9 * spectrum.k0, spectrum.k0 + 8.0 / spectrum.width)
+    """Nodes and weights of `quad` on (0, k0 + 8]."""
+    return quad.nodes(1e-9 * spectrum.k0, spectrum.k0 + 8.0)
 
 
 def synthesize_collision(spectrum: GaussianSpectrum, barrier: BarrierConfig,
@@ -262,7 +262,7 @@ def synthesize_collision(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     """Symmetric two-packet collision field at time t.
 
     Superposes the explicit left- and right-incident stationary solutions
-    weighted by g(k - k0) e^{-i E t} over k in (0, k0 + 8/width] (the
+    weighted by g(k - k0) e^{-i E t} over k in (0, k0 + 8] (the
     gaussian weight beyond that point is below 1e-13 of its peak; the
     wavenumbers above the barrier top are included through the
     trigonometric continuation).  No 1/2pi prefactor, matching the
@@ -277,7 +277,7 @@ def synthesize_collision(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     otherwise), is one _phase_matvec call with one offset block.  The
     interior is chunked the same way.  No basis is cached.
 
-    No time may precede the synchronization instant -m L / (2 k0).
+    No time may precede the synchronization instant -L / (2 k0).
     """
     x = np.asarray(x_grid, dtype=float)
     _grid_steps(x)
@@ -290,7 +290,7 @@ def synthesize_collision(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     ks, wts = _collision_nodes(spectrum, quad)
     refl, trans = _collision_amplitudes(ks, barrier)
     weight = ((spectrum.amplitude(ks) * wts)[:, None]
-              * np.exp(-1j * np.outer(ks * ks, ts) / (2.0 * barrier.mass)))
+              * np.exp(-1j * np.outer(ks * ks, ts) / 2.0))
     s_weight = (refl + trans)[:, None] * weight
     h = barrier.half_width
     n_t = len(ts)
@@ -366,7 +366,7 @@ def ensure_converged(synth, quad: QuadratureSpec, max_doublings: int = 3
     for _ in range(max_doublings):
         quad = replace(quad, panels=2 * quad.panels)
         fine = synth(quad)
-        change = max(map(_change, as_list(coarse), as_list(fine)), default=0.0)
+        change = max(map(_change, as_list(coarse), as_list(fine)))
         if change < quad.tol:
             return coarse, change
         coarse = fine
@@ -388,10 +388,10 @@ class TransmissionTimingReport:
     record the two breakdown symptoms: a multimodal emergence profile
     (a second local maximum of |psi|^2 above 0.25 of the peak in any of 24
     snapshots) and a filter-effect shift of the spectral maximum by more
-    than one intensity width 1/a.
+    than one standard deviation of the intensity.
 
     Agreement with t_spm is a narrow-spectrum limit: at fixed w/k0 and
-    L k0 the discrepancy falls as (k0 a)^-2.  containment_outside above
+    L k0 the discrepancy falls as k0^-2.  containment_outside above
     1e-3 puts the point outside the analysis's validity window, where no
     agreement is implied and spm_reliable is False.
     """
@@ -419,7 +419,7 @@ def transmission_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfi
     """Compare the synthesized transmitted-packet arrival with the
     stationary-phase prediction at the modulated-spectrum maximum.
 
-    The two agree in the narrow-spectrum limit, approached as (k0 a)^-2
+    The two agree in the narrow-spectrum limit, approached as k0^-2
     at fixed w/k0 and L k0.  Needs k0 < w.  The ContainmentWarning of
     find_kmax is silenced; a containment_outside above 1e-3 in the result
     marks a point outside the validity window and clears spm_reliable.
@@ -427,9 +427,7 @@ def transmission_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfi
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ContainmentWarning)
         kr = find_kmax(spectrum, barrier)
-    m = barrier.mass
     k0 = spectrum.k0
-    a = spectrum.width
     h = barrier.half_width
 
     if kr.boundary_dominated:
@@ -448,9 +446,9 @@ def transmission_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfi
     # generous scan window: the reference peaks at t = 0, the transmitted
     # delay is bounded by the transit time at k0
     t_k0 = standard_transit_time(k0, barrier, derivative=False).time
-    upper = 6.0 * m * a / k0 + 2.0 * abs(t_k0)
-    ts = np.arange(-6.0 * m * a / k0, upper, dt)
-    energies = -ks * ks / (2.0 * m)
+    upper = 6.0 / k0 + 2.0 * abs(t_k0)
+    ts = np.arange(-6.0 / k0, upper, dt)
+    energies = -ks * ks / 2.0
     sig_t, sig_r = (np.abs(_phase_matvec(ts, energies,
                                          np.stack([shifted, base], axis=1))) ** 2).T
     arrival = parabolic_refine(ts, sig_t, int(np.argmax(sig_t)))
@@ -458,14 +456,14 @@ def transmission_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfi
     delay = arrival - reference
 
     # multimodality scan over the emergence window
-    t0_scale = (t_spm if math.isfinite(t_spm) else 0.0) + m * a / k0
-    xs = np.linspace(h, h + 12.0 * a, 2401)
+    t0_scale = (t_spm if math.isfinite(t_spm) else 0.0) + 1.0 / k0
+    xs = np.linspace(h, h + 12.0, 2401)
     snapshots = synthesize_transmitted(
         spectrum, barrier, xs, np.linspace(0.05 * t0_scale, 3.0 * t0_scale, 24),
         quad=quad)
     multimodal = any(f.is_multimodal() for f in snapshots)
 
-    shift_sigmas = (kr.k_max - k0) * a
+    shift_sigmas = kr.k_max - k0
     filter_effect = shift_sigmas > 1.0
     discrepancy = delay - t_spm
     within = bool(math.isfinite(discrepancy) and abs(discrepancy) <= band)
@@ -508,8 +506,6 @@ def collision_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     """Measure the collision delay and the two exactness properties
     (mirror symmetry, unimodular outgoing spectrum)."""
     k0 = spectrum.k0
-    a = spectrum.width
-    m = barrier.mass
     h = barrier.half_width
     if not k0 < barrier.w:
         raise ValueError("collision timing needs the tunneling regime k0 < w")
@@ -526,10 +522,10 @@ def collision_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     res_int = float(abs(np.sum(wts * g * g * (s_abs**2 - 1.0))
                         / np.sum(wts * g * g)))
 
-    # ballistic fit of the outgoing peak at 12 times, 4a..14a past the exit face
-    t_fit = t_sync + pred + (np.linspace(4.0, 14.0, 12) * a + h) * m / k0
-    x_hi = h + (k0 / m) * (t_fit[-1] - t_sync) + 8.0 * a
-    n_x = min(8001, max(2001, int((x_hi - h) * 40 / a)))
+    # ballistic fit of the outgoing peak at 12 times, 4..14 past the exit face
+    t_fit = t_sync + pred + (np.linspace(4.0, 14.0, 12) + h) / k0
+    x_hi = h + k0 * (t_fit[-1] - t_sync) + 8.0
+    n_x = min(8001, max(2001, int((x_hi - h) * 40)))
     xs = np.linspace(h, x_hi, n_x)
     trk = track_peak(synthesize_collision(spectrum, barrier, xs, t_fit, quad=quad))
     v, b = np.polyfit(trk.times, trk.positions, 1)

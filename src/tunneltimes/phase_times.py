@@ -2,9 +2,9 @@
 
 Time quantities follow from derivatives of the two scattering phases in
 `barrier`: the transmission phase Theta(k, L) gives the standard transit
-time t = (m/k) dTheta/dk evaluated at the spectral maximum, and the
+time t = (1/k) dTheta/dk evaluated at the spectral maximum, and the
 combined-amplitude phase phi(k, L) gives the symmetric-collision
-scattering time t = (m/k0) dphi/dk.
+scattering time t = (1/k0) dphi/dk.
 
 For phi the branch that keeps the combined amplitude identity
 exp(-i [kL + phi]) exact is monotonically decreasing in k, so the signed
@@ -16,7 +16,7 @@ denominator circulates for this quantity; it does not reproduce the phase
 derivative and is kept only as a diagnostic.
 
 Dimensionless parameters: alpha = rho(k) L, n = k^2/w^2, and the
-classical traversal time tau = m L / k.
+classical traversal time tau = L / k.
 """
 
 from __future__ import annotations
@@ -50,8 +50,7 @@ class TimeParams:
         if not 0.0 < k < w:
             raise ValueError("k_eval must lie in the tunneling window (0, w)")
         alpha = math.sqrt(w * w - k * k) * barrier.width
-        return cls(k_eval=k, alpha=alpha, n=(k / w) ** 2,
-                   tau=barrier.mass * barrier.width / k)
+        return cls(k_eval=k, alpha=alpha, n=(k / w) ** 2, tau=barrier.width / k)
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,7 @@ def rate_scattering(alpha, n: float):
 
 def standard_transit_time(k_eval: float, barrier: BarrierConfig,
                           derivative: bool = True) -> PhaseTimeResult:
-    """Stationary-phase transit time t = (m/k) dTheta/dk at k_eval.
+    """Stationary-phase transit time t = (1/k) dTheta/dk at k_eval.
 
     The closed form tau * rate_standard(alpha, n) is exact and is the
     returned `time`; a Ridders finite-difference derivative of the
@@ -154,14 +153,14 @@ def standard_transit_time(k_eval: float, barrier: BarrierConfig,
         w = barrier.w
         h0 = 0.125 * min(k_eval, w - k_eval)
         d, err = ridders_derivative(lambda q: transmission_phase(q, barrier), k_eval, h0)
-        deriv = barrier.mass / k_eval * d
-        extras["derivative_error_estimate"] = barrier.mass / k_eval * err
+        deriv = d / k_eval
+        extras["derivative_error_estimate"] = err / k_eval
     return PhaseTimeResult(time=closed, method="standard", params=params,
                            closed_form=closed, derivative=deriv, extras=extras)
 
 
 def opaque_limit_time(k_eval: float, barrier: BarrierConfig) -> float:
-    """Width-independent opaque-limit time 2 m / (k rho(k)).
+    """Width-independent opaque-limit time 2 / (k rho(k)).
 
     Diverges as k -> w, which is why substituting the top wavenumber for
     the spectral maximum destroys any finite-speed interpretation;
@@ -171,7 +170,7 @@ def opaque_limit_time(k_eval: float, barrier: BarrierConfig) -> float:
     if not 0.0 < k_eval < w:
         raise ValueError("opaque-limit time needs 0 < k_eval < w (infinite at k = w)")
     r = math.sqrt(w * w - k_eval * k_eval)
-    return 2.0 * barrier.mass / (k_eval * r)
+    return 2.0 / (k_eval * r)
 
 
 def scattering_time_coshsq_variant(k0: float, barrier: BarrierConfig) -> float:
@@ -181,14 +180,13 @@ def scattering_time_coshsq_variant(k0: float, barrier: BarrierConfig) -> float:
     params = TimeParams.from_k(k0, barrier)
     a = params.alpha
     w = barrier.w
-    m, L = barrier.mass, barrier.width
     num = w * w * math.sinh(a) - a * k0 * k0
     den = 2.0 * k0 * k0 - w * w + w * w * math.cosh(a) ** 2
-    return (2.0 * m * L / (k0 * a)) * num / den
+    return (2.0 * barrier.width / (k0 * a)) * num / den
 
 
 def scattering_phase_time(k0: float, barrier: BarrierConfig) -> PhaseTimeResult:
-    """Symmetric-collision scattering time (m/k0) dphi/dk at k0.
+    """Symmetric-collision scattering time (1/k0) dphi/dk at k0.
 
     The binding value is the Ridders numerical derivative of
     `collision_phase`; on the shipped branch of phi it is negative, and
@@ -205,14 +203,14 @@ def scattering_phase_time(k0: float, barrier: BarrierConfig) -> PhaseTimeResult:
     w = barrier.w
     h0 = 0.125 * min(k0, w - k0)
     d, err = ridders_derivative(lambda q: collision_phase(q, barrier), k0, h0)
-    numeric = barrier.mass / k0 * d
+    numeric = d / k0
     closed = -params.tau * rate_scattering(params.alpha, params.n)
     return PhaseTimeResult(
         time=numeric, method="scattering", params=params,
         closed_form=closed, derivative=numeric,
         extras={
             "delay": -numeric,
-            "derivative_error_estimate": barrier.mass / k0 * err,
+            "derivative_error_estimate": err / k0,
             "variant_coshsq": scattering_time_coshsq_variant(k0, barrier),
         },
     )

@@ -36,48 +36,43 @@ class ContainmentWarning(UserWarning):
 
 @dataclass(frozen=True)
 class GaussianSpectrum:
-    """Gaussian momentum distribution g(k - k0) of a packet of width `width`.
+    """Gaussian momentum distribution g(k - k0) of a packet of unit width.
 
-    g(k - k0) = (width^2 / 2 pi)^{1/4} exp[-width^2 (k - k0)^2 / 4]; the
-    intensity g^2 has standard deviation 1/width.  `cutoff` (when set) is
+    g(k - k0) = (2 pi)^{-1/4} exp[-(k - k0)^2 / 4]; the intensity g^2 has
+    unit standard deviation.  `cutoff` (when set) is
     the fraction delta in [0, 1) by which the support is truncated to
     [0, (1 - delta) w_ref]; the reference wavenumber w_ref is supplied by
     the consumer (a barrier's top, or 2 k0 for barrier-free profiles).
     """
 
     k0: float
-    width: float = 1.0
     cutoff: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.k0 < math.inf:
             raise ValueError("k0 must be positive and finite")
-        if not 0.0 < self.width < math.inf:
-            raise ValueError("width must be positive and finite")
         if self.cutoff is not None and not 0.0 <= self.cutoff < 1.0:
             raise ValueError("cutoff fraction must lie in [0, 1)")
 
     def amplitude(self, k):
         """g(k - k0); scalar or array."""
-        a = self.width
-        return (a * a / (2.0 * math.pi)) ** 0.25 * np.exp(-a * a * (np.asarray(k, float) - self.k0) ** 2 / 4.0)
+        return (1.0 / (2.0 * math.pi)) ** 0.25 * np.exp(-(np.asarray(k, float) - self.k0) ** 2 / 4.0)
 
     def support_upper(self, w_ref: float) -> float:
         """Upper edge of the truncated support, (1 - delta) w_ref.
 
-        Without a cutoff the spectrum is integrated to k0 + 8/width,
-        beyond which the intensity is below 1e-13 of the peak.
+        Without a cutoff the spectrum is integrated to k0 + 8, beyond
+        which the intensity is below 1e-13 of the peak.
         """
         if self.cutoff is None:
-            return self.k0 + 8.0 / self.width
+            return self.k0 + 8.0
         return (1.0 - self.cutoff) * w_ref
 
 
 def containment_outside(spectrum: GaussianSpectrum, barrier: BarrierConfig) -> float:
     """Fraction of the intensity g^2 lying outside [0, w] (closed form)."""
-    sigma = 1.0 / spectrum.width
-    below = 0.5 * math.erfc(spectrum.k0 / (sigma * math.sqrt(2.0)))
-    above = 0.5 * math.erfc((barrier.w - spectrum.k0) / (sigma * math.sqrt(2.0)))
+    below = 0.5 * math.erfc(spectrum.k0 / math.sqrt(2.0))
+    above = 0.5 * math.erfc((barrier.w - spectrum.k0) / math.sqrt(2.0))
     return below + above
 
 
@@ -134,10 +129,9 @@ def find_kmax(spectrum: GaussianSpectrum, barrier: BarrierConfig,
         return KmaxResult(k0, False, val, top, outside)
 
     def objective(k):
-        a = spectrum.width
         b = transmission_modulus(k, barrier)
         with np.errstate(divide="ignore"):
-            return -a * a * (np.asarray(k, float) - k0) ** 2 / 4.0 + np.log(b)
+            return -(np.asarray(k, float) - k0) ** 2 / 4.0 + np.log(b)
 
     ks = np.linspace(w * 1e-9, w, scan_points)
     vals = objective(ks)
@@ -160,7 +154,7 @@ def find_kmax(spectrum: GaussianSpectrum, barrier: BarrierConfig,
 
 @dataclass(frozen=True)
 class TableCell:
-    """One cell of the k_max table: barrier scale (w a), width (L/a), result."""
+    """One cell of the k_max table: barrier top w, length L, result."""
 
     w_a: float
     l_a: float
@@ -170,18 +164,18 @@ class TableCell:
 
 def kmax_table(k0_a: float, wa_values, la_values,
                scan_points: int = 4096) -> list[TableCell]:
-    """k_max(w a, L/a) grid at fixed incident momentum k0 a (units a = m = 1).
+    """k_max(w, L) grid at fixed incident momentum k0.
 
-    Containment warnings are suppressed here; columns with small w a are
+    Containment warnings are suppressed here; columns with small w are
     known to leak and still reproduce the reference digits.
     """
     cells = []
-    spec = GaussianSpectrum(k0=k0_a, width=1.0)
+    spec = GaussianSpectrum(k0=k0_a)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ContainmentWarning)
         for wa in wa_values:
             for la in la_values:
-                b = BarrierConfig.from_w(w=wa, width=la)
+                b = BarrierConfig(w=wa, width=la)
                 res = find_kmax(spec, b, scan_points=scan_points)
                 cells.append(TableCell(wa, la, res.k_max, res.boundary_dominated))
     return cells
@@ -193,7 +187,7 @@ class DistortionReport:
 
     onset_numeric comes from bisecting the sign of d/dk [g |T|] at k = w
     (one-sided differences, step-extrapolated).  The two analytic
-    candidates solve a^2 (w - k0)/2 = w L^2 / 3 with the (1 - k0/w)
+    candidates solve (w - k0)/2 = w L^2 / 3 with the (1 - k0/w)
     factor entering linearly (as quoted) or under a square root (as the
     inequality actually inverts); onset_quadratic_limit solves the full
     quadratic log-derivative limit and should match onset_numeric.  The
@@ -205,7 +199,6 @@ class DistortionReport:
 
     w: float
     k0: float
-    width: float
     onset_numeric: float
     onset_linear_candidate: float
     onset_sqrt_candidate: float
@@ -237,11 +230,10 @@ def distortion_onset(spectrum: GaussianSpectrum, w: float) -> DistortionReport:
     """
     if not spectrum.k0 < w:
         raise ValueError("distortion onset needs k0 < w")
-    a = spectrum.width
     k0 = spectrum.k0
 
     def slope(length: float) -> float:
-        b = BarrierConfig.from_w(w=w, width=length)
+        b = BarrierConfig(w=w, width=length)
         return _slope_at_top(lambda k: float(modulated_spectrum(k, spectrum, b)), w)
 
     lo, hi = 1e-3 / w, 30.0 / w
@@ -258,27 +250,27 @@ def distortion_onset(spectrum: GaussianSpectrum, w: float) -> DistortionReport:
     onset = 0.5 * (lo + hi)
 
     frac = 1.0 - k0 / w
-    lin = math.sqrt(1.5) * a * frac
-    sqr = math.sqrt(1.5) * a * math.sqrt(frac)
-    # quadratic log-derivative limit: a^2 (w-k0)/2 = (w u/4)(1 + w^2 u/3)/(1 + w^2 u/4), u = L^2
-    c = a * a * (w - k0) / 2.0
+    lin = math.sqrt(1.5) * frac
+    sqr = math.sqrt(1.5) * math.sqrt(frac)
+    # quadratic log-derivative limit: (w-k0)/2 = (w u/4)(1 + w^2 u/3)/(1 + w^2 u/4), u = L^2
+    c = (w - k0) / 2.0
     qa = w**3 / 12.0
     qb = (w / 4.0) * (1.0 - c * w)
     qc = -c
     u = (-qb + math.sqrt(qb * qb - 4.0 * qa * qc)) / (2.0 * qa)
     onset_quad = math.sqrt(u)
 
-    bl = BarrierConfig.from_w(w=w, width=onset)
+    bl = BarrierConfig(w=w, width=onset)
     l2 = onset * onset
     quad = (w * l2 / 4.0) * (1.0 + w * w * l2 / 3.0) / (1.0 + w * w * l2 / 4.0)
     linvar = (w * l2 / 4.0) * (1.0 + w * l2 / 3.0) / (1.0 + w * l2 / 4.0)
     return DistortionReport(
-        w=w, k0=k0, width=a,
+        w=w, k0=k0,
         onset_numeric=onset,
         onset_linear_candidate=lin,
         onset_sqrt_candidate=sqr,
         onset_quadratic_limit=onset_quad,
-        gaussian_logderiv=a * a * (w - k0) / 2.0,
+        gaussian_logderiv=c,
         t_logderiv_numeric=_slope_at_top(
             lambda k: math.log(transmission_modulus(float(k), bl)), w),
         t_logderiv_quadratic=quad,
@@ -287,14 +279,14 @@ def distortion_onset(spectrum: GaussianSpectrum, w: float) -> DistortionReport:
 
 
 def cutoff_time_estimate(delta: float, barrier: BarrierConfig) -> float:
-    """Opaque-limit time 2 m / (w delta) for a spectrum cut off at (1 - delta) w.
+    """Opaque-limit time 2 / (w delta) for a spectrum cut off at (1 - delta) w.
 
     Finite for any delta in (0, 1]; delta = 0 is rejected (the estimate
     diverges as the cut approaches the top of the barrier).
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]; the estimate diverges at delta = 0")
-    return 2.0 * barrier.mass / (barrier.w * delta)
+    return 2.0 / (barrier.w * delta)
 
 
 def cutoff_packet_profile(spectrum: GaussianSpectrum, x_grid,
@@ -303,7 +295,7 @@ def cutoff_packet_profile(spectrum: GaussianSpectrum, x_grid,
 
     The support is [0, (1 - delta) w_ref]; w_ref is the barrier top when a
     barrier is given, else 2 k0 (the centered-at-half-the-window
-    convention).  Without a cutoff the integral extends to k0 + 8/width.
+    convention).  Without a cutoff the integral extends to k0 + 8.
     """
     from .packets import synthesize_incident  # local import to avoid a cycle
 

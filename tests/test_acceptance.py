@@ -100,7 +100,7 @@ def test_criterion_2_unimodularity():
     worst_mod = 0.0
     worst_closed = 0.0
     for wl in wls:
-        b = BarrierConfig.from_w(w=w, width=wl / w)
+        b = BarrierConfig(w=w, width=wl / w)
         for k in ks:
             amps = symmetric_amplitudes(float(k), b)
             worst_mod = max(worst_mod, abs(abs(amps.combined) - 1.0))
@@ -118,14 +118,14 @@ def test_criterion_3_oracle_equivalence():
     worst_rel = 0.0
     worst_unit = 0.0
     for wl in wls:
-        b = BarrierConfig.from_w(w=w, width=wl / w)
+        b = BarrierConfig(w=w, width=wl / w)
         mod = transmission_modulus(ks, b)
         for k, m_closed in zip(ks, mod):
             t, r = transfer_matrix_amplitudes(float(k), b)
             worst_rel = max(worst_rel, abs(abs(t) - m_closed) / m_closed)
             worst_unit = max(worst_unit, abs(abs(t) ** 2 + abs(r) ** 2 - 1.0))
     # sech special case at 2 k^2 = w^2 with w L / sqrt2 = 1
-    b = BarrierConfig.from_w(w=w, width=math.sqrt(2.0) / w)
+    b = BarrierConfig(w=w, width=math.sqrt(2.0) / w)
     sech_err = abs(transmission_modulus(w / math.sqrt(2.0), b) - 1.0 / math.cosh(1.0))
     ok = worst_rel < 1e-10 and worst_unit < 1e-12 and sech_err < 1e-12
     _report(3, ok, f"max rel |T| diff = {worst_rel:.2e} (tol 1e-10), "
@@ -149,7 +149,7 @@ def test_criterion_4_derivative_consistency():
         L = rng.uniform(0.02, min(5.0, 19.5 / r))
         if r * L >= 20.0:
             continue
-        b = BarrierConfig.from_w(w=w, width=L)
+        b = BarrierConfig(w=w, width=L)
         res = standard_transit_time(k, b)
         worst_std = max(worst_std, abs(res.derivative - res.time) / abs(res.time))
         sc = scattering_phase_time(k, b)
@@ -197,7 +197,7 @@ def test_criterion_5_rate_limits(tmp_path):
 def test_criterion_6_opaque_limit():
     w, k = 2.0, 1.2
     r = math.sqrt(w * w - k * k)
-    b = BarrierConfig.from_w(w=w, width=30.0 / r)   # alpha = 30
+    b = BarrierConfig(w=w, width=30.0 / r)   # alpha = 30
     t4 = standard_transit_time(k, b, derivative=False).time
     t5 = opaque_limit_time(k, b)
     rel = abs(t4 - t5) / t5
@@ -214,7 +214,7 @@ def test_criterion_6_opaque_limit():
 
 
 def test_criterion_7_distortion_onset():
-    spec = GaussianSpectrum(k0=1.0, width=1.0)
+    spec = GaussianSpectrum(k0=1.0)
     rep = distortion_onset(spec, 1.5)
     ordering = rep.onset_linear_candidate < rep.onset_sqrt_candidate < rep.onset_numeric
     star_onset = 0.8   # first boundary-dominated width in the criterion-1 grid
@@ -234,12 +234,12 @@ def test_criterion_7_distortion_onset():
 
 def test_criterion_8_cutoff_tails():
     from tunneltimes import cutoff_packet_profile
-    b = BarrierConfig.from_w(w=4.0, width=0.0)
+    b = BarrierConfig(w=4.0, width=0.0)
     xs = np.linspace(-12.0, 12.0, 2401)
     window = (np.abs(xs) >= 5.0) & (np.abs(xs) <= 9.0)
     metrics = []
     for delta in (None, 0.1, 0.3):   # k_cut = none, 0.9 w, 0.7 w at k0 = 0.5 w
-        s = GaussianSpectrum(k0=2.0, width=1.0, cutoff=delta)
+        s = GaussianSpectrum(k0=2.0, cutoff=delta)
         mag = np.abs(cutoff_packet_profile(s, xs, barrier=b).psi)
         metrics.append(float(mag[window].max() / mag.max()))
     ok = metrics[0] < metrics[1] < metrics[2]
@@ -257,8 +257,8 @@ CRITERION_9_K0A = (1.0, 4.0, 16.0)
 
 
 def _criterion_9_case(k0a: float):
-    return (GaussianSpectrum(k0=k0a, width=1.0),
-            BarrierConfig.from_w(w=4.0 * k0a, width=0.2 / k0a))
+    return (GaussianSpectrum(k0=k0a),
+            BarrierConfig(w=4.0 * k0a, width=0.2 / k0a))
 
 
 def _criterion_9_point(k0a: float, **kwargs):
@@ -349,8 +349,8 @@ def test_criterion_9_simulation_vs_spm_band():
 
 def test_criterion_9_breakdown_flags():
     t0 = time.perf_counter()
-    rep = transmission_timing_report(GaussianSpectrum(k0=1.0, width=1.0),
-                                     BarrierConfig.from_w(w=4.0, width=1.0))
+    rep = transmission_timing_report(GaussianSpectrum(k0=1.0),
+                                     BarrierConfig(w=4.0, width=1.0))
     elapsed = time.perf_counter() - t0
     ok = (rep.multimodal or rep.filter_effect) and not rep.spm_reliable
     _report(9, ok, f"(w a=4, k0 a=1, L/a=1.0): multimodal={rep.multimodal}, "
@@ -365,8 +365,8 @@ def test_criterion_10_collision_exactness():
     worst_sym = 0.0
     worst_spec = 0.0
     for (wa, k0a, la) in [(4.0, 2.0, 0.4), (16.0, 8.0, 0.1)]:
-        spec = GaussianSpectrum(k0=k0a, width=1.0)
-        b = BarrierConfig.from_w(w=wa, width=la)
+        spec = GaussianSpectrum(k0=k0a)
+        b = BarrierConfig(w=wa, width=la)
         xs = np.linspace(-14.0, 14.0, 2801)
         t0 = collision_sync_time(spec, b)
         for t in (t0, t0 + 0.4, t0 + 1.2):

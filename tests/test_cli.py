@@ -157,8 +157,12 @@ class TestPacketCmd:
         timing = manifest["diagnostics"]["timing"]
         assert timing["k_max"] == pytest.approx(1.6571, abs=1e-3)
 
-    def test_validation(self, tmp_path):
+    def test_validation(self, tmp_path, capsys):
         assert run(["packet", "--k0-a", 5.0, "--out", tmp_path]) == 2
+        assert run(["packet", "--t-steps", 0, "--out", tmp_path]) == 2
+        capsys.readouterr()
+        assert run(["packet", "--x-points", 0, "--out", tmp_path]) == 2
+        assert "uniform grid" in capsys.readouterr().err
         assert run(["packet", "--l-a", "nan", "--out", tmp_path]) == 2
         assert run(["packet", "--w-a", "inf", "--out", tmp_path]) == 2
         for opt, val in (("--t-max", "nan"), ("--t-min", "-inf"),
@@ -190,6 +194,7 @@ class TestCollideCmd:
         assert run(["collide", "--k0-a", 20.0, "--w-a", 16.0, "--out", tmp_path]) == 2
         assert run(["collide", "--w-a", "inf", "--out", tmp_path]) == 2
         assert run(["collide", "--l-a", "nan", "--out", tmp_path]) == 2
+        assert run(["collide", "--t-steps", 0, "--out", tmp_path]) == 2
         for opt, val in (("--t-max", "nan"), ("--t-min", "nan"),
                          ("--x-min", "-inf"), ("--x-max", "nan"),
                          ("--tolerance", "inf")):
@@ -204,8 +209,8 @@ class TestCollideCmd:
         xs = np.linspace(p["x_min"], p["x_max"], p["x_points"])
         ts = np.linspace(p["t_min"], p["t_max"], p["t_steps"])
         doubled = synthesize_collision(
-            GaussianSpectrum(k0=p["k0_a"], width=1.0),
-            BarrierConfig.from_w(w=p["w_a"], width=p["l_a"]), xs, ts,
+            GaussianSpectrum(k0=p["k0_a"]),
+            BarrierConfig(w=p["w_a"], width=p["l_a"]), xs, ts,
             quad=QuadratureSpec(panels=2 * QuadratureSpec().panels))
         for i, fine in enumerate(doubled):
             _, rows, comments = read_csv(tmp_path / f"collide_{i:03d}.csv")

@@ -14,11 +14,11 @@ from tunneltimes.packets import _X_CHUNK, ConvergenceError, _phase_matvec
 
 
 def barrier(w=4.0, L=0.2):
-    return BarrierConfig.from_w(w=w, width=L)
+    return BarrierConfig(w=w, width=L)
 
 
-def spectrum(k0=1.0, width=1.0):
-    return GaussianSpectrum(k0=k0, width=width)
+def spectrum(k0=1.0):
+    return GaussianSpectrum(k0=k0)
 
 
 class TestPacketField:
@@ -169,7 +169,7 @@ class TestBatchedSynthesis:
             assert f.t == g.t
             assert np.abs(f.psi - g.psi).max() <= 1e-12 * peak
 
-        spec2, b2 = spectrum(k0=2.0), BarrierConfig.from_w(w=4.0, width=0.4)
+        spec2, b2 = spectrum(k0=2.0), BarrierConfig(w=4.0, width=0.4)
         xs2 = np.linspace(-12.0, 12.0, 1201)
         ts2 = collision_sync_time(spec2, b2) + np.array([0.0, 0.5, 1.5])
         batch = synthesize_collision(spec2, b2, xs2, ts2)
@@ -182,7 +182,7 @@ class TestBatchedSynthesis:
     def test_rejects_non_finite_times(self):
         spec, b = spectrum(), barrier()
         xs = np.linspace(b.half_width, b.half_width + 4.0, 65)
-        for t in (math.nan, [0.0, math.inf], [[0.0, 1.0]]):
+        for t in (math.nan, [0.0, math.inf], [[0.0, 1.0]], np.array([])):
             with pytest.raises(ValueError):
                 synthesize_transmitted(spec, b, xs, t)
             with pytest.raises(ValueError):
@@ -201,11 +201,11 @@ class TestBatchedSynthesis:
         # rounding of the whole grid (9.5 ulps of its own max |x|), and must
         # still be accepted.
         spec = spectrum(k0=2.0)
-        b = BarrierConfig.from_w(w=4.0, width=1.0)
+        b = BarrierConfig(w=4.0, width=1.0)
         h = b.half_width
         ts = np.array([0.0, 0.8])
         quad = QuadratureSpec(panels=8, order=32)
-        ks, wts = quad.nodes(1e-9 * spec.k0, spec.k0 + 8.0 / spec.width)
+        ks, wts = quad.nodes(1e-9 * spec.k0, spec.k0 + 8.0)
         refl, trans = _collision_amplitudes(ks, b)
         for xs in (np.linspace(-6.0, 6.0, 241), np.linspace(-16.0, 1.0, 201)):
             assert np.count_nonzero(np.abs(xs) < h) > 10
@@ -284,7 +284,7 @@ class TestTransmitted:
 class TestCollision:
     def test_mirror_symmetry(self):
         spec = spectrum(k0=2.0)
-        b = BarrierConfig.from_w(w=4.0, width=0.4)
+        b = BarrierConfig(w=4.0, width=0.4)
         xs = np.linspace(-12.0, 12.0, 1201)
         for t in (collision_sync_time(spec, b), 0.4, 1.5):
             f = synthesize_collision(spec, b, xs, t)
@@ -293,14 +293,14 @@ class TestCollision:
 
     def test_rejects_times_before_sync(self):
         spec = spectrum(k0=2.0)
-        b = BarrierConfig.from_w(w=4.0, width=0.4)
+        b = BarrierConfig(w=4.0, width=0.4)
         with pytest.raises(ValueError):
             synthesize_collision(spec, b, np.linspace(-5, 5, 101),
                                  collision_sync_time(spec, b) - 0.01)
 
     def test_outgoing_spectral_modulus_is_incident_gaussian(self):
         spec = spectrum(k0=2.0)
-        b = BarrierConfig.from_w(w=4.0, width=0.4)
+        b = BarrierConfig(w=4.0, width=0.4)
         ks = np.linspace(0.05, 10.0, 800)
         g = spec.amplitude(ks)
         s_abs = np.array([abs(symmetric_amplitudes(float(k), b).combined)
@@ -311,7 +311,7 @@ class TestCollision:
         # narrow spectrum (k0 a = 8): the envelope is undistorted, so the
         # ballistic-fit delay lands on tau * rate_scattering to well under 2%
         spec = spectrum(k0=8.0)
-        b = BarrierConfig.from_w(w=16.0, width=0.1)
+        b = BarrierConfig(w=16.0, width=0.1)
         rep = collision_timing_report(spec, b)
         assert rep.symmetry_residual < 1e-10
         assert rep.spectral_residual_max < 1e-12
@@ -360,6 +360,6 @@ class TestTransmissionTimingReport:
     def test_narrow_spectrum_converges_to_spm(self):
         # same physical barrier scaled to a narrow packet (k0 a = 8):
         # the measured delay approaches the stationary-phase prediction
-        rep = transmission_timing_report(GaussianSpectrum(k0=8.0, width=1.0),
-                                         BarrierConfig.from_w(w=32.0, width=0.025))
+        rep = transmission_timing_report(GaussianSpectrum(k0=8.0),
+                                         BarrierConfig(w=32.0, width=0.025))
         assert abs(rep.discrepancy) < 0.10 * rep.tau

@@ -14,7 +14,7 @@ mp.mp.dps = 40
 
 
 def barrier(w=4.0, L=0.5):
-    return BarrierConfig.from_w(w=w, width=L)
+    return BarrierConfig(w=w, width=L)
 
 
 # frozen 40-digit references at (w a, L/a) = (4, 0.5)
@@ -133,7 +133,7 @@ class TestStandardTransitTime:
             k = rng.uniform(0.1, 0.9) * w
             r = math.sqrt(w * w - k * k)
             L = rng.uniform(0.05, min(4.0, 19.0 / r))
-            res = standard_transit_time(k, BarrierConfig.from_w(w=w, width=L))
+            res = standard_transit_time(k, BarrierConfig(w=w, width=L))
             assert res.derivative == pytest.approx(res.time, rel=1e-6)
             checked += 1
 
@@ -141,7 +141,7 @@ class TestStandardTransitTime:
         # alpha >> 1 at fixed k: the transit time approaches 2m/(k rho)
         w, k = 2.0, 1.2
         r = math.sqrt(w * w - k * k)
-        t30 = standard_transit_time(k, BarrierConfig.from_w(w=w, width=30.0 / r)).time
+        t30 = standard_transit_time(k, BarrierConfig(w=w, width=30.0 / r)).time
         assert t30 == pytest.approx(2.0 / (k * r), rel=1e-6)
 
     def test_linear_small_alpha_regime_near_top(self):
@@ -159,7 +159,7 @@ class TestOpaqueLimitTime:
     def test_symmetric_point(self):
         b = barrier(w=2.0, L=1.0)
         k = 2.0 / math.sqrt(2.0)
-        assert opaque_limit_time(k, b) == pytest.approx(4.0 * b.mass / 4.0, rel=1e-14)
+        assert opaque_limit_time(k, b) == pytest.approx(4.0 / 4.0, rel=1e-14)
 
     def test_diverges_monotonically_toward_top(self):
         # k rho peaks at k = w/sqrt2, so the divergence toward the top is
@@ -196,7 +196,7 @@ class TestScatteringPhaseTime:
             k0 = rng.uniform(0.15, 0.85) * w
             r = math.sqrt(w * w - k0 * k0)
             L = rng.uniform(0.05, min(4.0, 15.0 / r))
-            res = scattering_phase_time(k0, BarrierConfig.from_w(w=w, width=L))
+            res = scattering_phase_time(k0, BarrierConfig(w=w, width=L))
             assert res.time == pytest.approx(res.closed_form, rel=1e-6)
 
     def test_reproducible_under_mpmath_derivative(self):
@@ -213,9 +213,9 @@ class TestScatteringPhaseTime:
         # |t|/tau -> 1 + 1/n as alpha -> 0
         w = 2.0
         k0 = w / math.sqrt(2.0)   # n = 1/2
-        b = BarrierConfig.from_w(w=w, width=1e-5)
+        b = BarrierConfig(w=w, width=1e-5)
         res = scattering_phase_time(k0, b)
-        tau = b.mass * b.width / k0
+        tau = b.width / k0
         assert res.extras["delay"] / tau == pytest.approx(3.0, rel=1e-3)
 
     def test_variant_disagrees_with_derivative(self):

@@ -12,11 +12,11 @@ from tunneltimes.numerics import ridders_derivative
 
 
 def barrier(w=4.0, L=0.5):
-    return BarrierConfig.from_w(w=w, width=L)
+    return BarrierConfig(w=w, width=L)
 
 
 def spectrum(k0=1.0):
-    return GaussianSpectrum(k0=k0, width=1.0)
+    return GaussianSpectrum(k0=k0)
 
 
 class TestGaussianSpectrum:
@@ -29,8 +29,6 @@ class TestGaussianSpectrum:
     def test_validation(self):
         with pytest.raises(ValueError):
             GaussianSpectrum(k0=-1.0)
-        with pytest.raises(ValueError):
-            GaussianSpectrum(k0=1.0, width=0.0)
         with pytest.raises(ValueError):
             GaussianSpectrum(k0=1.0, cutoff=1.0)
 
@@ -79,7 +77,7 @@ class TestFindKmax:
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ContainmentWarning)
-            res = find_kmax(spectrum(), BarrierConfig.from_w(w=wa, width=la))
+            res = find_kmax(spectrum(), BarrierConfig(w=wa, width=la))
         assert not res.boundary_dominated
         assert res.k_max == pytest.approx(want, abs=1e-3)
 
@@ -91,7 +89,7 @@ class TestFindKmax:
 
     def test_boundary_dominated_cell(self):
         with pytest.warns(ContainmentWarning):
-            res = find_kmax(spectrum(), BarrierConfig.from_w(w=1.5, width=0.8))
+            res = find_kmax(spectrum(), BarrierConfig(w=1.5, width=0.8))
         assert res.boundary_dominated
         assert res.k_max == 1.5
         assert res.value_at_top >= res.value_at_max - 1e-15
@@ -105,7 +103,7 @@ class TestFindKmax:
             for _ in range(50):
                 wa = rng.uniform(1.2, 20.0)
                 la = rng.uniform(0.0, 1.0)
-                res = find_kmax(spectrum(), BarrierConfig.from_w(w=wa, width=la))
+                res = find_kmax(spectrum(), BarrierConfig(w=wa, width=la))
                 assert 1.0 - 1e-9 <= res.k_max <= wa + 1e-12
                 if la > 1e-3:
                     assert res.k_max > 1.0
@@ -114,8 +112,8 @@ class TestFindKmax:
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("error", ContainmentWarning)
-            find_kmax(GaussianSpectrum(k0=8.0, width=1.0),
-                      BarrierConfig.from_w(w=16.0, width=0.1))
+            find_kmax(GaussianSpectrum(k0=8.0),
+                      BarrierConfig(w=16.0, width=0.1))
 
 
 class TestKmaxTable:
@@ -151,7 +149,7 @@ class TestDistortionOnset:
         w = 1.5
         d, _ = ridders_derivative(lambda dk: float(s.amplitude(1.0 + dk)), w - 1.0, 0.05)
         got = -d / float(s.amplitude(w))
-        assert got == pytest.approx(s.width**2 * (w - 1.0) / 2.0, rel=1e-10)
+        assert got == pytest.approx((w - 1.0) / 2.0, rel=1e-10)
         assert rep_logderiv_matches(s, w)
 
     def test_slope_sign_flips_at_onset(self):
@@ -160,7 +158,7 @@ class TestDistortionOnset:
         eps = 1e-5
 
         def slope(length):
-            b = BarrierConfig.from_w(w=1.5, width=length)
+            b = BarrierConfig(w=1.5, width=length)
             return (modulated_spectrum(1.5, s, b)
                     - modulated_spectrum(1.5 - eps, s, b)) / eps
 
@@ -188,13 +186,13 @@ class TestDistortionOnset:
 
 def rep_logderiv_matches(s, w):
     rep = distortion_onset(s, w)
-    return math.isclose(rep.gaussian_logderiv, s.width**2 * (w - s.k0) / 2.0,
+    return math.isclose(rep.gaussian_logderiv, (w - s.k0) / 2.0,
                         rel_tol=1e-12)
 
 
 class TestCutoffTime:
     def test_values(self):
-        b = BarrierConfig(height=0.5, width=1.0)  # w = 1, m = 1
+        b = BarrierConfig(w=1.0, width=1.0)
         assert cutoff_time_estimate(0.1, b) == pytest.approx(20.0, rel=1e-12)
         assert cutoff_time_estimate(1.0, b) == pytest.approx(2.0, rel=1e-12)
 
@@ -209,7 +207,7 @@ class TestCutoffProfile:
     def test_uncut_tail_is_negligible(self):
         # k0 well above the k = 0 edge: no truncation anywhere, so the
         # profile is the plain gaussian envelope with negligible tails
-        s = GaussianSpectrum(k0=8.0, width=1.0)
+        s = GaussianSpectrum(k0=8.0)
         xs = np.linspace(-10.0, 10.0, 2001)
         fld = cutoff_packet_profile(s, xs)
         mag = np.abs(fld.psi)
@@ -221,16 +219,16 @@ class TestCutoffProfile:
         window = (np.abs(xs) >= 5.0) & (np.abs(xs) <= 9.0)
         metrics = []
         for delta in (None, 0.1, 0.3):
-            s = GaussianSpectrum(k0=2.0, width=1.0, cutoff=delta)
-            fld = cutoff_packet_profile(s, xs, barrier=BarrierConfig.from_w(w=4.0, width=0.0))
+            s = GaussianSpectrum(k0=2.0, cutoff=delta)
+            fld = cutoff_packet_profile(s, xs, barrier=BarrierConfig(w=4.0, width=0.0))
             mag = np.abs(fld.psi)
             metrics.append(mag[window].max() / mag.max())
         assert metrics[0] < metrics[1] < metrics[2]
 
     def test_side_lobe_spacing_tracks_cutoff(self):
         # truncation ringing: lobe spacing in the far tail ~ 2 pi / k_cut
-        s = GaussianSpectrum(k0=2.0, width=1.0, cutoff=0.3)
-        b = BarrierConfig.from_w(w=4.0, width=0.0)
+        s = GaussianSpectrum(k0=2.0, cutoff=0.3)
+        b = BarrierConfig(w=4.0, width=0.0)
         xs = np.linspace(5.0, 12.0, 7001)
         mag = np.abs(cutoff_packet_profile(s, xs, barrier=b).psi)
         inner = mag[1:-1]
@@ -240,16 +238,16 @@ class TestCutoffProfile:
         assert spacing == pytest.approx(2.0 * math.pi / k_cut, rel=0.3)
 
     def test_empty_support_rejected(self):
-        s = GaussianSpectrum(k0=2.0, width=1.0, cutoff=0.99)
+        s = GaussianSpectrum(k0=2.0, cutoff=0.99)
         with pytest.raises(ValueError):
             cutoff_packet_profile(s, np.linspace(-1, 1, 11),
-                                  barrier=BarrierConfig.from_w(w=1e-9, width=0.0))
+                                  barrier=BarrierConfig(w=1e-9, width=0.0))
 
 
 def test_symmetry_of_profile():
-    s = GaussianSpectrum(k0=2.0, width=1.0, cutoff=0.2)
+    s = GaussianSpectrum(k0=2.0, cutoff=0.2)
     xs = np.linspace(-8.0, 8.0, 1601)
-    mag = np.abs(cutoff_packet_profile(s, xs, barrier=BarrierConfig.from_w(w=4.0, width=0.0)).psi)
+    mag = np.abs(cutoff_packet_profile(s, xs, barrier=BarrierConfig(w=4.0, width=0.0)).psi)
     np.testing.assert_allclose(mag, mag[::-1], atol=1e-12 * mag.max())
 
 
