@@ -19,9 +19,8 @@ from .packets import (CollisionTimingReport, ConvergenceError, PacketField,
                       ensure_converged, synthesize_collision,
                       synthesize_incident, synthesize_transmitted, track_peak,
                       transmission_timing_report)
-from .phase_times import (PhaseTimeResult, TimeParams, opaque_limit_time,
-                          rate_scattering, rate_standard, rate_table,
-                          scattering_phase_time,
+from .phase_times import (TimeParams, opaque_limit_time, rate_scattering,
+                          rate_standard, rate_table, scattering_delay,
                           scattering_time_coshsq_variant,
                           standard_transit_time)
 from .spectrum import (ContainmentWarning, DistortionReport, GaussianSpectrum,
@@ -36,13 +35,13 @@ __all__ = [
     "BarrierConfig", "CollisionTimingReport", "ContainmentWarning",
     "ConvergenceError", "DistortionReport", "GaussianSpectrum",
     "InteriorCoefficients", "KmaxResult", "PacketField", "PeakTrack",
-    "PhaseTimeResult", "QuadratureSpec", "ScatteringAmplitudes", "TableCell",
-    "TimeParams", "TransmissionTimingReport", "collision_phase",
+    "QuadratureSpec", "ScatteringAmplitudes", "TableCell", "TimeParams",
+    "TransmissionTimingReport", "collision_phase",
     "collision_sync_time", "collision_timing_report", "containment_outside",
     "cutoff_packet_profile", "cutoff_time_estimate", "distortion_onset",
     "ensure_converged", "find_kmax", "interior_field", "interior_matching",
     "kmax_table", "modulated_spectrum", "opaque_limit_time",
-    "rate_scattering", "rate_standard", "rate_table", "scattering_phase_time",
+    "rate_scattering", "rate_standard", "rate_table", "scattering_delay",
     "scattering_time_coshsq_variant", "standard_transit_time",
     "symmetric_amplitudes", "synthesize_collision", "synthesize_incident",
     "synthesize_transmitted", "track_peak", "transfer_matrix_amplitudes",

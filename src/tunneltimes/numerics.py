@@ -4,8 +4,9 @@ Dimension-agnostic plumbing used throughout the package: one pass that
 evaluates the pair sinh(sqrt z)/sqrt z and cosh(sqrt z) of the signed
 square z through the removable singularity at z = 0 (the unscaled half of
 the barrier amplitude kernel), a golden-section maximizer, Ridders'
-polynomial-extrapolated derivative, and composite Gauss-Legendre
-quadrature nodes.
+polynomial-extrapolated derivative (a reference implementation: the phase
+times are closed forms, and the tests check them against it), and
+composite Gauss-Legendre quadrature nodes.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ import numpy as np
 from .barrier import (BarrierConfig, _collision_amplitudes, interior_field,
                       transmission_modulus, transmission_phase)
 from .numerics import gauss_legendre_panels, parabolic_refine
-from .phase_times import TimeParams, rate_scattering, standard_transit_time
+from .phase_times import scattering_delay, standard_transit_time
 from .spectrum import (_CONTAINMENT_LIMIT, ContainmentWarning, GaussianSpectrum,
                        find_kmax)
 
@@ -140,14 +140,17 @@ class PacketField:
         return len(self.local_max_positions()) > 1
 
 
-def _chunked_matmul(x: np.ndarray, block, amp: np.ndarray) -> np.ndarray:
+def _chunked_matmul(x: np.ndarray, block, amp: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Sum over k of a (x, k) matrix times amp, _X_CHUNK rows of x at a time.
 
     block maps a chunk of x and amp ((n_k,) or (n_k, n_t)) to a pair
     (matrix, a) whose product is that chunk of the result; each product
-    is written straight into the one (n_x,) or (n_x, n_t) output.
+    is written straight into the one (n_x,) or (n_x, n_t) output, `out`
+    when given.
     """
-    out = np.empty((len(x),) + np.shape(amp)[1:], dtype=complex)
+    if out is None:
+        out = np.empty((len(x),) + np.shape(amp)[1:], dtype=complex)
     for lo in range(0, len(x), _X_CHUNK):
         sl = slice(lo, lo + _X_CHUNK)
         np.matmul(*block(x[sl], amp), out=out[sl])
@@ -166,12 +169,17 @@ def _phase_matvec(x: np.ndarray, ks: np.ndarray, amp: np.ndarray,
     complex block; nothing is cached.  Also the time signal at a fixed
     plane, with x -> t and k -> -k^2/2.
     """
+    steps = _grid_steps(x, scale)[:_X_CHUNK]
     phase = 1j * ks
-    offs = np.outer(_grid_steps(x, scale)[:_X_CHUNK], phase)
+    # the result is allocated before the offset block, so that freeing the
+    # block leaves no heap hole below a live array (a 9-19 MB block that
+    # glibc serves from the heap once its mmap threshold has risen)
+    out = np.empty((len(x),) + np.shape(amp)[1:], dtype=complex)
+    offs = np.outer(steps, phase)
     np.exp(offs, out=offs)
     # (a.T * e).T scales row i of a 1-D or 2-D amp by e_i, no reshape needed
     return _chunked_matmul(x, lambda xc, a: (
-        offs[:len(xc)], (a.T * np.exp(xc[0] * phase)).T), amp)
+        offs[:len(xc)], (a.T * np.exp(xc[0] * phase)).T), amp, out)
 
 
 def _times(t) -> np.ndarray:
@@ -431,13 +439,10 @@ def transmission_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfi
     h = barrier.half_width
 
     if kr.boundary_dominated:
-        t_spm = math.nan
-        tau = math.nan
-        band = math.nan
+        t_spm = tau = band = math.nan
     else:
-        spm = standard_transit_time(kr.k_max, barrier, derivative=False)
-        t_spm = spm.time
-        tau = spm.params.tau
+        t_spm = standard_transit_time(kr.k_max, barrier)
+        tau = barrier.width / kr.k_max
         band = 0.05 * tau
 
     ks, base = _transmitted_nodes(spectrum, barrier, quad)
@@ -445,7 +450,7 @@ def transmission_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfi
 
     # generous scan window: the reference peaks at t = 0, the transmitted
     # delay is bounded by the transit time at k0
-    t_k0 = standard_transit_time(k0, barrier, derivative=False).time
+    t_k0 = standard_transit_time(k0, barrier)
     upper = 6.0 / k0 + 2.0 * abs(t_k0)
     ts = np.arange(-6.0 / k0, upper, dt)
     energies = -ks * ks / 2.0
@@ -485,10 +490,9 @@ def transmission_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfi
 class CollisionTimingReport:
     """Measured outgoing-peak delay of the symmetric collision.
 
-    delay_predicted = tau * rate_scattering(alpha, n) (the negative of the
-    signed phase-derivative time); delay_measured comes from a ballistic
-    fit of the outgoing peak trajectory extrapolated back to the barrier
-    face, counted from the synchronization instant.
+    delay_predicted is scattering_delay(k0, barrier); delay_measured comes
+    from a ballistic fit of the outgoing peak trajectory extrapolated back
+    to the barrier face, counted from the synchronization instant.
     """
 
     t_sync: float
@@ -510,9 +514,7 @@ def collision_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     if not k0 < barrier.w:
         raise ValueError("collision timing needs the tunneling regime k0 < w")
     t_sync = collision_sync_time(spectrum, barrier)
-    params = TimeParams.from_k(k0, barrier) if barrier.width > 0.0 else None
-    pred = (params.tau * rate_scattering(params.alpha, params.n)
-            if params is not None else 0.0)
+    pred = scattering_delay(k0, barrier)
 
     ks, wts = _collision_nodes(spectrum, quad)
     g = spectrum.amplitude(ks)
@@ -539,7 +541,7 @@ def collision_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfig,
         sym = max(sym, float(np.abs(mag - mag[::-1]).max() / mag.max()))
 
     return CollisionTimingReport(
-        t_sync=t_sync, delay_predicted=float(pred), delay_measured=float(delay),
+        t_sync=t_sync, delay_predicted=pred, delay_measured=float(delay),
         velocity_fit=float(v), symmetry_residual=sym,
         spectral_residual_max=res_max, spectral_residual_integrated=res_int,
     )

@@ -4,14 +4,15 @@ Time quantities follow from derivatives of the two scattering phases in
 `barrier`: the transmission phase Theta(k, L) gives the standard transit
 time t = (1/k) dTheta/dk evaluated at the spectral maximum, and the
 combined-amplitude phase phi(k, L) gives the symmetric-collision
-scattering time t = (1/k0) dphi/dk.
+scattering time t = (1/k0) dphi/dk.  Both are returned in closed form as
+plain floats.
 
 For phi the branch that keeps the combined amplitude identity
 exp(-i [kL + phi]) exact is monotonically decreasing in k, so the signed
 derivative is negative; the positive scattering delay (time from the
 peaks reaching the barrier faces to the scattered peaks re-emerging) is
-its negative, tau * rate_scattering(alpha, n).  Both the signed value and
-the delay are reported.  A variant closed form with a squared-cosh
+its negative, tau * rate_scattering(alpha, n), and is what
+scattering_delay returns.  A variant closed form with a squared-cosh
 denominator circulates for this quantity; it does not reproduce the phase
 derivative and is kept only as a diagnostic.
 
@@ -22,12 +23,12 @@ classical traversal time tau = L / k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import BarrierConfig, collision_phase, transmission_phase
-from .numerics import ridders_derivative
+from .barrier import BarrierConfig
+from .numerics import sinhc_coshc_sq
 
 # Below this alpha the rate formulas switch to series numerator/denominator
 # pairs (through alpha^8); chosen so both branches agree to ~1e-13 at the
@@ -37,7 +38,7 @@ _ALPHA_SERIES = 0.1
 
 @dataclass(frozen=True)
 class TimeParams:
-    """Dimensionless diagnostics attached to a phase-time evaluation."""
+    """Dimensionless groups alpha, n and tau of a phase time at k_eval."""
 
     k_eval: float
     alpha: float
@@ -51,18 +52,6 @@ class TimeParams:
             raise ValueError("k_eval must lie in the tunneling window (0, w)")
         alpha = math.sqrt(w * w - k * k) * barrier.width
         return cls(k_eval=k, alpha=alpha, n=(k / w) ** 2, tau=barrier.width / k)
-
-
-@dataclass(frozen=True)
-class PhaseTimeResult:
-    """A time value with its method tag and side-by-side cross-checks."""
-
-    time: float
-    method: str
-    params: TimeParams
-    closed_form: float | None = None
-    derivative: float | None = None
-    extras: dict = field(default_factory=dict)
 
 
 def _validate_rate_args(alpha, n: float) -> np.ndarray:
@@ -87,16 +76,22 @@ def rate_standard(alpha, n: float):
     small = arr < _ALPHA_SERIES
     if small.any():
         a2 = arr[small] ** 2
-        # (sc - a n(2n-1))/a and (4n(1-n) + sinh^2)/1, each through a^8
-        num = (1.0 + n - 2.0 * n * n) + (2.0 / 3.0) * a2 + (2.0 / 15.0) * a2 * a2 \
-            + (4.0 / 315.0) * a2**3 + (2.0 / 2835.0) * a2**4
-        den = 4.0 * n * (1.0 - n) + a2 + a2 * a2 / 3.0 + (2.0 / 45.0) * a2**3 \
-            + a2**4 / 315.0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            val = 2.0 * num / den
+        if n == 1.0:
+            # both constant terms vanish; a2 is divided out so that an
+            # underflowing a2 cannot give 0/0
+            num = 2.0 / 3.0 + (2.0 / 15.0) * a2 + (4.0 / 315.0) * a2 * a2 \
+                + (2.0 / 2835.0) * a2**3
+            den = 1.0 + a2 / 3.0 + (2.0 / 45.0) * a2 * a2 + a2**3 / 315.0
+        else:
+            # (sc - a n(2n-1))/a and (4n(1-n) + sinh^2)/1, each through a^8
+            num = (1.0 + n - 2.0 * n * n) + (2.0 / 3.0) * a2 \
+                + (2.0 / 15.0) * a2 * a2 + (4.0 / 315.0) * a2**3 \
+                + (2.0 / 2835.0) * a2**4
+            den = 4.0 * n * (1.0 - n) + a2 + a2 * a2 / 3.0 \
+                + (2.0 / 45.0) * a2**3 + a2**4 / 315.0
         # alpha = 0 exactly: the finite directional limit
         lim = 4.0 / 3.0 if n == 1.0 else 1.0 + 0.5 / n
-        out[small] = np.where(arr[small] == 0.0, lim, val)
+        out[small] = np.where(arr[small] == 0.0, lim, 2.0 * num / den)
     big = ~small
     if big.any():
         a = arr[big]
@@ -135,28 +130,13 @@ def rate_scattering(alpha, n: float):
     return out if out.ndim else float(out)
 
 
-def standard_transit_time(k_eval: float, barrier: BarrierConfig,
-                          derivative: bool = True) -> PhaseTimeResult:
+def standard_transit_time(k_eval: float, barrier: BarrierConfig) -> float:
     """Stationary-phase transit time t = (1/k) dTheta/dk at k_eval.
 
-    The closed form tau * rate_standard(alpha, n) is exact and is the
-    returned `time`; a Ridders finite-difference derivative of the
-    transmission phase is attached as an independent cross-check when
-    `derivative` is true, with its error estimate (in time units) as
-    extras["derivative_error_estimate"].
+    Exact closed form tau * rate_standard(alpha, n).
     """
     params = TimeParams.from_k(k_eval, barrier)
-    closed = params.tau * rate_standard(params.alpha, params.n)
-    deriv = None
-    extras = {}
-    if derivative:
-        w = barrier.w
-        h0 = 0.125 * min(k_eval, w - k_eval)
-        d, err = ridders_derivative(lambda q: transmission_phase(q, barrier), k_eval, h0)
-        deriv = d / k_eval
-        extras["derivative_error_estimate"] = err / k_eval
-    return PhaseTimeResult(time=closed, method="standard", params=params,
-                           closed_form=closed, derivative=deriv, extras=extras)
+    return params.tau * rate_standard(params.alpha, params.n)
 
 
 def opaque_limit_time(k_eval: float, barrier: BarrierConfig) -> float:
@@ -176,44 +156,23 @@ def opaque_limit_time(k_eval: float, barrier: BarrierConfig) -> float:
 def scattering_time_coshsq_variant(k0: float, barrier: BarrierConfig) -> float:
     """Variant closed form with squared-cosh denominator and opposite-sign
     alpha k0^2 term.  It does not reproduce the phase derivative and is
-    exposed purely for diagnostic comparison."""
+    exposed purely for diagnostic comparison; 0 at L = 0."""
     params = TimeParams.from_k(k0, barrier)
-    a = params.alpha
-    w = barrier.w
-    num = w * w * math.sinh(a) - a * k0 * k0
-    den = 2.0 * k0 * k0 - w * w + w * w * math.cosh(a) ** 2
-    return (2.0 * barrier.width / (k0 * a)) * num / den
+    sh, c = sinhc_coshc_sq(params.alpha**2)
+    w2 = barrier.w**2
+    return (2.0 * barrier.width / k0) * (w2 * sh - k0 * k0) \
+        / (2.0 * k0 * k0 - w2 + w2 * c * c)
 
 
-def scattering_phase_time(k0: float, barrier: BarrierConfig) -> PhaseTimeResult:
-    """Symmetric-collision scattering time (1/k0) dphi/dk at k0.
+def scattering_delay(k0: float, barrier: BarrierConfig) -> float:
+    """Symmetric-collision scattering delay -(1/k0) dphi/dk at k0.
 
-    The binding value is the Ridders numerical derivative of
-    `collision_phase`; on the shipped branch of phi it is negative, and
-    its negative equals the positive scattering delay
-    tau * rate_scattering(alpha, n) exactly (the attached closed form is
-    -tau * rate_scattering).  extras carries the delay, the Ridders error
-    estimate, and the diagnostic squared-cosh variant.
+    On the shipped branch of phi the phase derivative is negative; the
+    delay is its negative, the exact closed form
+    tau * rate_scattering(alpha, n), which is 0 at L = 0.
     """
     params = TimeParams.from_k(k0, barrier)
-    if barrier.width == 0.0:
-        return PhaseTimeResult(time=0.0, method="scattering", params=params,
-                               closed_form=0.0, derivative=0.0,
-                               extras={"delay": 0.0})
-    w = barrier.w
-    h0 = 0.125 * min(k0, w - k0)
-    d, err = ridders_derivative(lambda q: collision_phase(q, barrier), k0, h0)
-    numeric = d / k0
-    closed = -params.tau * rate_scattering(params.alpha, params.n)
-    return PhaseTimeResult(
-        time=numeric, method="scattering", params=params,
-        closed_form=closed, derivative=numeric,
-        extras={
-            "delay": -numeric,
-            "derivative_error_estimate": err / k0,
-            "variant_coshsq": scattering_time_coshsq_variant(k0, barrier),
-        },
-    )
+    return params.tau * rate_scattering(params.alpha, params.n)
 
 
 def rate_table(n_values, alphas) -> list[tuple[float, float, float, float]]:

@@ -39,34 +39,18 @@ class GaussianSpectrum:
     """Gaussian momentum distribution g(k - k0) of a packet of unit width.
 
     g(k - k0) = (2 pi)^{-1/4} exp[-(k - k0)^2 / 4]; the intensity g^2 has
-    unit standard deviation.  `cutoff` (when set) is
-    the fraction delta in [0, 1) by which the support is truncated to
-    [0, (1 - delta) w_ref]; the reference wavenumber w_ref is supplied by
-    the consumer (a barrier's top, or 2 k0 for barrier-free profiles).
+    unit standard deviation.
     """
 
     k0: float
-    cutoff: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.k0 < math.inf:
             raise ValueError("k0 must be positive and finite")
-        if self.cutoff is not None and not 0.0 <= self.cutoff < 1.0:
-            raise ValueError("cutoff fraction must lie in [0, 1)")
 
     def amplitude(self, k):
         """g(k - k0); scalar or array."""
         return (1.0 / (2.0 * math.pi)) ** 0.25 * np.exp(-(np.asarray(k, float) - self.k0) ** 2 / 4.0)
-
-    def support_upper(self, w_ref: float) -> float:
-        """Upper edge of the truncated support, (1 - delta) w_ref.
-
-        Without a cutoff the spectrum is integrated to k0 + 8, beyond
-        which the intensity is below 1e-13 of the peak.
-        """
-        if self.cutoff is None:
-            return self.k0 + 8.0
-        return (1.0 - self.cutoff) * w_ref
 
 
 def containment_outside(spectrum: GaussianSpectrum, barrier: BarrierConfig) -> float:
@@ -239,7 +223,7 @@ def distortion_onset(spectrum: GaussianSpectrum, w: float) -> DistortionReport:
     lo, hi = 1e-3 / w, 30.0 / w
     if slope(lo) > 0.0:
         lo = 1e-6 / w
-    if slope(hi) <= 0.0:
+    if not slope(hi) > 0.0:  # also a nan slope, once w^2 overflows
         raise ValueError("no slope sign change found; onset outside bracket")
     while (hi - lo) > 1e-6 * hi:
         mid = 0.5 * (lo + hi)
@@ -278,7 +262,7 @@ def distortion_onset(spectrum: GaussianSpectrum, w: float) -> DistortionReport:
     )
 
 
-def cutoff_time_estimate(delta: float, barrier: BarrierConfig) -> float:
+def cutoff_time_estimate(delta: float, w: float) -> float:
     """Opaque-limit time 2 / (w delta) for a spectrum cut off at (1 - delta) w.
 
     Finite for any delta in (0, 1]; delta = 0 is rejected (the estimate
@@ -286,22 +270,24 @@ def cutoff_time_estimate(delta: float, barrier: BarrierConfig) -> float:
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]; the estimate diverges at delta = 0")
-    return 2.0 / (barrier.w * delta)
+    return 2.0 / (w * delta)
 
 
-def cutoff_packet_profile(spectrum: GaussianSpectrum, x_grid,
-                          barrier: BarrierConfig | None = None):
-    """|psi(x)| at t = 0 for the truncated spectrum, as a PacketField.
+def cutoff_packet_profile(spectrum: GaussianSpectrum, x_grid, k_cut: float):
+    """psi(x) at t = 0 of the spectrum truncated to [0, k_cut], as a PacketField.
 
-    The support is [0, (1 - delta) w_ref]; w_ref is the barrier top when a
-    barrier is given, else 2 k0 (the centered-at-half-the-window
-    convention).  Without a cutoff the integral extends to k0 + 8.
+    A cut at (1 - delta) w models the filter of a barrier with top w; a
+    cut at k0 + 8, beyond which the intensity is below 1e-13 of the peak,
+    leaves the gaussian whole.  ValueError when the window or the profile
+    is empty.
     """
     from .packets import synthesize_incident  # local import to avoid a cycle
 
-    w_ref = barrier.w if barrier is not None else 2.0 * spectrum.k0
-    upper = spectrum.support_upper(w_ref)
-    if upper <= 1e-9 * spectrum.k0:
-        raise ValueError("cutoff removes essentially the whole support")
-    return synthesize_incident(spectrum, x_grid, t=0.0,
-                               k_interval=(1e-12, upper))
+    if not 1e-9 * spectrum.k0 < k_cut < math.inf:
+        raise ValueError("k_cut must be finite and above 1e-9 k0 "
+                         "(a lower cut removes the whole support)")
+    fld = synthesize_incident(spectrum, x_grid, t=0.0, k_interval=(1e-12, k_cut))
+    if not np.any(fld.psi):
+        raise ValueError("the spectrum has no weight below the cutoff; "
+                         "the profile is identically zero")
+    return fld

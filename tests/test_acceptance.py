@@ -22,9 +22,10 @@ from tunneltimes import (BarrierConfig, GaussianSpectrum, QuadratureSpec,
                          collision_phase, collision_sync_time,
                          collision_timing_report, distortion_onset,
                          opaque_limit_time, rate_scattering, rate_standard,
-                         scattering_phase_time, standard_transit_time,
-                         symmetric_amplitudes, synthesize_collision,
-                         transfer_matrix_amplitudes, transmission_modulus,
+                         scattering_delay, scattering_time_coshsq_variant,
+                         standard_transit_time, symmetric_amplitudes,
+                         synthesize_collision, transfer_matrix_amplitudes,
+                         transmission_modulus, transmission_phase,
                          transmission_timing_report)
 from tunneltimes.cli import main as cli_main
 from tunneltimes.numerics import ridders_derivative
@@ -50,6 +51,12 @@ WA_COLUMNS = [1.5, 2.0, 4.0, 6.0, 8.0, 10.0, 20.0]
 
 def _report(num: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {detail}")
+
+
+def _ridders_time(phase, k: float, b: BarrierConfig) -> float:
+    """(1/k) d phase/dk by Ridders' method, the finite-difference oracle."""
+    d, _ = ridders_derivative(lambda q: phase(q, b), k, 0.125 * min(k, b.w - k))
+    return d / k
 
 
 def _grid():
@@ -150,12 +157,15 @@ def test_criterion_4_derivative_consistency():
         if r * L >= 20.0:
             continue
         b = BarrierConfig(w=w, width=L)
-        res = standard_transit_time(k, b)
-        worst_std = max(worst_std, abs(res.derivative - res.time) / abs(res.time))
-        sc = scattering_phase_time(k, b)
-        worst_scatt = max(worst_scatt, abs(sc.time - sc.closed_form) / abs(sc.closed_form))
-        variant_rel.append(abs(sc.extras["variant_coshsq"] - sc.time)
-                           / abs(sc.time))
+        t_std = standard_transit_time(k, b)
+        worst_std = max(worst_std, abs(_ridders_time(transmission_phase, k, b) - t_std)
+                        / abs(t_std))
+        # the signed phase derivative is minus the positive delay
+        signed = _ridders_time(collision_phase, k, b)
+        delay = scattering_delay(k, b)
+        worst_scatt = max(worst_scatt, abs(signed + delay) / delay)
+        variant_rel.append(abs(scattering_time_coshsq_variant(k, b) - signed)
+                           / abs(signed))
         draws += 1
     ok = worst_std < 1e-6 and worst_scatt < 1e-6
     _report(4, ok, f"100 draws (alpha < 20): max rel transit diff = {worst_std:.2e}, "
@@ -198,7 +208,7 @@ def test_criterion_6_opaque_limit():
     w, k = 2.0, 1.2
     r = math.sqrt(w * w - k * k)
     b = BarrierConfig(w=w, width=30.0 / r)   # alpha = 30
-    t4 = standard_transit_time(k, b, derivative=False).time
+    t4 = standard_transit_time(k, b)
     t5 = opaque_limit_time(k, b)
     rel = abs(t4 - t5) / t5
     # monotone divergence toward the top, from the maximum of k*rho on
@@ -234,13 +244,13 @@ def test_criterion_7_distortion_onset():
 
 def test_criterion_8_cutoff_tails():
     from tunneltimes import cutoff_packet_profile
-    b = BarrierConfig(w=4.0, width=0.0)
+    s = GaussianSpectrum(k0=2.0)
     xs = np.linspace(-12.0, 12.0, 2401)
     window = (np.abs(xs) >= 5.0) & (np.abs(xs) <= 9.0)
     metrics = []
-    for delta in (None, 0.1, 0.3):   # k_cut = none, 0.9 w, 0.7 w at k0 = 0.5 w
-        s = GaussianSpectrum(k0=2.0, cutoff=delta)
-        mag = np.abs(cutoff_packet_profile(s, xs, barrier=b).psi)
+    # k_cut = none (k0 + 8), 0.9 w, 0.7 w at w = 4, k0 = 0.5 w
+    for k_cut in (s.k0 + 8.0, 0.9 * 4.0, 0.7 * 4.0):
+        mag = np.abs(cutoff_packet_profile(s, xs, k_cut).psi)
         metrics.append(float(mag[window].max() / mag.max()))
     ok = metrics[0] < metrics[1] < metrics[2]
     _report(8, ok, "normalized far-tail amplitude strictly grows as the cutoff "
@@ -264,7 +274,7 @@ def _criterion_9_case(k0a: float):
 def _criterion_9_point(k0a: float, **kwargs):
     spec, b = _criterion_9_case(k0a)
     rep = transmission_timing_report(spec, b, **kwargs)
-    return rep, standard_transit_time(k0a, b, derivative=False).time
+    return rep, standard_transit_time(k0a, b)
 
 
 def _spectral_group_delays(k0a: float) -> tuple[float, float]:
@@ -272,8 +282,7 @@ def _spectral_group_delays(k0a: float) -> tuple[float, float]:
     report's default nodes: weighted by |g T|^2 and by the flux k |g T|^2."""
     spec, b = _criterion_9_case(k0a)
     ks, wts = QuadratureSpec().nodes(1e-9 * b.w, b.w)
-    t_k = np.array([standard_transit_time(float(q), b, derivative=False).time
-                    for q in ks])
+    t_k = np.array([standard_transit_time(float(q), b) for q in ks])
     weight = wts * (spec.amplitude(ks) * transmission_modulus(ks, b)) ** 2
     return (float(np.sum(weight * t_k) / np.sum(weight)),
             float(np.sum(weight * ks * t_k) / np.sum(weight * ks)))

@@ -103,6 +103,13 @@ class TestRates:
         assert float(last_n_half[2]) < 1e-2
         assert float(last_n_half[3]) < 1e-2
 
+    def test_underflowing_alpha_gives_finite_cells(self, tmp_path):
+        # alpha^2 underflows at the bottom of this range, where the n = 1
+        # series is 0/0 unless alpha^2 is divided out
+        assert run(["rates", "--alpha-min", 1e-320, "--out", tmp_path]) == 0
+        _, rows, _ = read_csv(tmp_path / "rates.csv")
+        assert all(np.isfinite(float(cell)) for row in rows for cell in row)
+
     def test_noncommuting_note_present_with_n1(self, tmp_path):
         assert run(["rates", "--n", 1.0, "--alpha-steps", 5, "--out", tmp_path]) == 0
         _, _, comments = read_csv(tmp_path / "rates.csv")
@@ -126,6 +133,8 @@ class TestDistortion:
 
     def test_validation(self, tmp_path):
         assert run(["distortion", "--w-a", 1.0, "--k0-a", 1.0, "--out", tmp_path]) == 2
+        # w^2 overflows in the amplitude kernel: every slope is nan
+        assert run(["distortion", "--w-a", 1e300, "--out", tmp_path]) == 2
 
 
 class TestCutoff:
@@ -136,9 +145,16 @@ class TestCutoff:
         assert tails["none"] < tails["0.1"] < tails["0.3"]
         est = manifest["diagnostics"]["opaque_time_estimate_by_delta"]
         assert est["0.1"] == pytest.approx(2.0 / (4.0 * 0.1), rel=1e-12)
+        # window edges: k0 + 8 uncut, (1 - delta) w cut
+        _, rows, _ = read_csv(tmp_path / "cutoff_profiles.csv")
+        k_cut = {r[0]: float(r[1]) for r in rows}
+        assert k_cut == pytest.approx({"none": 10.0, "0.1": 3.6, "0.3": 2.8})
 
     def test_validation(self, tmp_path):
         assert run(["cutoff", "--delta", 1.0, "--out", tmp_path]) == 2
+        assert run(["cutoff", "--w-a", "inf", "--out", tmp_path]) == 2
+        # the cut spectra have no weight below (1 - delta) w: all-zero profiles
+        assert run(["cutoff", "--k0-a", 100, "--out", tmp_path]) == 2
 
 
 class TestPacketCmd:

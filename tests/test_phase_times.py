@@ -6,9 +6,10 @@ import pytest
 
 from tunneltimes import (BarrierConfig, TimeParams, collision_phase,
                          opaque_limit_time, rate_scattering, rate_standard,
-                         rate_table, scattering_phase_time,
+                         rate_table, scattering_delay,
                          scattering_time_coshsq_variant, standard_transit_time,
                          transmission_phase)
+from tunneltimes.numerics import ridders_derivative
 
 mp.mp.dps = 40
 
@@ -19,7 +20,7 @@ def barrier(w=4.0, L=0.5):
 
 # frozen 40-digit references at (w a, L/a) = (4, 0.5)
 T_TRANSIT_AT_21155 = 0.27441651338284889009     # k a = 2.1155
-T_SCATT_AT_K1 = -0.68149921179846080906         # (m/k0) dphi/dk at k0 a = 1
+T_SCATT_AT_K1 = -0.68149921179846080906         # (1/k0) dphi/dk at k0 a = 1
 T_SCATT_COSHSQ_AT_K1 = 0.14510571648379781027   # diagnostic variant there
 
 
@@ -28,6 +29,13 @@ def mp_dtheta(k, w, L):
         r = mp.sqrt(w * w - q * q)
         return mp.atan((2 * q * q - w * w) * mp.tanh(r * L) / (2 * q * r))
     return float(mp.diff(f, mp.mpf(k)))
+
+
+def ridders_time(phase, k, b):
+    """(1/k) d phase/dk by Ridders' method, the finite-difference oracle,
+    with its error estimate in time units."""
+    d, err = ridders_derivative(lambda q: phase(q, b), k, 0.125 * min(k, b.w - k))
+    return d / k, err / k
 
 
 class TestTimeParams:
@@ -61,6 +69,11 @@ class TestRates:
         assert abs(rate_standard(1e-4, 1.0) - 4.0 / 3.0) < 1e-3
         assert rate_standard(0.0, 1.0) == pytest.approx(4.0 / 3.0, rel=1e-15)
         assert rate_standard(0.0, 0.999999) == pytest.approx(1.5, rel=1e-5)
+        # the series' constant terms both vanish at n = 1: an underflowing
+        # alpha^2 must not turn the ratio into 0/0
+        for a in (1e-160, 1e-200, 1e-320):
+            assert rate_standard(a, 1.0) == pytest.approx(4.0 / 3.0, rel=1e-15)
+        assert np.all(np.isfinite(rate_standard(np.array([1e-320, 1e-4]), 1.0)))
 
     def test_alpha_zero_exact(self):
         assert rate_standard(0.0, 0.5) == pytest.approx(2.0, rel=1e-15)
@@ -118,11 +131,12 @@ class TestRates:
 
 class TestStandardTransitTime:
     def test_closed_form_equals_derivative_at_reference(self):
-        res = standard_transit_time(2.1155, barrier())
-        assert res.time == pytest.approx(T_TRANSIT_AT_21155, rel=1e-13)
-        assert res.derivative == pytest.approx(res.time, rel=1e-6)
-        assert res.time == pytest.approx(mp_dtheta(2.1155, 4.0, 0.5) / 2.1155, rel=1e-12)
-        err = res.extras["derivative_error_estimate"]
+        t = standard_transit_time(2.1155, barrier())
+        assert type(t) is float
+        assert t == pytest.approx(T_TRANSIT_AT_21155, rel=1e-13)
+        deriv, err = ridders_time(transmission_phase, 2.1155, barrier())
+        assert deriv == pytest.approx(t, rel=1e-6)
+        assert t == pytest.approx(mp_dtheta(2.1155, 4.0, 0.5) / 2.1155, rel=1e-12)
         assert math.isfinite(err) and err < 1e-10
 
     def test_derivative_consistency_random(self):
@@ -133,15 +147,16 @@ class TestStandardTransitTime:
             k = rng.uniform(0.1, 0.9) * w
             r = math.sqrt(w * w - k * k)
             L = rng.uniform(0.05, min(4.0, 19.0 / r))
-            res = standard_transit_time(k, BarrierConfig(w=w, width=L))
-            assert res.derivative == pytest.approx(res.time, rel=1e-6)
+            b = BarrierConfig(w=w, width=L)
+            assert ridders_time(transmission_phase, k, b)[0] == pytest.approx(
+                standard_transit_time(k, b), rel=1e-6)
             checked += 1
 
     def test_opaque_regime_becomes_width_independent(self):
         # alpha >> 1 at fixed k: the transit time approaches 2m/(k rho)
         w, k = 2.0, 1.2
         r = math.sqrt(w * w - k * k)
-        t30 = standard_transit_time(k, BarrierConfig(w=w, width=30.0 / r)).time
+        t30 = standard_transit_time(k, BarrierConfig(w=w, width=30.0 / r))
         assert t30 == pytest.approx(2.0 / (k * r), rel=1e-6)
 
     def test_linear_small_alpha_regime_near_top(self):
@@ -177,62 +192,61 @@ class TestOpaqueLimitTime:
 
 class TestScatteringPhaseTime:
     def test_zero_width(self):
-        res = scattering_phase_time(1.0, barrier(4.0, 0.0))
-        assert res.time == 0.0
-        assert res.extras["delay"] == 0.0
+        assert scattering_delay(1.0, barrier(4.0, 0.0)) == 0.0
+        assert scattering_time_coshsq_variant(1.0, barrier(4.0, 0.0)) == 0.0
 
     def test_frozen_reference(self):
-        res = scattering_phase_time(1.0, barrier())
-        assert res.time == pytest.approx(T_SCATT_AT_K1, rel=1e-9)
-        assert res.closed_form == pytest.approx(T_SCATT_AT_K1, rel=1e-13)
-        assert res.extras["delay"] == pytest.approx(-T_SCATT_AT_K1, rel=1e-9)
-        assert res.extras["variant_coshsq"] == pytest.approx(
+        delay = scattering_delay(1.0, barrier())
+        assert type(delay) is float
+        assert delay == pytest.approx(-T_SCATT_AT_K1, rel=1e-13)
+        assert ridders_time(collision_phase, 1.0, barrier())[0] == pytest.approx(
+            T_SCATT_AT_K1, rel=1e-9)
+        assert scattering_time_coshsq_variant(1.0, barrier()) == pytest.approx(
             T_SCATT_COSHSQ_AT_K1, rel=1e-12)
 
-    def test_derivative_is_binding_and_matches_closed_form(self):
+    def test_closed_form_is_minus_ridders_derivative(self):
         rng = np.random.default_rng(17)
         for _ in range(25):
             w = rng.uniform(1.0, 10.0)
             k0 = rng.uniform(0.15, 0.85) * w
             r = math.sqrt(w * w - k0 * k0)
             L = rng.uniform(0.05, min(4.0, 15.0 / r))
-            res = scattering_phase_time(k0, BarrierConfig(w=w, width=L))
-            assert res.time == pytest.approx(res.closed_form, rel=1e-6)
+            b = BarrierConfig(w=w, width=L)
+            assert -ridders_time(collision_phase, k0, b)[0] == pytest.approx(
+                scattering_delay(k0, b), rel=1e-6)
 
     def test_reproducible_under_mpmath_derivative(self):
         b = barrier()
-        res = scattering_phase_time(1.0, b)
 
         def f(q):
             return collision_phase(float(q), b)
 
         want = float(mp.diff(f, mp.mpf(1.0), h=1e-6)) * 1.0
-        assert res.time == pytest.approx(want, rel=1e-6)
+        assert scattering_delay(1.0, b) == pytest.approx(-want, rel=1e-6)
 
     def test_small_alpha_delay_rate(self):
-        # |t|/tau -> 1 + 1/n as alpha -> 0
+        # delay/tau -> 1 + 1/n as alpha -> 0
         w = 2.0
         k0 = w / math.sqrt(2.0)   # n = 1/2
         b = BarrierConfig(w=w, width=1e-5)
-        res = scattering_phase_time(k0, b)
         tau = b.width / k0
-        assert res.extras["delay"] / tau == pytest.approx(3.0, rel=1e-3)
+        assert scattering_delay(k0, b) / tau == pytest.approx(3.0, rel=1e-3)
 
     def test_variant_disagrees_with_derivative(self):
         # the squared-cosh variant is not the derivative of phi; the
         # mismatch at the reference point is documented, not patched
-        res = scattering_phase_time(1.0, barrier())
+        deriv = ridders_time(collision_phase, 1.0, barrier())[0]
+        delay = scattering_delay(1.0, barrier())
         variant = scattering_time_coshsq_variant(1.0, barrier())
-        print(f"scattering time: derivative={res.time:.12f} closed={res.closed_form:.12f} "
+        print(f"scattering time: derivative={deriv:.12f} delay={delay:.12f} "
               f"coshsq-variant={variant:.12f}")
-        assert abs(variant - res.time) > 0.1 * abs(res.time)
+        assert abs(variant - deriv) > 0.1 * abs(deriv)
 
 
 def test_theta_derivative_matches_mpmath_spot():
     b = barrier(2.0, 0.7)
-    got = standard_transit_time(1.1, b)
     want = mp_dtheta(1.1, 2.0, 0.7) / 1.1
-    assert got.time == pytest.approx(want, rel=1e-12)
+    assert standard_transit_time(1.1, b) == pytest.approx(want, rel=1e-12)
     assert transmission_phase(1.1, b) == pytest.approx(
         float(mp.atan((2 * 1.1**2 - 4.0) * mp.tanh(mp.sqrt(4 - 1.21) * 0.7)
                       / (2 * 1.1 * mp.sqrt(4 - 1.21)))), rel=1e-13)

@@ -29,12 +29,6 @@ class TestGaussianSpectrum:
     def test_validation(self):
         with pytest.raises(ValueError):
             GaussianSpectrum(k0=-1.0)
-        with pytest.raises(ValueError):
-            GaussianSpectrum(k0=1.0, cutoff=1.0)
-
-    def test_support_upper(self):
-        assert GaussianSpectrum(k0=2.0, cutoff=0.1).support_upper(4.0) == pytest.approx(3.6)
-        assert GaussianSpectrum(k0=2.0).support_upper(4.0) == pytest.approx(10.0)
 
     def test_containment_closed_form(self):
         s = spectrum()
@@ -192,15 +186,14 @@ def rep_logderiv_matches(s, w):
 
 class TestCutoffTime:
     def test_values(self):
-        b = BarrierConfig(w=1.0, width=1.0)
-        assert cutoff_time_estimate(0.1, b) == pytest.approx(20.0, rel=1e-12)
-        assert cutoff_time_estimate(1.0, b) == pytest.approx(2.0, rel=1e-12)
+        assert cutoff_time_estimate(0.1, 1.0) == pytest.approx(20.0, rel=1e-12)
+        assert cutoff_time_estimate(1.0, 1.0) == pytest.approx(2.0, rel=1e-12)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            cutoff_time_estimate(0.0, barrier())
+            cutoff_time_estimate(0.0, 4.0)
         with pytest.raises(ValueError):
-            cutoff_time_estimate(-0.5, barrier())
+            cutoff_time_estimate(-0.5, 4.0)
 
 
 class TestCutoffProfile:
@@ -209,7 +202,7 @@ class TestCutoffProfile:
         # profile is the plain gaussian envelope with negligible tails
         s = GaussianSpectrum(k0=8.0)
         xs = np.linspace(-10.0, 10.0, 2001)
-        fld = cutoff_packet_profile(s, xs)
+        fld = cutoff_packet_profile(s, xs, s.k0 + 8.0)
         mag = np.abs(fld.psi)
         tail = mag[np.abs(xs) > 6.0]
         assert tail.max() < 1e-3 * mag.max()
@@ -218,36 +211,39 @@ class TestCutoffProfile:
         xs = np.linspace(-12.0, 12.0, 2401)
         window = (np.abs(xs) >= 5.0) & (np.abs(xs) <= 9.0)
         metrics = []
-        for delta in (None, 0.1, 0.3):
-            s = GaussianSpectrum(k0=2.0, cutoff=delta)
-            fld = cutoff_packet_profile(s, xs, barrier=BarrierConfig(w=4.0, width=0.0))
+        s = GaussianSpectrum(k0=2.0)
+        # uncut, then cut at 0.9 w and 0.7 w for w = 4
+        for k_cut in (s.k0 + 8.0, 0.9 * 4.0, 0.7 * 4.0):
+            fld = cutoff_packet_profile(s, xs, k_cut)
             mag = np.abs(fld.psi)
             metrics.append(mag[window].max() / mag.max())
         assert metrics[0] < metrics[1] < metrics[2]
 
     def test_side_lobe_spacing_tracks_cutoff(self):
         # truncation ringing: lobe spacing in the far tail ~ 2 pi / k_cut
-        s = GaussianSpectrum(k0=2.0, cutoff=0.3)
-        b = BarrierConfig(w=4.0, width=0.0)
+        s = GaussianSpectrum(k0=2.0)
+        k_cut = 0.7 * 4.0
         xs = np.linspace(5.0, 12.0, 7001)
-        mag = np.abs(cutoff_packet_profile(s, xs, barrier=b).psi)
+        mag = np.abs(cutoff_packet_profile(s, xs, k_cut).psi)
         inner = mag[1:-1]
         peaks = xs[1:-1][(inner > mag[:-2]) & (inner > mag[2:])]
         spacing = float(np.median(np.diff(peaks)))
-        k_cut = s.support_upper(4.0)
         assert spacing == pytest.approx(2.0 * math.pi / k_cut, rel=0.3)
 
     def test_empty_support_rejected(self):
-        s = GaussianSpectrum(k0=2.0, cutoff=0.99)
-        with pytest.raises(ValueError):
-            cutoff_packet_profile(s, np.linspace(-1, 1, 11),
-                                  barrier=BarrierConfig(w=1e-9, width=0.0))
+        xs = np.linspace(-1, 1, 11)
+        for k_cut in (0.01 * 1e-9, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                cutoff_packet_profile(GaussianSpectrum(k0=2.0), xs, k_cut)
+        # a window the gaussian does not reach: the profile underflows to 0
+        with pytest.raises(ValueError, match="identically zero"):
+            cutoff_packet_profile(GaussianSpectrum(k0=100.0), xs, 0.9 * 4.0)
 
 
 def test_symmetry_of_profile():
-    s = GaussianSpectrum(k0=2.0, cutoff=0.2)
+    s = GaussianSpectrum(k0=2.0)
     xs = np.linspace(-8.0, 8.0, 1601)
-    mag = np.abs(cutoff_packet_profile(s, xs, barrier=BarrierConfig(w=4.0, width=0.0)).psi)
+    mag = np.abs(cutoff_packet_profile(s, xs, 0.8 * 4.0).psi)
     np.testing.assert_allclose(mag, mag[::-1], atol=1e-12 * mag.max())
 
 
