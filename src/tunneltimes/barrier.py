@@ -47,15 +47,17 @@ _Z_SCALED = 9.0e4  # rho L = 300
 class BarrierConfig:
     """Rectangular barrier on [-width/2, width/2] with top wavenumber w.
 
-    w must be positive and width (the length L) nonnegative, both finite.
+    w must be positive and width (the length L) nonnegative, both finite;
+    w^2 must be finite too (w below about 1.34e154), since every amplitude
+    kernel forms it.
     """
 
     w: float
     width: float
 
     def __post_init__(self):
-        if not 0.0 < self.w < math.inf:
-            raise ValueError("w must be positive and finite")
+        if not (0.0 < self.w and self.w * self.w < math.inf):
+            raise ValueError("w must be positive, with w^2 finite")
         if not 0.0 <= self.width < math.inf:
             raise ValueError("width must be nonnegative and finite")
 

@@ -13,7 +13,8 @@ The transmitted and collision syntheses take one time or a batch of
 times; a batch shares each chunk's phase block across all its times.
 Every x grid must be uniform (_grid_steps is the one check; anything else
 raises ValueError), so that block is one offset block e^{i k r dx} per
-call, scaled per chunk by an n_k-vector exp.
+call, built by repeated doubling from about log2(rows) n_k-vector exps and
+scaled per chunk by one more n_k-vector exp.
 
 A QuadratureSpec is only the rule; each synthesis lays it over its own k
 window, and ensure_converged returns the evaluation whose doubling passed.
@@ -165,9 +166,12 @@ def _phase_matvec(x: np.ndarray, ks: np.ndarray, amp: np.ndarray,
     of times costs one gemm per chunk.  x must be a uniform grid (checked
     by _grid_steps at `scale`), so e^{i k (x_c + r dx)} = e^{i k r dx} e^{i k x_c}:
     one _X_CHUNK x n_k offset block e^{i k r dx} per call, and an n_k exp
-    per chunk folded into amp.  Memory is bounded by one _X_CHUNK x n_k
-    complex block; nothing is cached.  Also the time signal at a fixed
-    plane, with x -> t and k -> -k^2/2.
+    per chunk folded into amp.  The block is built by repeated doubling:
+    row 0 is 1 and rows [n, 2n) are rows [0, n) times e^{i k n dx}, so 512
+    rows cost 9 n_k-vector exps, and row r is the product of one factor
+    per set bit of r, each phase k 2^m dx rounded once.  Memory is bounded
+    by one _X_CHUNK x n_k complex block; nothing is cached.  Also the time
+    signal at a fixed plane, with x -> t and k -> -k^2/2.
     """
     steps = _grid_steps(x, scale)[:_X_CHUNK]
     phase = 1j * ks
@@ -175,8 +179,13 @@ def _phase_matvec(x: np.ndarray, ks: np.ndarray, amp: np.ndarray,
     # block leaves no heap hole below a live array (a 9-19 MB block that
     # glibc serves from the heap once its mmap threshold has risen)
     out = np.empty((len(x),) + np.shape(amp)[1:], dtype=complex)
-    offs = np.outer(steps, phase)
-    np.exp(offs, out=offs)
+    offs = np.empty((len(steps), len(ks)), dtype=complex)
+    offs[0] = 1.0
+    n = 1
+    while n < len(steps):  # rows [n, 2n) = rows [0, n) times e^{i k n dx}
+        m = min(n, len(steps) - n)
+        np.multiply(offs[:m], np.exp(steps[n] * phase), out=offs[n:n + m])
+        n *= 2
     # (a.T * e).T scales row i of a 1-D or 2-D amp by e_i, no reshape needed
     return _chunked_matmul(x, lambda xc, a: (
         offs[:len(xc)], (a.T * np.exp(xc[0] * phase)).T), amp, out)

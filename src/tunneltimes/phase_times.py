@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import BarrierConfig
+from .barrier import _Z_SCALED, BarrierConfig
 from .numerics import sinhc_coshc_sq
 
 # Below this alpha the rate formulas switch to series numerator/denominator
@@ -83,8 +83,10 @@ def rate_standard(alpha, n: float):
                 + (2.0 / 2835.0) * a2**3
             den = 1.0 + a2 / 3.0 + (2.0 / 45.0) * a2 * a2 + a2**3 / 315.0
         else:
-            # (sc - a n(2n-1))/a and (4n(1-n) + sinh^2)/1, each through a^8
-            num = (1.0 + n - 2.0 * n * n) + (2.0 / 3.0) * a2 \
+            # (sc - a n(2n-1))/a and (4n(1-n) + sinh^2)/1, each through a^8;
+            # the constant 1 + n - 2n^2 is factored so that it keeps its
+            # digits just below n = 1
+            num = (1.0 - n) * (1.0 + 2.0 * n) + (2.0 / 3.0) * a2 \
                 + (2.0 / 15.0) * a2 * a2 + (4.0 / 315.0) * a2**3 \
                 + (2.0 / 2835.0) * a2**4
             den = 4.0 * n * (1.0 - n) + a2 + a2 * a2 / 3.0 \
@@ -156,12 +158,22 @@ def opaque_limit_time(k_eval: float, barrier: BarrierConfig) -> float:
 def scattering_time_coshsq_variant(k0: float, barrier: BarrierConfig) -> float:
     """Variant closed form with squared-cosh denominator and opposite-sign
     alpha k0^2 term.  It does not reproduce the phase derivative and is
-    exposed purely for diagnostic comparison; 0 at L = 0."""
+    exposed purely for diagnostic comparison; 0 at L = 0, and finite (tending
+    to 0) for large alpha."""
     params = TimeParams.from_k(k0, barrier)
-    sh, c = sinhc_coshc_sq(params.alpha**2)
+    a = params.alpha
     w2 = barrier.w**2
-    return (2.0 * barrier.width / k0) * (w2 * sh - k0 * k0) \
-        / (2.0 * k0 * k0 - w2 + w2 * c * c)
+    if a * a <= _Z_SCALED:  # a * a, unlike a**2, cannot raise OverflowError
+        sh, c = sinhc_coshc_sq(a**2)
+        return (2.0 * barrier.width / k0) * (w2 * sh - k0 * k0) \
+            / (2.0 * k0 * k0 - w2 + w2 * c * c)
+    # cosh^2 overflows beyond alpha ~ 355: numerator and denominator over
+    # cosh^2, with e = e^-alpha, sech = 2e/(1 + e^2), tanh = (1 - e^2)/(1 + e^2)
+    e = math.exp(-a)
+    sech = 2.0 * e / (1.0 + e * e)
+    tanh = (1.0 - e * e) / (1.0 + e * e)
+    return (2.0 * barrier.width / k0) * (w2 * tanh * sech / a - k0 * k0 * sech * sech) \
+        / ((2.0 * k0 * k0 - w2) * sech * sech + w2)
 
 
 def scattering_delay(k0: float, barrier: BarrierConfig) -> float:

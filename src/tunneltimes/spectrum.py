@@ -223,7 +223,7 @@ def distortion_onset(spectrum: GaussianSpectrum, w: float) -> DistortionReport:
     lo, hi = 1e-3 / w, 30.0 / w
     if slope(lo) > 0.0:
         lo = 1e-6 / w
-    if not slope(hi) > 0.0:  # also a nan slope, once w^2 overflows
+    if not slope(hi) > 0.0:
         raise ValueError("no slope sign change found; onset outside bracket")
     while (hi - lo) > 1e-6 * hi:
         mid = 0.5 * (lo + hi)

@@ -27,9 +27,17 @@ def barrier(w=4.0, L=0.5):
 
 def test_barrier_config_validation():
     for w, width in [(0.0, 0.5), (-1.0, 0.5), (math.inf, 0.5), (math.nan, 0.5),
-                     (1.0, -0.5), (1.0, math.inf), (1.0, math.nan)]:
+                     (1.0, -0.5), (1.0, math.inf), (1.0, math.nan), (1e200, 0.1)]:
         with pytest.raises(ValueError):
             BarrierConfig(w=w, width=width)
+    # the largest accepted w is the last whose square is finite, and the
+    # kernels stay finite there
+    w_max = math.sqrt(np.finfo(float).max)
+    with pytest.raises(ValueError):
+        BarrierConfig(w=math.nextafter(w_max, math.inf), width=0.1)
+    top = BarrierConfig(w=w_max, width=0.1)
+    assert transmission_modulus(1.0, top) == 0.0
+    assert transmission_phase(1.0, top) == -math.pi / 2
     # keyword-only: a positional (height, width) call cannot be read as w
     with pytest.raises(TypeError):
         BarrierConfig(0.5, 1.0)

@@ -133,7 +133,7 @@ class TestDistortion:
 
     def test_validation(self, tmp_path):
         assert run(["distortion", "--w-a", 1.0, "--k0-a", 1.0, "--out", tmp_path]) == 2
-        # w^2 overflows in the amplitude kernel: every slope is nan
+        # w^2 overflows: BarrierConfig rejects the barrier
         assert run(["distortion", "--w-a", 1e300, "--out", tmp_path]) == 2
 
 

@@ -148,6 +148,22 @@ class TestBatchedSynthesis:
             assert len(x) == n_x
             _assert_matches_naive_product(x, np.random.default_rng(n_x), k_max)
 
+    @pytest.mark.parametrize("x, bound", [
+        (np.linspace(-16.0, 16.0, 1601), 2e-13),   # the collide default
+        (np.linspace(0.05, 120.0, 8001), 5e-13),   # the report's largest grid
+        (np.arange(-6.0, 14.0, 0.002), 2e-13),     # a time-signal grid
+    ])
+    def test_phase_matvec_offsets_match_extended_precision(self, x, bound):
+        # the doubled offset block against e^{i k x} at the float x in long
+        # double; the bound is the direct block's own error on these grids
+        ks, _ = QuadratureSpec(panels=48, order=48).nodes(0.0, 24.0)
+        got = _phase_matvec(x, ks, np.eye(len(ks)))
+        kl = ks.astype(np.longdouble)
+        for lo in range(0, len(x), 1000):  # rows in blocks to bound memory
+            sl = slice(lo, lo + 1000)
+            ref = np.exp(1j * np.outer(x[sl].astype(np.longdouble), kl))
+            assert np.abs(got[sl] - ref).max() <= bound
+
     def test_phase_matvec_uniformity_check_is_tight(self):
         # a factored evaluation of this grid would miss by about k * 1e-6 dx
         x = np.linspace(-20.0, 20.0, 2 * _X_CHUNK + 1)

@@ -90,6 +90,15 @@ class TestRates:
                 assert rate_standard(a, n) == pytest.approx(want_std, rel=1e-12)
                 assert rate_scattering(a, n) == pytest.approx(want_sc, rel=1e-12)
 
+    def test_series_constant_keeps_digits_below_n1(self):
+        # 1 + n - 2n^2 cancels as n -> 1; the factored (1 - n)(1 + 2n) does not
+        for n in (1.0 - 1e-12, 1.0 - 1e-9):
+            for a in (1e-7, 1e-3):
+                am, nm = mp.mpf(a), mp.mpf(n)
+                want = float((2 / am) * ((mp.cosh(am) * mp.sinh(am) - am * nm * (2 * nm - 1))
+                                         / (4 * nm * (1 - nm) + mp.sinh(am) ** 2)))
+                assert rate_standard(a, n) == pytest.approx(want, rel=1e-12)
+
     def test_branch_seam_overlap(self):
         # both branches must agree across the series crossover to well
         # below 1e-10, including the cancellation-prone n = 1
@@ -203,6 +212,26 @@ class TestScatteringPhaseTime:
             T_SCATT_AT_K1, rel=1e-9)
         assert scattering_time_coshsq_variant(1.0, barrier()) == pytest.approx(
             T_SCATT_COSHSQ_AT_K1, rel=1e-12)
+
+    def test_variant_stays_finite_beyond_cosh_overflow(self):
+        def want(k0, w, L):
+            k0, w, L = mp.mpf(k0), mp.mpf(w), mp.mpf(L)
+            am = mp.sqrt(w * w - k0 * k0) * L
+            return float((2 * L / k0) * (w * w * mp.sinh(am) / am - k0 * k0)
+                         / (2 * k0 * k0 - w * w + w * w * mp.cosh(am) ** 2))
+
+        # alpha = 400: cosh^2 overflows, the value is about 1e-170
+        L = 400.0 / math.sqrt(15.0)
+        assert scattering_time_coshsq_variant(1.0, barrier(4.0, L)) == pytest.approx(
+            want(1.0, 4.0, L), rel=1e-12)
+        # alpha = 800: cosh overflows, and the value itself underflows to 0
+        L = 800.0 / math.sqrt(15.0)
+        assert scattering_time_coshsq_variant(1.0, barrier(4.0, L)) == want(1.0, 4.0, L) == 0.0
+        assert scattering_time_coshsq_variant(1.0, barrier(4.0, 1e200)) == 0.0
+        # below alpha = 300 the direct form is kept, bit for bit
+        for L, frozen in [(0.2, 0.4867909754151232), (3.0, 9.28886821621043e-06),
+                          (50.0, 8.189352661996051e-85), (77.4, 6.699316098489803e-131)]:
+            assert scattering_time_coshsq_variant(1.0, barrier(4.0, L)) == frozen
 
     def test_closed_form_is_minus_ridders_derivative(self):
         rng = np.random.default_rng(17)
