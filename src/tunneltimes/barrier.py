@@ -48,8 +48,8 @@ class BarrierConfig:
     """Rectangular barrier on [-width/2, width/2] with top wavenumber w.
 
     w must be positive and width (the length L) nonnegative, both finite;
-    w^2 must be finite too (w below about 1.34e154), since every amplitude
-    kernel forms it.
+    w^2 and (w width)^2 must be finite too (each below about 1.8e308),
+    since every amplitude kernel forms them.
     """
 
     w: float
@@ -60,6 +60,9 @@ class BarrierConfig:
             raise ValueError("w must be positive, with w^2 finite")
         if not 0.0 <= self.width < math.inf:
             raise ValueError("width must be nonnegative and finite")
+        wl = self.w * self.width
+        if not wl * wl < math.inf:
+            raise ValueError("(w * width)^2 must be finite")
 
     @property
     def half_width(self) -> float:
@@ -153,8 +156,13 @@ def _theta(sol, barrier: BarrierConfig):
 def _phi(sol, barrier: BarrierConfig):
     k, c, sh, scale = sol
     w, L = barrier.w, barrier.width
-    num = 2.0 * k * (w * w - k * k) * L * sh
-    den = w * w * scale + (2.0 * k * k - w * w) * c
+    # Divide both arguments by 2^e ~ w^2 (w >= 1 only: scaling up could
+    # overflow at k >> w) so that 2k(w^2 - k^2) stays finite for every
+    # accepted w; a power of two changes no rounding, hence no phase.
+    e = max(math.frexp(w * w)[1], 0)
+    num = 2.0 * k * np.ldexp(w * w - k * k, -e) * L * sh
+    den = (math.ldexp(w * w, -e) * scale
+           + np.ldexp(2.0 * k * k - w * w, -e) * c)
     return np.arctan2(num, den)
 
 

@@ -45,6 +45,14 @@ def _fmt(x: float) -> str:
 
 def _write_csv(path: Path, manifest: dict, columns: list[str],
                rows: Iterable[tuple]) -> None:
+    """Write the commented header, the column names and one line per row.
+
+    A row is formatted by one %-format built from the first row's cell
+    types: '%s' for a str cell, '%.12g' (the text of `_fmt`) for any other.
+    So every row must have the same cell types as the first; a str where
+    the first row held a number raises TypeError.
+    """
+    rows = list(rows)
     with path.open("w", encoding="utf-8") as fh:
         fh.write(f"# tunneltimes {manifest['subcommand']}\n")
         for key, val in sorted(manifest["parameters"].items()):
@@ -54,9 +62,10 @@ def _write_csv(path: Path, manifest: dict, columns: list[str],
         for note in manifest.get("notes", []):
             fh.write(f"# note: {note}\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(cell if isinstance(cell, str) else _fmt(cell)
-                              for cell in row) + "\n")
+        if rows:
+            fmt = ",".join("%s" if isinstance(cell, str) else "%.12g"
+                           for cell in rows[0]) + "\n"
+            fh.write("".join([fmt % row for row in rows]))
 
 
 def _write_manifest(outdir: Path, manifest: dict) -> None:

@@ -279,7 +279,13 @@ def _criterion_9_point(k0a: float, **kwargs):
 
 def _spectral_group_delays(k0a: float) -> tuple[float, float]:
     """Transit time t_T(k) averaged over the transmitted spectrum on the
-    report's default nodes: weighted by |g T|^2 and by the flux k |g T|^2."""
+    report's default nodes, weighted by |g T|^2 and by k |g T|^2.
+
+    The |g T|^2-weighted mean is the flux-centroid arrival delay: the
+    flux-weighted mean arrival time at a plane, int t J dt / int J dt,
+    lags a phase-free reference by exactly this mean.  The k |g T|^2
+    weighting has no arrival-time meaning; it is printed for comparison.
+    """
     spec, b = _criterion_9_case(k0a)
     ks, wts = QuadratureSpec().nodes(1e-9 * b.w, b.w)
     t_k = np.array([standard_transit_time(float(q), b) for q in ks])
@@ -328,14 +334,15 @@ def test_criterion_9_simulation_vs_spm_band():
                    f"barrier, |discrepancy|/tau by k0 a: {seq}; order "
                    f"{order:.2f}; within band at k0 a = {CRITERION_9_K0A[-1]:g}: "
                    f"{narrow.within_band}, dt/4 shift {dt_shift / narrow.tau:.1e} tau")
-    mean_gt2, mean_flux = _spectral_group_delays(CRITERION_9_K0A[0])
+    mean_gt2, mean_k_gt2 = _spectral_group_delays(CRITERION_9_K0A[0])
     print(
         "    measurement detail: at k0 a = 1 the exit-face temporal peak of "
         "the transmitted packet lags the phase-free reference by "
         f"{rep.delay_measured:.4f}; containment_outside = "
         f"{rep.containment_outside:.3f}.  The transit time t_T(k) averaged "
-        f"over the transmitted spectrum is {mean_gt2:.3f} (|g T|^2-weighted) "
-        f"and {mean_flux:.3f} (flux-weighted); the temporal-peak lag depends "
+        f"over the transmitted spectrum is {mean_gt2:.3f} (|g T|^2-weighted: "
+        f"the flux-centroid arrival delay) and {mean_k_gt2:.3f} "
+        "(k |g T|^2-weighted); the temporal-peak lag depends "
         "on the observation plane (0.150, 0.133 and 0.121 at 10, 30 and "
         "100 a past the exit face), so no single group delay describes "
         "this broadband packet."

@@ -38,6 +38,18 @@ def test_barrier_config_validation():
     top = BarrierConfig(w=w_max, width=0.1)
     assert transmission_modulus(1.0, top) == 0.0
     assert transmission_phase(1.0, top) == -math.pi / 2
+    # the width is bounded the same way, through (w width)^2: at w = 4 a
+    # width of 1e160 would overflow z = (w^2 - k^2) L^2 in every kernel
+    with pytest.raises(ValueError):
+        BarrierConfig(w=4.0, width=1e160)
+    l_max = 3.351951982485649e153  # the largest width with (4 width)^2 finite
+    assert (4.0 * l_max) * (4.0 * l_max) < math.inf
+    with pytest.raises(ValueError):
+        BarrierConfig(w=4.0, width=math.nextafter(l_max, math.inf))
+    wide = BarrierConfig(w=4.0, width=l_max)
+    assert transmission_modulus(1.0, wide) == 0.0
+    assert math.isfinite(transmission_phase(1.0, wide))
+    assert math.isfinite(collision_phase(1.0, wide))
     # keyword-only: a positional (height, width) call cannot be read as w
     with pytest.raises(TypeError):
         BarrierConfig(0.5, 1.0)
@@ -163,6 +175,29 @@ def test_phi_special_point():
         b = barrier(w, L)
         want = math.atan(math.sinh(w * L / math.sqrt(2.0)))
         assert collision_phase(w / math.sqrt(2.0), b) == pytest.approx(want, rel=1e-12)
+
+
+def test_phi_opaque_limit_at_huge_w():
+    # deep below the top phi -> arctan2(2 k rho, 2 k^2 - w^2), which is
+    # 2 pi / 3 at k = w/2; 2k(w^2 - k^2) alone would overflow here
+    for w in (1e100, 1e150):
+        b = BarrierConfig(w=w, width=0.1)
+        assert collision_phase(w / 2.0, b) == pytest.approx(2.0 * math.pi / 3.0,
+                                                           rel=1e-15)
+        assert symmetric_amplitudes(w / 2.0, b).phi == pytest.approx(
+            2.0 * math.pi / 3.0, rel=1e-15)
+
+
+def test_phi_frozen_values():
+    # bit-for-bit values of the unscaled form: scaling by 2^-e changes no rounding
+    for w, L, k, want in [(4.0, 0.5, 1.0, 2.476777971889816),
+                          (16.0, 0.1, 8.0, 1.608918832712266),
+                          (2.0, 3.0, 1.999, 0.005983547445574223),
+                          (4.0, 400.0, 2.0, 2.0943951023931957),
+                          (4.0, 0.5, 6.0, -1.985102172315316),
+                          (20.0, 0.3, 14.0, 1.5632461418642472),
+                          (1.5, 1.0, 1.0, 1.0317844607614999)]:
+        assert collision_phase(k, BarrierConfig(w=w, width=L)) == want
 
 
 def test_phi_identity_with_theta():

@@ -5,7 +5,7 @@ import pytest
 
 from tunneltimes import (BarrierConfig, GaussianSpectrum, QuadratureSpec,
                          synthesize_collision)
-from tunneltimes.cli import main
+from tunneltimes.cli import _write_csv, main
 
 
 def run(args):
@@ -236,3 +236,65 @@ class TestCollideCmd:
             mag = np.hypot(cells[:, 1], cells[:, 2])
             ref = np.abs(fine.psi)
             assert np.abs(mag - ref).max() / ref.max() < p["tolerance"]
+
+
+def _per_cell_csv(manifest, columns, rows):
+    """The writer's text by the per-cell rule it replaced: the oracle."""
+    lines = [f"# tunneltimes {manifest['subcommand']}"]
+    lines += [f"# {k} = {v}" for k, v in sorted(manifest["parameters"].items())
+              if k != "out"]
+    lines += [f"# note: {note}" for note in manifest.get("notes", [])]
+    lines.append(",".join(columns))
+    lines += [",".join(c if isinstance(c, str) else f"{c:.12g}" for c in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+class TestWriteCsv:
+    MANIFEST = {"subcommand": "demo", "notes": ["a note"],
+                "parameters": {"b": 2.0, "a": [1, 2], "out": "elsewhere"}}
+    AWKWARD = [-0.0, 5e-324, 1e300, -1e300, 1e-300, -1e-300, np.inf, -np.inf,
+               np.nan, 0.1 + 0.2, 2**70, True, 1, 0, np.float64(-2.5e-17),
+               np.float64(np.pi), np.int64(-7), np.int64(2**62), np.float32(0.1)]
+
+    def check(self, path, columns, rows):
+        _write_csv(path, self.MANIFEST, columns, iter(rows))
+        assert path.read_bytes() == _per_cell_csv(
+            self.MANIFEST, columns, rows).encode("utf-8")
+
+    def test_header_only(self, tmp_path):
+        self.check(tmp_path / "empty.csv", ["x", "y"], [])
+        text = (tmp_path / "empty.csv").read_text()
+        assert text.endswith("# note: a note\nx,y\n")
+
+    def test_awkward_numbers(self, tmp_path):
+        self.check(tmp_path / "one.csv", ["v"], [(v,) for v in self.AWKWARD])
+        # every value in every column
+        rows = [tuple(self.AWKWARD[i:] + self.AWKWARD[:i])
+                for i in range(len(self.AWKWARD))]
+        cols = [f"c{i}" for i in range(len(self.AWKWARD))]
+        self.check(tmp_path / "wide.csv", cols, rows)
+
+    def test_snapshot_rows_of_numpy_scalars(self, tmp_path):
+        x = np.linspace(-16.0, 16.0, 201)
+        psi = np.exp(1j * 3.0 * x - x * x) * 1e-3
+        self.check(tmp_path / "snap.csv", ["x", "re_psi", "im_psi", "abs2"],
+                   list(zip(x, psi.real, psi.imag, np.abs(psi) ** 2)))
+
+    def test_text_columns(self, tmp_path):
+        # cutoff: a text label first; table1: a text flag last, sometimes empty
+        self.check(tmp_path / "cutoff.csv", ["delta", "k_cut_a", "x_a"],
+                   [("none", 10.0, np.float64(-1.5)),
+                    ("0.1", 3.6, np.float64(0.1 + 0.2))])
+        self.check(tmp_path / "table1.csv", ["w_a", "L_a", "kmax_a", "flag"],
+                   [(1.5, 0.7, 1.4999, ""), (1.5, 0.8, 1.5, "*")])
+        # packet_timing.csv: booleans as text between numbers
+        timing = {"k_max": np.float64(1.6571), "boundary_dominated": "False",
+                  "tau": 0.0375, "within_band": "True", "n": 3,
+                  "filter_shift_sigmas": -0.0}
+        self.check(tmp_path / "timing.csv", list(timing), [tuple(timing.values())])
+
+    def test_text_in_a_numeric_column_raises(self, tmp_path):
+        with pytest.raises(TypeError):
+            _write_csv(tmp_path / "bad.csv", self.MANIFEST, ["x", "flag"],
+                       [(1.0, ""), ("1.0", "*")])

@@ -154,15 +154,20 @@ class TestBatchedSynthesis:
         (np.arange(-6.0, 14.0, 0.002), 2e-13),     # a time-signal grid
     ])
     def test_phase_matvec_offsets_match_extended_precision(self, x, bound):
-        # the doubled offset block against e^{i k x} at the float x in long
-        # double; the bound is the direct block's own error on these grids
+        # the doubled offset block against e^{i k x} at the float x: k x is
+        # formed and reduced mod 2 pi in long double, then cos and sin are
+        # taken in double.  The bound is the direct block's own error on
+        # these grids.
         ks, _ = QuadratureSpec(panels=48, order=48).nodes(0.0, 24.0)
         got = _phase_matvec(x, ks, np.eye(len(ks)))
         kl = ks.astype(np.longdouble)
+        # 2 pi to long double precision: float(2 pi) plus its rounding error
+        two_pi = np.longdouble(2.0 * np.pi) + np.longdouble(2.4492935982947064e-16)
         for lo in range(0, len(x), 1000):  # rows in blocks to bound memory
             sl = slice(lo, lo + 1000)
-            ref = np.exp(1j * np.outer(x[sl].astype(np.longdouble), kl))
-            assert np.abs(got[sl] - ref).max() <= bound
+            kx = np.outer(x[sl].astype(np.longdouble), kl)
+            r = (kx - two_pi * np.rint(kx / two_pi)).astype(float)
+            assert np.abs(got[sl] - (np.cos(r) + 1j * np.sin(r))).max() <= bound
 
     def test_phase_matvec_uniformity_check_is_tight(self):
         # a factored evaluation of this grid would miss by about k * 1e-6 dx

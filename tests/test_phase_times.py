@@ -227,7 +227,10 @@ class TestScatteringPhaseTime:
         # alpha = 800: cosh overflows, and the value itself underflows to 0
         L = 800.0 / math.sqrt(15.0)
         assert scattering_time_coshsq_variant(1.0, barrier(4.0, L)) == want(1.0, 4.0, L) == 0.0
-        assert scattering_time_coshsq_variant(1.0, barrier(4.0, 1e200)) == 0.0
+        # the widest barrier BarrierConfig accepts at w = 4: (4 L)^2 just
+        # below overflow, alpha = 1.3e154
+        assert scattering_time_coshsq_variant(
+            1.0, barrier(4.0, 3.351951982485649e153)) == 0.0
         # below alpha = 300 the direct form is kept, bit for bit
         for L, frozen in [(0.2, 0.4867909754151232), (3.0, 9.28886821621043e-06),
                           (50.0, 8.189352661996051e-85), (77.4, 6.699316098489803e-131)]:
