@@ -22,7 +22,8 @@ cosh(rho L) = c / scale and sinh(rho L)/(rho L) = sh / scale.  Up to
 (rho L)^2 = 9e4 the scale is 1 and (sh, c) come from the shared
 sinhc/coshc pass of `numerics`; above it, where cosh and sinh would
 overflow, the scale is e^{-rho L}.  That switch is made there and nowhere
-else.
+else.  The kernel also takes w and L as per-lane arrays, so that
+`spectrum.find_kmax` refines many barriers with one call per step.
 
 An independent transfer-matrix solver and a four-unknown continuity
 matcher provide cross-checks that never share code with the closed forms.
@@ -106,56 +107,57 @@ class InteriorCoefficients:
     transmission: complex
 
 
-def _scaled_solution(k, barrier: BarrierConfig):
-    """(k, c, sh, scale) with cosh(rho L) = c/scale, sinh(rho L)/(rho L) = sh/scale.
+def _scaled_solution(k, w, L):
+    """(k, w, L, c, sh, scale): cosh(rho L) = c/scale, sinh(rho L)/(rho L) = sh/scale.
 
     scale is 1 up to (rho L)^2 = _Z_SCALED and e^{-rho L} above it, so c
-    and sh stay finite for any rho L.  k must be positive and finite;
-    scalar or array.
+    and sh stay finite for any rho L.  When no element is above the
+    switch, (sh, c) come straight from `sinhc_coshc_sq` and scale is the
+    float 1.0; otherwise the two branches fill masked copies.  k must be
+    positive and finite; scalar or array.  w and L are the barrier's, or
+    arrays that broadcast against k (one barrier per lane); each element
+    takes the same arithmetic as a lone scalar call.
     """
     karr = np.asarray(k, dtype=float)
-    if not np.all((karr > 0.0) & (karr < np.inf)):
+    if not ((karr > 0.0) & (karr < np.inf)).all():
         raise ValueError("wavenumber k must be positive and finite")
-    w, L = barrier.w, barrier.width
     z = (w * w - karr * karr) * L * L
-    c = np.empty_like(karr)
-    sh = np.empty_like(karr)
-    scale = np.ones_like(karr)
     small = z <= _Z_SCALED
-    if small.any():
-        sh[small], c[small] = sinhc_coshc_sq(z[small])
+    if small.all():
+        sh, c = sinhc_coshc_sq(z)
+        return karr, w, L, c, sh, 1.0
+    c = np.empty_like(z)
+    sh = np.empty_like(z)
+    scale = np.ones_like(z)
+    sh[small], c[small] = sinhc_coshc_sq(z[small])
     big = ~small
-    if big.any():
-        kb = karr[big]
-        rl = np.sqrt(w * w - kb * kb) * L
-        e = np.exp(-2.0 * rl)
-        c[big] = 0.5 * (1.0 + e)
-        sh[big] = 0.5 * (1.0 - e) / rl
-        scale[big] = np.exp(-rl)
-    return karr, c, sh, scale
+    kb, wb, lb = (v[big] for v in np.broadcast_arrays(karr, w, L))
+    rl = np.sqrt(wb * wb - kb * kb) * lb
+    e = np.exp(-2.0 * rl)
+    c[big] = 0.5 * (1.0 + e)
+    sh[big] = 0.5 * (1.0 - e) / rl
+    scale[big] = np.exp(-rl)
+    return karr, w, L, c, sh, scale
 
 
 def _float_if_scalar(out):
     return out if out.ndim else float(out)
 
 
-# Derivations from one kernel evaluation, sol = _scaled_solution(k, barrier).
-def _modulus(sol, barrier: BarrierConfig):
-    k, _, sh, scale = sol
-    w, L = barrier.w, barrier.width
+# Derivations from one kernel evaluation, sol = _scaled_solution(k, w, L).
+def _modulus(sol):
+    k, w, L, _, sh, scale = sol
     b = w * w * L * sh / (2.0 * k)
     return scale / np.sqrt(scale * scale + b * b)
 
 
-def _theta(sol, barrier: BarrierConfig):
-    k, c, sh, _ = sol
-    w, L = barrier.w, barrier.width
+def _theta(sol):
+    k, w, L, c, sh, _ = sol
     return np.arctan2((2.0 * k * k - w * w) * L * sh, 2.0 * k * c)
 
 
-def _phi(sol, barrier: BarrierConfig):
-    k, c, sh, scale = sol
-    w, L = barrier.w, barrier.width
+def _phi(sol):
+    k, w, L, c, sh, scale = sol
     # Divide both arguments by 2^e ~ w^2 (w >= 1 only: scaling up could
     # overflow at k >> w) so that 2k(w^2 - k^2) stays finite for every
     # accepted w; a power of two changes no rounding, hence no phase.
@@ -166,9 +168,8 @@ def _phi(sol, barrier: BarrierConfig):
     return np.arctan2(num, den)
 
 
-def _pair(sol, barrier: BarrierConfig):
-    k, c, sh, scale = sol
-    w, L = barrier.w, barrier.width
+def _pair(sol):
+    k, w, L, c, sh, scale = sol
     s = L * sh  # sinh(rho L)/rho, continued, times scale
     q = np.exp(-1j * k * L) / (c + 1j * (w * w - 2.0 * k * k) * s / (2.0 * k))
     return -1j * (w * w) * s / (2.0 * k) * q, scale * q
@@ -181,7 +182,7 @@ def transmission_modulus(k, barrier: BarrierConfig):
     top (sin(q L)/q).  Exponentially small moduli are evaluated in a
     rescaled form, so any rho*L is safe.  Scalar or array k.
     """
-    return _float_if_scalar(_modulus(_scaled_solution(k, barrier), barrier))
+    return _float_if_scalar(_modulus(_scaled_solution(k, barrier.w, barrier.width)))
 
 
 def transmission_phase(k, barrier: BarrierConfig):
@@ -191,7 +192,7 @@ def transmission_phase(k, barrier: BarrierConfig):
     argument of T(k) e^{i k L}; Theta(w/sqrt(2)) = 0 and Theta -> 0 as
     L -> 0.  Continued through and above k = w.  Scalar or array k.
     """
-    return _float_if_scalar(_theta(_scaled_solution(k, barrier), barrier))
+    return _float_if_scalar(_theta(_scaled_solution(k, barrier.w, barrier.width)))
 
 
 def collision_phase(k, barrier: BarrierConfig):
@@ -203,12 +204,12 @@ def collision_phase(k, barrier: BarrierConfig):
     the atan2 branch: phi in (0, pi) for 0 < k < w, L > 0.  Scalar or
     array k.
     """
-    return _float_if_scalar(_phi(_scaled_solution(k, barrier), barrier))
+    return _float_if_scalar(_phi(_scaled_solution(k, barrier.w, barrier.width)))
 
 
 def _collision_amplitudes(k, barrier: BarrierConfig):
     """(R_B, T_B) vectorized over k; overflow-safe; valid on both sides of the top."""
-    return _pair(_scaled_solution(k, barrier), barrier)
+    return _pair(_scaled_solution(k, barrier.w, barrier.width))
 
 
 def symmetric_amplitudes(k: float, barrier: BarrierConfig) -> ScatteringAmplitudes:
@@ -220,16 +221,16 @@ def symmetric_amplitudes(k: float, barrier: BarrierConfig) -> ScatteringAmplitud
     evaluated once and every field derived from it.
     """
     kf = float(k)
-    sol = _scaled_solution(kf, barrier)
-    refl, trans = (complex(v) for v in _pair(sol, barrier))
+    sol = _scaled_solution(kf, barrier.w, barrier.width)
+    refl, trans = (complex(v) for v in _pair(sol))
     return ScatteringAmplitudes(
         k=kf,
-        modulus=float(_modulus(sol, barrier)),
-        theta=float(_theta(sol, barrier)),
+        modulus=float(_modulus(sol)),
+        theta=float(_theta(sol)),
         reflection=refl,
         transmission=trans,
         combined=refl + trans,
-        phi=float(_phi(sol, barrier)),
+        phi=float(_phi(sol)),
     )
 
 

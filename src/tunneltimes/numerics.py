@@ -3,7 +3,9 @@
 Dimension-agnostic plumbing used throughout the package: one pass that
 evaluates the pair sinh(sqrt z)/sqrt z and cosh(sqrt z) of the signed
 square z through the removable singularity at z = 0 (the unscaled half of
-the barrier amplitude kernel), a golden-section maximizer, Ridders'
+the barrier amplitude kernel), a golden-section maximizer that advances
+many independent brackets in lock step (one objective call per step for
+all of them; `golden_section_max` is its one-bracket case), Ridders'
 polynomial-extrapolated derivative (a reference implementation: the phase
 times are closed forms, and the tests check them against it), and
 composite Gauss-Legendre quadrature nodes.
@@ -28,14 +30,19 @@ def sinhc_coshc_sq(z):
 
     Both are entire in z, so negative arguments continue analytically to
     sin(sqrt(-z))/sqrt(-z) and cos(sqrt(-z)).  One pass shares the branch
-    masks and the square root between the pair.  Scalars in, a pair of
+    masks and the square root between the pair; when every z lies above the
+    series window there are no masks at all.  Scalars in, a pair of
     floats out; arrays in, a pair of arrays out.  Overflows for z > ~5e5;
     callers switch to scaled forms before that.
     """
     z = np.asarray(z, dtype=float)
+    pos = z > _SERIES_CUT
+    if pos.all():
+        r = np.sqrt(z)
+        s, c = np.sinh(r) / r, np.cosh(r)
+        return (s, c) if z.ndim else (float(s), float(c))
     s = np.empty_like(z)
     c = np.empty_like(z)
-    pos = z > _SERIES_CUT
     neg = z < -_SERIES_CUT
     mid = ~(pos | neg)
     if pos.any():
@@ -55,33 +62,53 @@ def sinhc_coshc_sq(z):
     return float(s), float(c)
 
 
-def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Locate the maximum of a unimodal scalar function on [lo, hi].
+def _golden_lanes(f, lo, hi, tol: float) -> np.ndarray:
+    """Golden-section maxima of many unimodal functions, one per lane.
 
-    Returns the midpoint of the final bracket, which has width <= tol.
+    lo and hi are 1-D arrays of bracket ends; f maps an array of points,
+    one per lane, to the array of their values.  Every lane takes exactly
+    the steps of a lone search on its own bracket: the same points, the
+    same comparisons and its own step count, so its result does not
+    depend on the other lanes.  A lane that has used its steps keeps the
+    midpoint of its final bracket (width <= tol) while the others go on.
     """
-    if not hi > lo:
-        raise ValueError("need hi > lo")
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
     h = hi - lo
-    if h <= tol:
-        return 0.5 * (lo + hi)
-    n = int(math.ceil(math.log(tol / h) / math.log(_INVPHI)))
+    if not np.all(h > 0.0):
+        raise ValueError("need hi > lo")
+    steps = [max(math.ceil(math.log(tol / x) / math.log(_INVPHI)), 0)
+             for x in h.tolist()]
+    out = 0.5 * (lo + hi)
+    if max(steps) == 0:
+        return out
+    n = np.array(steps)
     c = lo + _INVPHI2 * h
     d = lo + _INVPHI * h
     yc = f(c)
     yd = f(d)
-    for _ in range(n):
-        if yc > yd:
-            hi, d, yd = d, c, yc
-            h *= _INVPHI
-            c = lo + _INVPHI2 * h
-            yc = f(c)
-        else:
-            lo, c, yc = c, d, yd
-            h *= _INVPHI
-            d = lo + _INVPHI * h
-            yd = f(d)
-    return 0.5 * (lo + hi)
+    for step in range(1, max(steps) + 1):
+        left = yc > yd  # the maximum lies in [lo, d]
+        lo = np.where(left, lo, c)
+        hi = np.where(left, d, hi)
+        h = h * _INVPHI
+        x = lo + np.where(left, _INVPHI2, _INVPHI) * h
+        y = f(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        yc, yd = np.where(left, y, yd), np.where(left, yc, y)
+        if step in steps:
+            out = np.where(n == step, 0.5 * (lo + hi), out)
+    return out
+
+
+def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12) -> float:
+    """Locate the maximum of a unimodal scalar function on [lo, hi].
+
+    Returns the midpoint of the final bracket, which has width <= tol.
+    The one-lane case of `_golden_lanes`.
+    """
+    return float(_golden_lanes(lambda x: np.array([f(float(x[0]))]),
+                               [lo], [hi], tol)[0])
 
 
 def ridders_derivative(f, x: float, h: float) -> tuple[float, float]:

@@ -23,6 +23,7 @@ classical traversal time tau = L / k.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,7 +173,14 @@ def scattering_time_coshsq_variant(k0: float, barrier: BarrierConfig) -> float:
     e = math.exp(-a)
     sech = 2.0 * e / (1.0 + e * e)
     tanh = (1.0 - e * e) / (1.0 + e * e)
-    return (2.0 * barrier.width / k0) * (w2 * tanh * sech / a - k0 * k0 * sech * sech) \
+    lead = w2 * tanh * sech / a
+    if lead < sys.float_info.min:
+        # A subnormal (or zero) leading term has lost its digits.  The sech^2
+        # terms are far below round-off here, so the value is
+        # 4 L e^-alpha / (k0 alpha), formed in logs so that it never underflows
+        # before the end.
+        return math.exp(math.log(4.0 * barrier.width / a) - math.log(k0) - a)
+    return (2.0 * barrier.width / k0) * (lead - k0 * k0 * sech * sech) \
         / ((2.0 * k0 * k0 - w2) * sech * sech + w2)
 
 

@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import BarrierConfig, transmission_modulus
-from .numerics import golden_section_max
+from .barrier import (BarrierConfig, _modulus, _scaled_solution,
+                      transmission_modulus)
+from .numerics import _golden_lanes
 
 # spectra whose intensity leaks more than this fraction outside [0, w]
 # are formally outside the validity window; a warning (not an error)
@@ -87,8 +89,37 @@ class KmaxResult:
     containment_outside: float
 
 
-def find_kmax(spectrum: GaussianSpectrum, barrier: BarrierConfig,
-              scan_points: int = 4096) -> KmaxResult:
+def _log_modulated(sq, modulus):
+    """log(g |T|) up to a constant, -(k - k0)^2/4 + log|T|, from sq = (k - k0)^2.
+
+    log|T| = -inf where |T| underflows to 0; callers silence that divide.
+    """
+    return -sq / 4.0 + np.log(modulus)
+
+
+def _interior_maxima(k0: float, barriers: list[BarrierConfig], lo, hi, top):
+    """Golden-section maxima of log(g |T|), one lane per barrier in lock
+    step, each on its bracket [lo, hi] to a width of 1e-10; None for a
+    lane whose maximum does not beat its value `top` at k = w."""
+    w = np.array([b.w for b in barriers])
+    L = np.array([b.width for b in barriers])
+
+    def objective(k):
+        # Each lane squares by float pow, as a scalar evaluation does.
+        # numpy's exact array square differs from it in the last bit of
+        # about 1 value in 1300, and on the flat top of the objective that
+        # is enough to steer the search to another k_max digit.
+        sq = np.array([x ** 2 for x in (k - k0).tolist()])
+        return _log_modulated(sq, _modulus(_scaled_solution(k, w, L)))
+
+    peak = _golden_lanes(objective, lo, hi, tol=1e-10)
+    beats_top = ~(objective(peak) <= np.array(top))
+    return [p if ok else None for p, ok in zip(peak.tolist(), beats_top.tolist())]
+
+
+def find_kmax(spectrum: GaussianSpectrum,
+              barrier: BarrierConfig | Sequence[BarrierConfig],
+              scan_points: int = 4096) -> KmaxResult | list[KmaxResult]:
     """Global maximizer of the modulated spectrum on (0, w].
 
     Dense scan of `scan_points` (at least 3) followed by golden-section
@@ -97,43 +128,48 @@ def find_kmax(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     method alone would be unsafe).  When no interior maximum beats the
     value at k = w the result is flagged boundary-dominated and k_max = w
     is returned.  Needs k0 < w; containment violations only warn.
+
+    One BarrierConfig returns one KmaxResult; a sequence of barriers
+    returns a list, one result per barrier, equal to one call each.  The
+    scan is one `transmission_modulus` call per barrier; the refinements
+    of all barriers then run in lock step, one amplitude-kernel call per
+    golden-section step for every bracket.
     """
     if scan_points < 3:
         raise ValueError("scan_points must be at least 3")
-    w, L = barrier.w, barrier.width
+    barriers = [barrier] if isinstance(barrier, BarrierConfig) else list(barrier)
     k0 = spectrum.k0
-    if not k0 < w:
+    if not all(k0 < b.w for b in barriers):
         raise ValueError("find_kmax needs the tunneling regime k0 < w")
-    outside = _warn_if_leaky(spectrum, barrier)
+    outside = []
+    for b in barriers:  # a loop: a comprehension frame would shift the stacklevel
+        outside.append(_warn_if_leaky(spectrum, b))
 
-    if L == 0.0:
-        # |T| = 1: the maximum is the gaussian's own peak
-        val = float(modulated_spectrum(k0, spectrum, barrier))
-        top = float(modulated_spectrum(w, spectrum, barrier))
-        return KmaxResult(k0, False, val, top, outside)
+    # L = 0: |T| = 1, the maximum is the gaussian's own peak; otherwise
+    # k = w until an interior maximum beats it
+    km = [k0 if b.width == 0.0 else b.w for b in barriers]
+    boundary = [b.width > 0.0 for b in barriers]
+    lanes = {}  # barrier index -> (bracket lo, bracket hi, scan value at k = w)
+    with np.errstate(divide="ignore"):  # log|T| = -inf where |T| underflows
+        for j, b in enumerate(barriers):
+            if b.width > 0.0:
+                ks = np.linspace(b.w * 1e-9, b.w, scan_points)
+                vals = _log_modulated((ks - k0) ** 2, transmission_modulus(ks, b))
+                i = int(np.argmax(vals))
+                if i < scan_points - 1:
+                    lanes[j] = (ks[max(i - 1, 0)], ks[i + 1], vals[-1])
+        if lanes:
+            peaks = _interior_maxima(k0, [barriers[j] for j in lanes],
+                                     *zip(*lanes.values()))
+            for j, peak in zip(lanes, peaks):
+                if peak is not None:
+                    km[j], boundary[j] = peak, False
 
-    def objective(k):
-        b = transmission_modulus(k, barrier)
-        with np.errstate(divide="ignore"):
-            return -(np.asarray(k, float) - k0) ** 2 / 4.0 + np.log(b)
-
-    ks = np.linspace(w * 1e-9, w, scan_points)
-    vals = objective(ks)
-    i = int(np.argmax(vals))
-    boundary = False
-    if i >= scan_points - 1:
-        km = w
-        boundary = True
-    else:
-        lo = ks[max(i - 1, 0)]
-        hi = ks[min(i + 1, scan_points - 1)]
-        km = golden_section_max(lambda q: float(objective(q)), lo, hi, tol=1e-10)
-        if objective(km) <= vals[-1]:
-            km = w
-            boundary = True
-    val = float(modulated_spectrum(km, spectrum, barrier))
-    top = float(modulated_spectrum(w, spectrum, barrier))
-    return KmaxResult(float(km), boundary, val, top, outside)
+    results = [KmaxResult(float(k), flag,
+                          float(modulated_spectrum(k, spectrum, b)),
+                          float(modulated_spectrum(b.w, spectrum, b)), out)
+               for b, k, flag, out in zip(barriers, km, boundary, outside)]
+    return results[0] if isinstance(barrier, BarrierConfig) else results
 
 
 @dataclass(frozen=True)
@@ -150,19 +186,19 @@ def kmax_table(k0_a: float, wa_values, la_values,
                scan_points: int = 4096) -> list[TableCell]:
     """k_max(w, L) grid at fixed incident momentum k0.
 
-    Containment warnings are suppressed here; columns with small w are
-    known to leak and still reproduce the reference digits.
+    One `find_kmax` call over every (w, L) cell, w-major, so all cells
+    share its lock-step refinement.  Containment warnings are suppressed
+    here; columns with small w are known to leak and still reproduce the
+    reference digits.
     """
-    cells = []
     spec = GaussianSpectrum(k0=k0_a)
+    grid = [(wa, la) for wa in wa_values for la in la_values]
+    barriers = [BarrierConfig(w=wa, width=la) for wa, la in grid]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ContainmentWarning)
-        for wa in wa_values:
-            for la in la_values:
-                b = BarrierConfig(w=wa, width=la)
-                res = find_kmax(spec, b, scan_points=scan_points)
-                cells.append(TableCell(wa, la, res.k_max, res.boundary_dominated))
-    return cells
+        results = find_kmax(spec, barriers, scan_points=scan_points)
+    return [TableCell(wa, la, res.k_max, res.boundary_dominated)
+            for (wa, la), res in zip(grid, results)]
 
 
 @dataclass(frozen=True)
@@ -195,15 +231,16 @@ class DistortionReport:
 
 def _slope_at_top(f, w: float) -> float:
     """d f/dk at k = w from below, by one-sided differences with two
-    Richardson levels for their O(eps) error."""
-    fw = f(w)
+    Richardson levels for their O(eps) error.  f takes an array of k
+    and is called once."""
     eps = 1e-4 * w
-    d1 = (fw - f(w - eps)) / eps
-    d2 = (fw - f(w - eps / 2.0)) / (eps / 2.0)
-    d3 = (fw - f(w - eps / 4.0)) / (eps / 4.0)
+    fw, f1, f2, f3 = f(np.array([w, w - eps, w - eps / 2.0, w - eps / 4.0]))
+    d1 = (fw - f1) / eps
+    d2 = (fw - f2) / (eps / 2.0)
+    d3 = (fw - f3) / (eps / 4.0)
     r1 = 2.0 * d2 - d1
     r2 = 2.0 * d3 - d2
-    return 2.0 * r2 - r1
+    return float(2.0 * r2 - r1)
 
 
 def distortion_onset(spectrum: GaussianSpectrum, w: float) -> DistortionReport:
@@ -218,7 +255,7 @@ def distortion_onset(spectrum: GaussianSpectrum, w: float) -> DistortionReport:
 
     def slope(length: float) -> float:
         b = BarrierConfig(w=w, width=length)
-        return _slope_at_top(lambda k: float(modulated_spectrum(k, spectrum, b)), w)
+        return _slope_at_top(lambda k: modulated_spectrum(k, spectrum, b), w)
 
     lo, hi = 1e-3 / w, 30.0 / w
     if slope(lo) > 0.0:
@@ -256,7 +293,7 @@ def distortion_onset(spectrum: GaussianSpectrum, w: float) -> DistortionReport:
         onset_quadratic_limit=onset_quad,
         gaussian_logderiv=c,
         t_logderiv_numeric=_slope_at_top(
-            lambda k: math.log(transmission_modulus(float(k), bl)), w),
+            lambda k: [math.log(t) for t in transmission_modulus(k, bl)], w),
         t_logderiv_quadratic=quad,
         t_logderiv_linear_variant=linvar,
     )

@@ -383,3 +383,12 @@ def test_interior_field_matches_coefficients():
                      + coeffs.beta * cmath.exp(math.sqrt(15.0) * x) for x in xs])
     got = interior_field(k, b, xs, coeffs.transmission)
     np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_array_calls_equal_scalar_calls_across_branches():
+    # one array through every kernel branch: (rho L)^2 above 9e4 (scaled),
+    # ordinary, the series window at the top, and above the top
+    b = BarrierConfig(w=4.0, width=100.0)
+    ks = np.array([0.5, 2.0, 3.0, 3.99, 4.0, 4.0 + 1e-12, 4.5, 10.0])
+    for f in (transmission_modulus, transmission_phase, collision_phase):
+        assert f(ks, b).tolist() == [f(k, b) for k in ks.tolist()]

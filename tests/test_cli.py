@@ -1,11 +1,16 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tunneltimes
 from tunneltimes import (BarrierConfig, GaussianSpectrum, QuadratureSpec,
                          synthesize_collision)
 from tunneltimes.cli import _write_csv, main
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def run(args):
@@ -49,6 +54,21 @@ class TestTable1:
         assert header == ["w_a", "L_a", "kmax_a", "flag"]
         assert float(rows[0][2]) == pytest.approx(1.0, abs=1e-9)
         assert float(rows[1][2]) == pytest.approx(2.1155, abs=1e-3)
+
+    def test_default_table_runs_under_benchmark_tracer(self, tmp_path):
+        # bench/spans.py wraps every binding of the traced functions and
+        # computes work counters from their arguments; a counter that cannot
+        # read an argument, or raises on it, must not appear on the default
+        # 77-cell table (bench/test_bench.py runs only a one-cell table)
+        spec = importlib.util.spec_from_file_location("spans", BENCH / "spans.py")
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        rec = spans.SpanRecorder()
+        with spans.instrumented(tunneltimes, rec):
+            code = main(["table1", "--out", str(tmp_path)])
+        assert code == 0
+        assert rec.counts["trace.counter_errors"] == 0
+        assert rec.counts["spectrum.find_kmax.calls"] == 1
 
     def test_star_cells_marked(self, tmp_path):
         assert run(["table1", "--w-a", 1.5, "--l-a", 0.7, "--l-a", 0.8,

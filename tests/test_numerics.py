@@ -4,7 +4,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from tunneltimes.numerics import (gauss_legendre_panels, golden_section_max,
+from tunneltimes.numerics import (_INVPHI, _INVPHI2, _golden_lanes,
+                                  gauss_legendre_panels, golden_section_max,
                                   parabolic_refine, ridders_derivative,
                                   sinhc_coshc_sq)
 
@@ -36,6 +37,51 @@ def test_golden_section_max_quadratic():
 def test_golden_section_max_needs_interval():
     with pytest.raises(ValueError):
         golden_section_max(lambda x: x, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        _golden_lanes(lambda x: x, [0.0, 1.0], [1.0, 1.0], 1e-10)
+
+
+def _golden_scalar(f, lo, hi, tol):
+    """Scalar golden-section loop: the reference for the lock-step lanes."""
+    h = hi - lo
+    if h <= tol:
+        return 0.5 * (lo + hi)
+    n = int(math.ceil(math.log(tol / h) / math.log(_INVPHI)))
+    c = lo + _INVPHI2 * h
+    d = lo + _INVPHI * h
+    yc = f(c)
+    yd = f(d)
+    for _ in range(n):
+        if yc > yd:
+            hi, d, yd = d, c, yc
+            h *= _INVPHI
+            c = lo + _INVPHI2 * h
+            yc = f(c)
+        else:
+            lo, c, yc = c, d, yd
+            h *= _INVPHI
+            d = lo + _INVPHI * h
+            yd = f(d)
+    return 0.5 * (lo + hi)
+
+
+def test_golden_lanes_match_scalar_search_bit_for_bit():
+    # brackets of different widths take different step counts; s = 0 is
+    # flat (every comparison ties); the last bracket is already within tol
+    m = [0.37, 0.5, 2.0, 1.0, 0.25, 3.0]
+    s = [1.0, 0.0, 3.0, 1e-9, 2.0, 0.5]
+    lo = [0.0, 0.0, 1.0, 0.9, 0.25 - 1e-7, 2.5]
+    hi = [1.0, 1.0, 5.0, 1.1, 0.25 + 1e-7, 2.5 + 8e-11]
+    tol = 1e-10
+    ma, sa = np.array(m), np.array(s)
+    lanes = _golden_lanes(lambda x: -(x - ma) * (x - ma) * sa, lo, hi, tol)
+    for i in range(len(m)):
+        def f(x):
+            return -(x - m[i]) * (x - m[i]) * s[i]
+
+        want = _golden_scalar(f, lo[i], hi[i], tol)
+        assert lanes[i] == want
+        assert golden_section_max(f, lo[i], hi[i], tol) == want
 
 
 def test_ridders_derivative_trig():

@@ -227,6 +227,12 @@ class TestScatteringPhaseTime:
         # alpha = 800: cosh overflows, and the value itself underflows to 0
         L = 800.0 / math.sqrt(15.0)
         assert scattering_time_coshsq_variant(1.0, barrier(4.0, L)) == want(1.0, 4.0, L) == 0.0
+        # e^-alpha (or 2 e^-alpha / alpha) below the smallest normal float,
+        # with a prefactor 4 L / (k0 alpha) that keeps the value itself normal
+        for k0, w, L in [(1e-200, 1.0, 800.0), (1e-100, 2.0, 360.0),
+                         (1e-10, 1.0, 703.0), (1e-51, 1e-50, 4.79e52)]:
+            assert scattering_time_coshsq_variant(k0, barrier(w, L)) == pytest.approx(
+                want(k0, w, L), rel=1e-12)
         # the widest barrier BarrierConfig accepts at w = 4: (4 L)^2 just
         # below overflow, alpha = 1.3e154
         assert scattering_time_coshsq_variant(

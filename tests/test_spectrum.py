@@ -8,7 +8,9 @@ from tunneltimes import (BarrierConfig, ContainmentWarning, GaussianSpectrum,
                          cutoff_time_estimate, distortion_onset, find_kmax,
                          kmax_table, modulated_spectrum,
                          transmission_modulus)
+from tunneltimes.cli import _TABLE1_LA, _TABLE1_WA
 from tunneltimes.numerics import ridders_derivative
+from tunneltimes.spectrum import KmaxResult
 
 
 def barrier(w=4.0, L=0.5):
@@ -102,6 +104,49 @@ class TestFindKmax:
                 if la > 1e-3:
                     assert res.k_max > 1.0
 
+    def test_barrier_list_equals_one_call_each(self):
+        import warnings
+        # the default table (its brackets scale with w, so lanes take 33 to
+        # 39 steps), L = 0, a boundary-dominated cell, rho L > 300, and a
+        # wider w (more steps still)
+        barriers = [BarrierConfig(w=wa, width=la)
+                    for wa in _TABLE1_WA for la in _TABLE1_LA]
+        barriers += [BarrierConfig(w=1.5, width=0.8), BarrierConfig(w=20.0, width=40.0),
+                     BarrierConfig(w=4.0, width=0.0), BarrierConfig(w=60.0, width=0.05)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ContainmentWarning)
+            together = find_kmax(spectrum(), barriers)
+            apart = [find_kmax(spectrum(), b) for b in barriers]
+        assert together == apart
+        flags = {r.boundary_dominated for r in together}
+        assert flags == {True, False}
+
+    def test_kmax_digits_frozen(self):
+        # On the flat top of g |T| the last bits of each objective value
+        # steer the search; this cell's 9th digit moves if the squared
+        # offset (k - k0)^2 is rounded differently.
+        with pytest.warns(ContainmentWarning):
+            res = find_kmax(GaussianSpectrum(k0=0.943344),
+                            BarrierConfig(w=3.93541, width=0.8))
+        assert res.k_max == 2.4917002839056845
+
+    def test_result_shape_follows_argument(self):
+        s, b = GaussianSpectrum(k0=8.0), BarrierConfig(w=16.0, width=0.1)
+        one = find_kmax(s, b)
+        assert isinstance(one, KmaxResult)
+        assert find_kmax(s, [b]) == [one]
+        assert find_kmax(s, (b, b)) == [one, one]
+        assert find_kmax(s, []) == []
+
+    def test_one_containment_warning_per_leaky_barrier(self):
+        # at k0 = 8: w = 9 and w = 10 leak (0.16, 0.023), w = 12 and 16 do not
+        leaky = [BarrierConfig(w=9.0, width=0.1), BarrierConfig(w=10.0, width=0.2)]
+        tight = [BarrierConfig(w=12.0, width=0.0), BarrierConfig(w=16.0, width=0.1)]
+        with pytest.warns(ContainmentWarning) as caught:
+            find_kmax(GaussianSpectrum(k0=8.0), [leaky[0], tight[0], leaky[1], tight[1]])
+        assert len(caught) == 2
+        assert all(w.filename == __file__ for w in caught)
+
     def test_containment_quiet_when_contained(self):
         import warnings
         with warnings.catch_warnings():
@@ -176,6 +221,8 @@ class TestDistortionOnset:
             for L in (0.0, 0.3):
                 with pytest.raises(ValueError):
                     find_kmax(spectrum(1.0), barrier(w, L))
+                with pytest.raises(ValueError, match="k0 < w"):
+                    find_kmax(spectrum(1.0), [barrier(4.0, L), barrier(w, L)])
 
 
 def rep_logderiv_matches(s, w):
