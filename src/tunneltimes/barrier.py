@@ -17,13 +17,12 @@ Two families of amplitudes appear:
    R_B + T_B = exp(-i [kL + phi]), with phi given by `collision_phase`.
 
 Every closed form derives from one private kernel, `_scaled_solution`,
-which evaluates the interior solution once as (c, sh, scale) with
-cosh(rho L) = c / scale and sinh(rho L)/(rho L) = sh / scale.  Up to
-(rho L)^2 = 9e4 the scale is 1 and (sh, c) come from the shared
-sinhc/coshc pass of `numerics`; above it, where cosh and sinh would
-overflow, the scale is e^{-rho L}.  That switch is made there and nowhere
-else.  The kernel also takes w and L as per-lane arrays, so that
-`spectrum.find_kmax` refines many barriers with one call per step.
+which evaluates the interior solution once as (c, sh, r) with
+cosh(rho L) = c e^r and sinh(rho L)/(rho L) = sh e^r.  r is 0 up to
+(rho L)^2 = 9e4 and rho L above it, where cosh and sinh would overflow;
+that switch is made in `numerics.sinhc_cosh` and nowhere else, and
+`interior_field` takes the same kernel.  w and L may be per-lane arrays,
+so that `spectrum.find_kmax` refines many barriers with one call per step.
 
 An independent transfer-matrix solver and a four-unknown continuity
 matcher provide cross-checks that never share code with the closed forms.
@@ -37,11 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import sinhc_coshc_sq
-
-# Above (rho L)^2 = _Z_SCALED the direct sinh/cosh forms are at overflow
-# risk; the kernel switches to exponentially rescaled variants.
-_Z_SCALED = 9.0e4  # rho L = 300
+from .numerics import sinhc_cosh
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -108,36 +103,20 @@ class InteriorCoefficients:
 
 
 def _scaled_solution(k, w, L):
-    """(k, w, L, c, sh, scale): cosh(rho L) = c/scale, sinh(rho L)/(rho L) = sh/scale.
+    """(k, w, L, c, sh, r): cosh(rho L) = c e^r, sinh(rho L)/(rho L) = sh e^r.
 
-    scale is 1 up to (rho L)^2 = _Z_SCALED and e^{-rho L} above it, so c
-    and sh stay finite for any rho L.  When no element is above the
-    switch, (sh, c) come straight from `sinhc_coshc_sq` and scale is the
-    float 1.0; otherwise the two branches fill masked copies.  k must be
-    positive and finite; scalar or array.  w and L are the barrier's, or
-    arrays that broadcast against k (one barrier per lane); each element
-    takes the same arithmetic as a lone scalar call.
+    One `sinhc_cosh` call at z = (w^2 - k^2) L^2.  k must be positive and
+    finite, and z finite (ValueError).  Scalar or array k; w and L are the
+    barrier's, or arrays that broadcast against k (one barrier per lane),
+    and each element takes the same arithmetic as a lone scalar call.
     """
     karr = np.asarray(k, dtype=float)
     if not ((karr > 0.0) & (karr < np.inf)).all():
         raise ValueError("wavenumber k must be positive and finite")
-    z = (w * w - karr * karr) * L * L
-    small = z <= _Z_SCALED
-    if small.all():
-        sh, c = sinhc_coshc_sq(z)
-        return karr, w, L, c, sh, 1.0
-    c = np.empty_like(z)
-    sh = np.empty_like(z)
-    scale = np.ones_like(z)
-    sh[small], c[small] = sinhc_coshc_sq(z[small])
-    big = ~small
-    kb, wb, lb = (v[big] for v in np.broadcast_arrays(karr, w, L))
-    rl = np.sqrt(wb * wb - kb * kb) * lb
-    e = np.exp(-2.0 * rl)
-    c[big] = 0.5 * (1.0 + e)
-    sh[big] = 0.5 * (1.0 - e) / rl
-    scale[big] = np.exp(-rl)
-    return karr, w, L, c, sh, scale
+    with np.errstate(over="ignore"):  # an infinite z raises in the kernel
+        z = (w * w - karr * karr) * L * L
+    sh, c, r = sinhc_cosh(z)
+    return karr, w, L, c, sh, r
 
 
 def _float_if_scalar(out):
@@ -146,7 +125,8 @@ def _float_if_scalar(out):
 
 # Derivations from one kernel evaluation, sol = _scaled_solution(k, w, L).
 def _modulus(sol):
-    k, w, L, _, sh, scale = sol
+    k, w, L, _, sh, r = sol
+    scale = np.exp(-r)
     b = w * w * L * sh / (2.0 * k)
     return scale / np.sqrt(scale * scale + b * b)
 
@@ -157,22 +137,27 @@ def _theta(sol):
 
 
 def _phi(sol):
-    k, w, L, c, sh, scale = sol
+    k, w, L, c, sh, r = sol
     # Divide both arguments by 2^e ~ w^2 (w >= 1 only: scaling up could
     # overflow at k >> w) so that 2k(w^2 - k^2) stays finite for every
     # accepted w; a power of two changes no rounding, hence no phase.
     e = max(math.frexp(w * w)[1], 0)
     num = 2.0 * k * np.ldexp(w * w - k * k, -e) * L * sh
-    den = (math.ldexp(w * w, -e) * scale
+    den = (math.ldexp(w * w, -e) * np.exp(-r)
            + np.ldexp(2.0 * k * k - w * w, -e) * c)
     return np.arctan2(num, den)
 
 
+def _denominator(sol):
+    """e^{-ikL} / T_B times e^-r, finite and nonzero for any rho L."""
+    k, w, L, c, sh, _ = sol
+    return c + 1j * (w * w - 2.0 * k * k) * (L * sh) / (2.0 * k)
+
+
 def _pair(sol):
-    k, w, L, c, sh, scale = sol
-    s = L * sh  # sinh(rho L)/rho, continued, times scale
-    q = np.exp(-1j * k * L) / (c + 1j * (w * w - 2.0 * k * k) * s / (2.0 * k))
-    return -1j * (w * w) * s / (2.0 * k) * q, scale * q
+    k, w, L, _, sh, r = sol
+    q = np.exp(-1j * k * L) / _denominator(sol)
+    return -1j * (w * w) * (L * sh) / (2.0 * k) * q, np.exp(-r) * q
 
 
 def transmission_modulus(k, barrier: BarrierConfig):
@@ -279,7 +264,8 @@ def interior_matching(k: float, barrier: BarrierConfig,
     pieces of the incident-from-`incident` solution are C^1 at both
     interfaces.  Only the tunneling branch 0 < k < w is accepted (the
     decaying/growing basis degenerates at k = w); L = 0 is rejected
-    because there is no interior region.
+    because there is no interior region, and so is a barrier whose
+    e^{rho L/2} overflows or leaves the system numerically singular.
     """
     if incident not in ("left", "right"):
         raise ValueError("incident must be 'left' or 'right'")
@@ -291,7 +277,10 @@ def interior_matching(k: float, barrier: BarrierConfig,
     r = math.sqrt(w * w - k * k)
     h = barrier.half_width
     ekh = cmath.exp(1j * k * h)
-    erh = math.exp(r * h)
+    try:
+        erh = math.exp(r * h)
+    except OverflowError:
+        raise ValueError("e^{rho L/2} overflows the 4x4 matching") from None
     # unknowns x = (R, alpha, beta, T)
     if incident == "left":
         mat = np.array([
@@ -311,8 +300,8 @@ def interior_matching(k: float, barrier: BarrierConfig,
             [0.0, r / erh, -r * erh, 1j * k * ekh],
         ], dtype=complex)
         rhs = np.array([-1.0 / ekh, 1j * k / ekh, 0.0, 0.0], dtype=complex)
-    cond = np.linalg.cond(mat)
-    assert np.isfinite(cond), "singular matching matrix"
+    if not (np.isfinite(mat).all() and np.isfinite(np.linalg.cond(mat))):
+        raise ValueError("singular matching matrix")
     sol = np.linalg.solve(mat, rhs)
     return InteriorCoefficients(
         k=k, incident=incident,
@@ -321,17 +310,20 @@ def interior_matching(k: float, barrier: BarrierConfig,
     )
 
 
-def interior_field(k, barrier: BarrierConfig, x, transmission):
+def interior_field(k, barrier: BarrierConfig, x):
     """Interior solution of the left-incident problem, regular at k = w.
 
     Combines alpha e^{-rho x} + beta e^{rho x} into
-    T e^{i k L/2} [cosh(rho d) - i k d sinhc(rho d)] with d = L/2 - x,
-    which stays finite through the top of the barrier.  Vectorized over
-    x (and broadcastable k).
+    T_B e^{i k L/2} [cosh(rho d) - i k d sinhc(rho d)] with d = L/2 - x,
+    finite through the top of the barrier and, with the kernel's scales
+    taken as one factor e^{r_d - r_L} <= 1, for any rho L.  Vectorized
+    over x (and broadcastable k).
     """
-    w = barrier.w
+    sol = _scaled_solution(k, barrier.w, barrier.width)
+    karr, w, _, _, _, r = sol
     h = barrier.half_width
-    karr = np.asarray(k, dtype=float)
     d = h - np.asarray(x, dtype=float)
-    sh, c = sinhc_coshc_sq((w * w - karr * karr) * d * d)
-    return transmission * np.exp(1j * karr * h) * (c - 1j * karr * d * sh)
+    sh, c, r_d = sinhc_cosh((w * w - karr * karr) * d * d)
+    # T_B e^{ikh} = e^{-ikh} e^-r / denominator
+    return (np.exp(r_d - r - 1j * karr * h) / _denominator(sol)
+            * (c - 1j * (karr * d * sh)))

@@ -1,14 +1,13 @@
 """Shared numerical kernels.
 
-Dimension-agnostic plumbing used throughout the package: one pass that
-evaluates the pair sinh(sqrt z)/sqrt z and cosh(sqrt z) of the signed
-square z through the removable singularity at z = 0 (the unscaled half of
-the barrier amplitude kernel), a golden-section maximizer that advances
-many independent brackets in lock step (one objective call per step for
-all of them; `golden_section_max` is its one-bracket case), Ridders'
-polynomial-extrapolated derivative (a reference implementation: the phase
-times are closed forms, and the tests check them against it), and
-composite Gauss-Legendre quadrature nodes.
+Dimension-agnostic plumbing used throughout the package: the one
+overflow-safe kernel for sinh(sqrt z)/sqrt z and cosh(sqrt z) of the
+signed square z, which every amplitude and phase time takes, a
+golden-section maximizer that advances many independent brackets in lock
+step (one objective call per step for all of them; `golden_section_max`
+is its one-bracket case), Ridders' polynomial-extrapolated derivative (a
+reference implementation: the phase times are closed forms, and the
+tests check them against it), and composite Gauss-Legendre quadrature.
 """
 
 from __future__ import annotations
@@ -17,49 +16,65 @@ import math
 
 import numpy as np
 
-# Series window for the removable singularity of sinhc/coshc at z = 0.
-# |z| below this uses a 4-term Taylor series (relative error < 1e-28 there).
-_SERIES_CUT = 1e-6
+_SERIES_CUT = 1e-6  # |z| below it takes _series (relative error < 1e-28)
+_Z_SCALED = 9.0e4  # sqrt z = 300: above it sinh and cosh near overflow
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def sinhc_coshc_sq(z):
-    """(sinh(sqrt(z))/sqrt(z), cosh(sqrt(z))) as functions of the signed square z.
+def _series(z):
+    """(sinhc, cosh) of the signed square z by their Taylor series through z^3."""
+    return (1.0 + z / 6.0 + z * z / 120.0 + z**3 / 5040.0,
+            1.0 + z / 2.0 + z * z / 24.0 + z**3 / 720.0)
 
-    Both are entire in z, so negative arguments continue analytically to
-    sin(sqrt(-z))/sqrt(-z) and cos(sqrt(-z)).  One pass shares the branch
-    masks and the square root between the pair; when every z lies above the
-    series window there are no masks at all.  Scalars in, a pair of
-    floats out; arrays in, a pair of arrays out.  Overflows for z > ~5e5;
-    callers switch to scaled forms before that.
+
+def sinhc_cosh(z):
+    """(s, c, r) with sinh(sqrt z)/sqrt z = s e^r and cosh(sqrt z) = c e^r.
+
+    Both are entire in z: negative z continues them to sin and cos of
+    sqrt(-z), and a series covers |z| < _SERIES_CUT.  Above _Z_SCALED
+    r = sqrt(z) and (s, c) = ((1 - e^{-2r})/(2r), (1 + e^{-2r})/2), and
+    the switch is made here and nowhere else; below it r is 0 (the float
+    0.0 when no element is scaled).  All z in (_SERIES_CUT, _Z_SCALED], or
+    all in the series window, take no masks.  z must be finite
+    (ValueError).  Scalars in, floats out; arrays in, arrays out.
     """
     z = np.asarray(z, dtype=float)
+    lo, hi = z.min(initial=np.inf), z.max(initial=-np.inf)
+    if _SERIES_CUT < lo and hi <= _Z_SCALED:
+        q = np.sqrt(z)
+        s, c = np.sinh(q) / q, np.cosh(q)
+        return (s, c, 0.0) if z.ndim else (float(s), float(c), 0.0)
+    if not (-np.inf < lo and hi < np.inf):  # false for nan too
+        raise ValueError("sinhc_cosh needs a finite signed square z")
+    if -_SERIES_CUT <= lo and hi <= _SERIES_CUT:  # k = w or L = 0
+        s, c = _series(z)
+        return (s, c, 0.0) if z.ndim else (float(s), float(c), 0.0)
+    s, c = np.empty_like(z), np.empty_like(z)
     pos = z > _SERIES_CUT
-    if pos.all():
-        r = np.sqrt(z)
-        s, c = np.sinh(r) / r, np.cosh(r)
-        return (s, c) if z.ndim else (float(s), float(c))
-    s = np.empty_like(z)
-    c = np.empty_like(z)
     neg = z < -_SERIES_CUT
     mid = ~(pos | neg)
+    r = 0.0
+    if hi > _Z_SCALED:
+        big = z > _Z_SCALED
+        pos &= ~big
+        r = np.zeros_like(z)
+        r[big] = q = np.sqrt(z[big])
+        e = np.exp(-2.0 * q)
+        s[big] = 0.5 * (1.0 - e) / q
+        c[big] = 0.5 * (1.0 + e)
     if pos.any():
-        r = np.sqrt(z[pos])
-        s[pos] = np.sinh(r) / r
-        c[pos] = np.cosh(r)
+        q = np.sqrt(z[pos])
+        s[pos] = np.sinh(q) / q
+        c[pos] = np.cosh(q)
     if neg.any():
         q = np.sqrt(-z[neg])
         s[neg] = np.sin(q) / q
         c[neg] = np.cos(q)
     if mid.any():
-        zm = z[mid]
-        s[mid] = 1.0 + zm / 6.0 + zm * zm / 120.0 + zm**3 / 5040.0
-        c[mid] = 1.0 + zm / 2.0 + zm * zm / 24.0 + zm**3 / 720.0
-    if z.ndim:
-        return s, c
-    return float(s), float(c)
+        s[mid], c[mid] = _series(z[mid])
+    return (s, c, r) if z.ndim else (float(s), float(c), float(r))
 
 
 def _golden_lanes(f, lo, hi, tol: float) -> np.ndarray:

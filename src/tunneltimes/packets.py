@@ -323,10 +323,10 @@ def synthesize_collision(spectrum: GaussianSpectrum, barrier: BarrierConfig,
                 [direct, mirrored.conj()], axis=1), scale)
             psi[region] = both[:, :n_t] + both[:, n_t:].conj()
     if inner.any():
+        # psi(x) + psi(-x), psi the left-incident solution: one kernel call
         psi[inner] = _chunked_matmul(
-            x[inner], lambda xc, a: (
-                interior_field(ks, barrier, xc[:, None], trans)
-                + interior_field(ks, barrier, -xc[:, None], trans), a),
+            x[inner], lambda xc, a: (interior_field(
+                ks, barrier, np.stack([xc, -xc])[:, :, None]).sum(axis=0), a),
             weight)
     return _fields(x, t, ts, psi)
 

@@ -374,6 +374,13 @@ def test_interior_matching_rejects_degenerate():
         interior_matching(5.0, barrier(4.0, 0.5))
 
 
+def test_interior_matching_rejects_overflow():
+    # e^{rho L/2} overflows a float; just below that, r e^{rho L/2} does
+    for width in (40.0, 35.44):
+        with pytest.raises(ValueError):
+            interior_matching(1.0, barrier(40.0, width))
+
+
 def test_interior_field_matches_coefficients():
     b = barrier()
     k = 1.0
@@ -381,8 +388,34 @@ def test_interior_field_matches_coefficients():
     xs = np.linspace(-b.half_width, b.half_width, 7)
     want = np.array([coeffs.alpha * cmath.exp(-math.sqrt(15.0) * x)
                      + coeffs.beta * cmath.exp(math.sqrt(15.0) * x) for x in xs])
-    got = interior_field(k, b, xs, coeffs.transmission)
+    got = interior_field(k, b, xs)
     np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_interior_field_opaque_matches_mpmath():
+    # rho L = 1386 and rho d = 1247: T_B and cosh(rho d) are far outside
+    # the float range, their product is not
+    w, L, k, x = 16.0, 100.0, 8.0, -40.0
+    got = interior_field(k, barrier(w, L), x)
+    wm, lm, km = mp.mpf(w), mp.mpf(L), mp.mpf(k)
+    r = mp.sqrt(wm**2 - km**2)
+    d = lm / 2 - x
+    t_b = mp.exp(-1j * km * lm) / (mp.cosh(r * lm) + 1j * (wm**2 - 2 * km**2)
+                                   * mp.sinh(r * lm) / (2 * km * r))
+    want = complex(t_b * mp.exp(1j * km * lm / 2)
+                   * (mp.cosh(r * d) - 1j * km * mp.sinh(r * d) / r))
+    assert want != 0.0
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_kernels_reject_overflowing_square():
+    # accepted barrier (w width = 4e152), but (k width)^2 overflows above the top
+    b = BarrierConfig(w=4.0, width=1e152)
+    for f in (transmission_modulus, transmission_phase, collision_phase):
+        with pytest.raises(ValueError):
+            f(1000.0, b)
+        with pytest.raises(ValueError):
+            f(np.array([1.0, 1000.0]), b)
 
 
 def test_array_calls_equal_scalar_calls_across_branches():

@@ -140,6 +140,8 @@ class TestRates:
     def test_validation(self, tmp_path):
         assert run(["rates", "--n", 1.5, "--out", tmp_path]) == 2
         assert run(["rates", "--alpha-min", 0.0, "--out", tmp_path]) == 2
+        # alpha^2 overflows
+        assert run(["rates", "--alpha-max", 1e200, "--out", tmp_path]) == 2
 
 
 class TestDistortion:

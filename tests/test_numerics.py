@@ -7,7 +7,7 @@ import pytest
 from tunneltimes.numerics import (_INVPHI, _INVPHI2, _golden_lanes,
                                   gauss_legendre_panels, golden_section_max,
                                   parabolic_refine, ridders_derivative,
-                                  sinhc_coshc_sq)
+                                  sinhc_cosh)
 
 mp.mp.dps = 40
 
@@ -17,16 +17,39 @@ def test_sinhc_coshc_match_mpmath(z):
     r = mp.sqrt(mp.mpf(z)) if z >= 0 else 1j * mp.sqrt(-mp.mpf(z))
     want_s = float(mp.re(mp.sinh(r) / r)) if z != 0 else 1.0
     want_c = float(mp.re(mp.cosh(r))) if z != 0 else 1.0
-    got_s, got_c = sinhc_coshc_sq(z)
+    got_s, got_c, got_r = sinhc_cosh(z)
+    assert got_r == 0.0
     assert got_s == pytest.approx(want_s, rel=1e-14)
     assert got_c == pytest.approx(want_c, rel=1e-14)
 
 
+@pytest.mark.parametrize("z", [90001.0, 2.5e5, 1e6, 4e8])
+def test_sinhc_cosh_scaled_matches_mpmath(z):
+    # above z = 9e4 the pair comes as mantissas times e^r, r = sqrt(z);
+    # sinh overflows a float from z ~ 5e5 on
+    s, c, r = sinhc_cosh(z)
+    assert r == math.sqrt(z)
+    q = mp.sqrt(mp.mpf(z))
+    scale = mp.exp(mp.mpf(r))
+    assert float(mp.mpf(s) * scale / (mp.sinh(q) / q)) == pytest.approx(1.0, rel=1e-13)
+    assert float(mp.mpf(c) * scale / mp.cosh(q)) == pytest.approx(1.0, rel=1e-13)
+
+
 def test_sinhc_vectorized_matches_scalar():
-    zs = np.array([-25.0, -1e-7, 0.0, 1e-7, 2.5, 1e4])
-    vec_s, vec_c = sinhc_coshc_sq(zs)
+    zs = np.array([-25.0, -1e-7, 0.0, 1e-7, 2.5, 1e4, 2.5e5])
+    vec = sinhc_cosh(zs)
     for i, z in enumerate(zs):
-        assert (vec_s[i], vec_c[i]) == sinhc_coshc_sq(float(z))
+        assert tuple(v[i] for v in vec) == sinhc_cosh(float(z))
+    # no scaled element: r is the float 0.0 on every path
+    for zs in (np.array([1.0, 4.0]), np.array([0.0, 1e-8]), np.array([-1.0, 0.0, 4.0])):
+        r = sinhc_cosh(zs)[2]
+        assert type(r) is float and r == 0.0
+
+
+def test_sinhc_cosh_rejects_non_finite():
+    for z in (math.inf, -math.inf, math.nan, [1.0, -math.inf]):
+        with pytest.raises(ValueError):
+            sinhc_cosh(z)
 
 
 def test_golden_section_max_quadratic():

@@ -111,6 +111,19 @@ class TestRates:
                 assert rate_standard(a, n) == pytest.approx(want_std, rel=1e-11)
                 assert rate_scattering(a, n) == pytest.approx(want_sc, rel=1e-11)
 
+    def test_scattering_rate_full_precision(self):
+        # the half-angle form has no cancellation: a few ulp for every n and
+        # alpha, up to the largest alpha whose square is finite
+        alphas = np.concatenate([[0.0, 1e-300, 1e-9], np.geomspace(1e-4, 2e3, 60),
+                                 [0.0999, 0.1001, 599.9, 600.1, 1e154]])
+        for n in (1e-12, 1e-3, 0.3, 1.0 - 1e-9, 1.0):
+            got = rate_scattering(alphas, n)
+            for a, val in zip(alphas.tolist(), got.tolist()):
+                am, nm = mp.mpf(a), mp.mpf(n)
+                want = 1 + 1 / nm if a == 0.0 else (
+                    (2 / am) * (nm * am + mp.sinh(am)) / (2 * nm - 1 + mp.cosh(am)))
+                assert val == pytest.approx(float(want), rel=2e-15)
+
     def test_scattering_rate_monotone_decrease(self):
         alphas = np.geomspace(1e-3, 1e2, 400)
         for n in (0.25, 0.5, 0.75, 1.0):
@@ -124,8 +137,9 @@ class TestRates:
             rate_standard(1.0, 0.0)
         with pytest.raises(ValueError):
             rate_scattering(1.0, 1.5)
+        # alpha^2 must be finite: the barrier kernels form (rho L)^2 too
         for alpha, n in [(math.nan, 0.5), (math.inf, 0.5), (1.0, math.nan),
-                         ([1.0, math.nan], 0.5)]:
+                         ([1.0, math.nan], 0.5), (1e200, 0.5), ([1.0, 1e155], 1.0)]:
             with pytest.raises(ValueError):
                 rate_standard(alpha, n)
             with pytest.raises(ValueError):
