@@ -129,8 +129,8 @@ def cmd_rates(args) -> int:
     ns = args.n or [0.2, 0.4, 0.6, 0.8, 1.0]
     if any(not 0.0 < n <= 1.0 for n in ns):
         raise ValueError("every n must lie in (0, 1]")
-    if not (args.alpha_min > 0 and args.alpha_max > args.alpha_min):
-        raise ValueError("need 0 < alpha-min < alpha-max")
+    if not 0 < args.alpha_min < args.alpha_max < math.inf:
+        raise ValueError("need 0 < alpha-min < alpha-max, both finite")
     if args.alpha_steps < 2:
         raise ValueError("alpha-steps must be at least 2")
     out = _outdir(args)

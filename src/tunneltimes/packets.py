@@ -122,8 +122,11 @@ class PacketField:
 
     @property
     def centroid(self) -> float:
-        dens = self.density
-        return float(np.trapezoid(self.x * dens, self.x) / np.trapezoid(dens, self.x))
+        """Mean position under |psi|^2; ValueError for a field of zero norm."""
+        mass = self.norm
+        if not mass > 0.0:
+            raise ValueError("field norm is zero; the centroid is undefined")
+        return float(np.trapezoid(self.x * self.density, self.x) / mass)
 
     @property
     def peak_position(self) -> float:
@@ -212,7 +215,8 @@ def synthesize_incident(spectrum: GaussianSpectrum, x_grid, t: float,
                         ) -> PacketField:
     """Free packet (1/2pi) int dk g(k - k0) e^{i (k x - k^2 t / 2)}.
 
-    t is one finite time, x_grid a uniform grid (ValueError otherwise).
+    t is one finite time, x_grid a uniform grid, and both ends of the k
+    window must have finite squares (ValueError otherwise).
 
     By default the integral covers k0 +- 8, so the full gaussian is
     retained and the centroid moves at exactly k0; pass
@@ -223,7 +227,10 @@ def synthesize_incident(spectrum: GaussianSpectrum, x_grid, t: float,
     t = _times(t).item()  # .item() rejects a batch
     if k_interval is None:
         k_interval = (spectrum.k0 - 8.0, spectrum.k0 + 8.0)
-    ks, wts = quad.nodes(*k_interval)
+    lo, hi = map(float, k_interval)
+    if not (lo * lo < math.inf and hi * hi < math.inf):  # false for nan too
+        raise ValueError("the k window's ends must have finite squares")
+    ks, wts = quad.nodes(lo, hi)
     amp = spectrum.amplitude(ks) * wts / (2.0 * math.pi) \
         * np.exp(-1j * ks * ks * t / 2.0)
     return PacketField(x=x, t=t, psi=_phase_matvec(x, ks, amp))

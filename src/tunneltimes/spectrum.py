@@ -8,10 +8,10 @@ components at the top of the barrier (the filter effect) and a single
 interior maximum no longer exists; such cells are flagged
 boundary-dominated, which reproduces the starred cells of the reference
 table.  The onset of a *local* maximum at k = w is where
-d/dk [g |T|] at k = w turns positive; this module locates it numerically
-and reports the two analytic candidate widths alongside (one linear and
-one square-root in 1 - k0/w; they disagree with each other, and the
-numerical onset is the authoritative value).
+d/dk [g |T|] at k = w turns positive; that slope has an exact closed
+form, whose one root this module reports as the onset, alongside the two
+analytic candidate widths (one linear and one square-root in 1 - k0/w;
+they disagree with each other and with the exact onset).
 """
 
 from __future__ import annotations
@@ -205,16 +205,18 @@ def kmax_table(k0_a: float, wa_values, la_values,
 class DistortionReport:
     """Onset widths for a local maximum of g |T| appearing at k = w.
 
-    onset_numeric comes from bisecting the sign of d/dk [g |T|] at k = w
-    (one-sided differences, step-extrapolated).  The two analytic
-    candidates solve (w - k0)/2 = w L^2 / 3 with the (1 - k0/w)
-    factor entering linearly (as quoted) or under a square root (as the
-    inequality actually inverts); onset_quadratic_limit solves the full
-    quadratic log-derivative limit and should match onset_numeric.  The
-    t_logderiv_* fields report lim_{k->w} |T|'/|T| at the numeric onset:
-    numerically, from the quadratic closed form
-    (w L^2/4)(1 + w^2 L^2/3)/(1 + w^2 L^2/4), and from the variant with
-    w L^2 inside the parentheses (dimensionally odd; kept for comparison).
+    With v = (w L)^2, the log-derivative of g |T| at k = w is exactly
+    -(w - k0)/2 + (w L^2/4)(1 + v/3)/(1 + v/4); the second term, the limit
+    of |T|'/|T| at the top, rises monotonically in L, so the onset is the
+    one positive root of v^2 + 3(1 - C) v - 12 C = 0 with
+    C = w (w - k0)/2.  onset_numeric and onset_quadratic_limit both hold
+    that root, and t_logderiv_numeric and t_logderiv_quadratic both hold
+    the |T| log-derivative there (equal to gaussian_logderiv); the paired
+    names remain because the CSV columns and the manifest carry them.  The
+    two analytic candidates solve (w - k0)/2 = w L^2 / 3 with the
+    (1 - k0/w) factor entering linearly (as quoted) or under a square root
+    (as the inequality actually inverts).  t_logderiv_linear_variant puts
+    w L^2 in place of v (dimensionally odd; kept for comparison).
     """
 
     w: float
@@ -229,71 +231,43 @@ class DistortionReport:
     t_logderiv_linear_variant: float
 
 
-def _slope_at_top(f, w: float) -> float:
-    """d f/dk at k = w from below, by one-sided differences with two
-    Richardson levels for their O(eps) error.  f takes an array of k
-    and is called once."""
-    eps = 1e-4 * w
-    fw, f1, f2, f3 = f(np.array([w, w - eps, w - eps / 2.0, w - eps / 4.0]))
-    d1 = (fw - f1) / eps
-    d2 = (fw - f2) / (eps / 2.0)
-    d3 = (fw - f3) / (eps / 4.0)
-    r1 = 2.0 * d2 - d1
-    r2 = 2.0 * d3 - d2
-    return float(2.0 * r2 - r1)
-
-
 def distortion_onset(spectrum: GaussianSpectrum, w: float) -> DistortionReport:
     """Smallest width L at which the modulated spectrum grows into k = w.
 
-    Bisection (relative 1e-6) on the sign of the slope of g |T| at the
-    boundary, bracketed from [1e-3, 10] / w-scales; requires k0 < w.
+    The closed-form root of the onset quadratic (see DistortionReport).
+    Requires k0 < w, and w and the onset barrier valid as BarrierConfig
+    (ValueError otherwise).
     """
     if not spectrum.k0 < w:
         raise ValueError("distortion onset needs k0 < w")
     k0 = spectrum.k0
-
-    def slope(length: float) -> float:
-        b = BarrierConfig(w=w, width=length)
-        return _slope_at_top(lambda k: modulated_spectrum(k, spectrum, b), w)
-
-    lo, hi = 1e-3 / w, 30.0 / w
-    if slope(lo) > 0.0:
-        lo = 1e-6 / w
-    if not slope(hi) > 0.0:
-        raise ValueError("no slope sign change found; onset outside bracket")
-    while (hi - lo) > 1e-6 * hi:
-        mid = 0.5 * (lo + hi)
-        if slope(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    onset = 0.5 * (lo + hi)
+    c = w * (w - k0) / 2.0
+    # v^2 + 2 b v - 12 C = 0, its root in the form that cancels for
+    # neither sign of b; halved, so a partial sum overflows only where v
+    # does, and L^2 not formed as v/w^2 where v may underflow (tiny w)
+    b = 1.5 * (1.0 - c)
+    r = math.hypot(b, 2.0 * math.sqrt(3.0 * c))
+    if b > 0.0:
+        v = 12.0 * c / (b + r)
+        l2 = 6.0 * (w - k0) / w / (b + r)
+    else:
+        v = r - b
+        l2 = v / w / w
+    onset = math.sqrt(l2)
+    BarrierConfig(w=w, width=onset)  # rejects w, or the onset, whose square overflows
 
     frac = 1.0 - k0 / w
-    lin = math.sqrt(1.5) * frac
-    sqr = math.sqrt(1.5) * math.sqrt(frac)
-    # quadratic log-derivative limit: (w-k0)/2 = (w u/4)(1 + w^2 u/3)/(1 + w^2 u/4), u = L^2
-    c = (w - k0) / 2.0
-    qa = w**3 / 12.0
-    qb = (w / 4.0) * (1.0 - c * w)
-    qc = -c
-    u = (-qb + math.sqrt(qb * qb - 4.0 * qa * qc)) / (2.0 * qa)
-    onset_quad = math.sqrt(u)
-
-    bl = BarrierConfig(w=w, width=onset)
-    l2 = onset * onset
-    quad = (w * l2 / 4.0) * (1.0 + w * w * l2 / 3.0) / (1.0 + w * w * l2 / 4.0)
+    # the ratio first: w l2 (1 + v/3) overflows for w near 1e150
+    quad = (w * l2 / 4.0) * ((1.0 + v / 3.0) / (1.0 + v / 4.0))
     linvar = (w * l2 / 4.0) * (1.0 + w * l2 / 3.0) / (1.0 + w * l2 / 4.0)
     return DistortionReport(
         w=w, k0=k0,
         onset_numeric=onset,
-        onset_linear_candidate=lin,
-        onset_sqrt_candidate=sqr,
-        onset_quadratic_limit=onset_quad,
-        gaussian_logderiv=c,
-        t_logderiv_numeric=_slope_at_top(
-            lambda k: [math.log(t) for t in transmission_modulus(k, bl)], w),
+        onset_linear_candidate=math.sqrt(1.5) * frac,
+        onset_sqrt_candidate=math.sqrt(1.5) * math.sqrt(frac),
+        onset_quadratic_limit=onset,
+        gaussian_logderiv=(w - k0) / 2.0,
+        t_logderiv_numeric=quad,
         t_logderiv_quadratic=quad,
         t_logderiv_linear_variant=linvar,
     )

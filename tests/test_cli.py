@@ -142,6 +142,9 @@ class TestRates:
         assert run(["rates", "--alpha-min", 0.0, "--out", tmp_path]) == 2
         # alpha^2 overflows
         assert run(["rates", "--alpha-max", 1e200, "--out", tmp_path]) == 2
+        # rejected before geomspace, which warns on a non-finite bound
+        for bound in ("inf", "nan"):
+            assert run(["rates", "--alpha-max", bound, "--out", tmp_path]) == 2
 
 
 class TestDistortion:
@@ -157,6 +160,14 @@ class TestDistortion:
         assert run(["distortion", "--w-a", 1.0, "--k0-a", 1.0, "--out", tmp_path]) == 2
         # w^2 overflows: BarrierConfig rejects the barrier
         assert run(["distortion", "--w-a", 1e300, "--out", tmp_path]) == 2
+
+    def test_large_and_infinite_w(self, tmp_path):
+        # the onset tends to sqrt(1.5) as w grows: a closed form, no bracket
+        assert run(["distortion", "--w-a", 40, "--out", tmp_path]) == 0
+        header, rows, _ = read_csv(tmp_path / "distortion.csv")
+        row = dict(zip(header, rows[0]))
+        assert float(row["onset_numeric"]) == pytest.approx(1.2095965996567382, rel=1e-11)
+        assert run(["distortion", "--w-a", "inf", "--out", tmp_path]) == 2
 
 
 class TestCutoff:
@@ -177,6 +188,8 @@ class TestCutoff:
         assert run(["cutoff", "--w-a", "inf", "--out", tmp_path]) == 2
         # the cut spectra have no weight below (1 - delta) w: all-zero profiles
         assert run(["cutoff", "--k0-a", 100, "--out", tmp_path]) == 2
+        # k^2 of the uncut window k0 + 8 overflows: nan cells before
+        assert run(["cutoff", "--w-a", 1e160, "--out", tmp_path]) == 2
 
 
 class TestPacketCmd:

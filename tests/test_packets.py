@@ -53,6 +53,11 @@ class TestPacketField:
         assert f.centroid == pytest.approx(0.4, abs=1e-10)
         assert f.norm == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-8)
 
+    def test_centroid_of_zero_field_rejected(self):
+        x = np.linspace(-5, 5, 101)
+        with pytest.raises(ValueError, match="norm is zero"):
+            PacketField(x=x, t=0.0, psi=np.zeros_like(x, dtype=complex)).centroid
+
     def test_multimodality_detection(self):
         x = np.linspace(-6, 6, 1201)
         psi = np.exp(-(x + 2) ** 2) + 0.7 * np.exp(-(x - 2) ** 2)

@@ -1,5 +1,8 @@
+import dataclasses
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -223,6 +226,45 @@ class TestDistortionOnset:
                     find_kmax(spectrum(1.0), barrier(w, L))
                 with pytest.raises(ValueError, match="k0 < w"):
                     find_kmax(spectrum(1.0), [barrier(4.0, L), barrier(w, L)])
+
+
+    @pytest.mark.parametrize("w", [1.5, 1.0 + 1e-12, 40.0, 1e6, 1e150])
+    def test_onset_matches_extended_precision(self, w):
+        # root of v^2 + 3(1 - C) v - 12 C = 0, v = (w L)^2, C = w (w - k0)/2,
+        # taken in its cancellation-free form at 60 digits
+        with mp.workdps(60):
+            mw = mp.mpf(w)
+            c = mw * (mw - 1) / 2
+            b = 3 * (1 - c)
+            r = mp.sqrt(b * b + 48 * c)
+            v = 24 * c / (b + r) if b > 0 else (r - b) / 2
+            want = float(mp.sqrt(v) / mw)
+        rep = distortion_onset(spectrum(1.0), w)
+        assert rep.onset_numeric == pytest.approx(want, rel=1e-14)
+        assert rep.onset_quadratic_limit == rep.onset_numeric
+
+    @pytest.mark.parametrize("w, L", [(1.5, 0.78), (2.0, 0.3), (16.0, 0.1), (4.0, 2.0)])
+    def test_logderiv_identity_at_top(self, w, L):
+        # d/dk log|T| across k = w equals (w L^2/4)(1 + v/3)/(1 + v/4);
+        # an initial step of 0.1 w would miss by 9% at (4, 2)
+        b = barrier(w, L)
+        d, _ = ridders_derivative(
+            lambda k: math.log(float(transmission_modulus(k, b))), w, 0.1)
+        v = (w * L) ** 2
+        assert d == pytest.approx((w * L * L / 4.0) * (1.0 + v / 3.0) / (1.0 + v / 4.0),
+                                  rel=1e-12)
+
+    def test_huge_w_fields_finite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = distortion_onset(spectrum(1.0), 1e150)
+        assert all(math.isfinite(x) for x in dataclasses.astuple(rep))
+        assert rep.onset_numeric == pytest.approx(math.sqrt(1.5), rel=1e-12)
+
+    def test_tiny_w_onset(self):
+        # (w L)^2 underflows here; L^2 -> 2 (1 - k0/w) as w -> 0
+        rep = distortion_onset(GaussianSpectrum(k0=1e-300), 2e-300)
+        assert rep.onset_numeric == pytest.approx(1.0, rel=1e-14)
 
 
 def rep_logderiv_matches(s, w):
