@@ -240,7 +240,7 @@ def cmd_packet(args) -> int:
     x_min = max(args.x_min, h)
     xs = np.linspace(x_min, args.x_max, args.x_points)
     ts = np.linspace(args.t_min, args.t_max, args.t_steps)
-    snapshots, achieved = ensure_converged(
+    snapshots, achieved, _ = ensure_converged(
         lambda q: synthesize_transmitted(spec, barrier, xs, ts, quad=q), quad)
     files = _write_snapshots(out, "packet", "packet snapshot", snapshots)
     rep = transmission_timing_report(spec, barrier, quad=quad)
@@ -268,7 +268,7 @@ def cmd_collide(args) -> int:
     t_lo = max(args.t_min, t_sync)
     ts = np.linspace(t_lo, args.t_max, args.t_steps)
     xs = np.linspace(args.x_min, args.x_max, args.x_points)
-    snapshots, achieved = ensure_converged(
+    snapshots, achieved, _ = ensure_converged(
         lambda q: synthesize_collision(spec, barrier, xs, ts, quad=q), quad)
     files = _write_snapshots(out, "collide", "collision snapshot", snapshots)
     rep = collision_timing_report(spec, barrier, quad=quad)

@@ -12,6 +12,7 @@ tests check them against it), and composite Gauss-Legendre quadrature.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -159,6 +160,15 @@ def ridders_derivative(f, x: float, h: float) -> tuple[float, float]:
     return best, err
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
+    and returned read-only, since every caller shares them."""
+    x, wts = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = wts.flags.writeable = False
+    return x, wts
+
+
 def gauss_legendre_panels(lo: float, hi: float, panels: int,
                           order: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule: `panels` equal panels of the given order.
@@ -169,15 +179,11 @@ def gauss_legendre_panels(lo: float, hi: float, panels: int,
         raise ValueError("need hi > lo")
     if panels < 1 or order < 2:
         raise ValueError("need panels >= 1 and order >= 2")
-    x, wts = np.polynomial.legendre.leggauss(order)
+    x, wts = _legendre(order)
     edges = np.linspace(lo, hi, panels + 1)
-    nodes = []
-    weights = []
-    for i in range(panels):
-        a, b = edges[i], edges[i + 1]
-        nodes.append(0.5 * (b - a) * x + 0.5 * (b + a))
-        weights.append(0.5 * (b - a) * wts)
-    return np.concatenate(nodes), np.concatenate(weights)
+    half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
+    mid = (0.5 * (edges[1:] + edges[:-1]))[:, None]
+    return (half * x + mid).ravel(), (half * wts).ravel()
 
 
 def parabolic_refine(grid: np.ndarray, values: np.ndarray, i: int) -> float:

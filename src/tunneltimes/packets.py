@@ -17,7 +17,12 @@ call, built by repeated doubling from about log2(rows) n_k-vector exps and
 scaled per chunk by one more n_k-vector exp.
 
 A QuadratureSpec is only the rule; each synthesis lays it over its own k
-window, and ensure_converged returns the evaluation whose doubling passed.
+window.  A direct synthesize_* call is a raw evaluation of the rule it is
+given, with no error estimate.  Every number that reaches a CLI artifact
+or a report field is sized by ensure_converged instead: it starts from the
+default rule (4 panels x order 48), doubles the panel count until one
+doubling changes |psi| by less than the tolerance, and returns the
+evaluation whose doubling passed, that change and the rule.
 
 Arrival analysis works on |psi|^2: per-snapshot peak positions with
 parabolic sub-grid refinement, and two report objects that compare
@@ -54,12 +59,15 @@ class ConvergenceError(RuntimeError):
 class QuadratureSpec:
     """Composite fixed-order Gauss-Legendre rule, without a k window.
 
-    Each synthesis lays the rule over its own window.  `tol` is the
-    acceptance threshold of ensure_converged: the peak-relative change of
-    |psi| when the panel count is doubled must stay below it.
+    Each synthesis lays the rule over its own window.  The default is the
+    starting rule of ensure_converged, which doubles the panel count from
+    it; a synthesis called directly on it is a raw evaluation, which
+    aliases on wide x grids.  `tol` is the gate's acceptance threshold:
+    the peak-relative change of |psi| when the panel count is doubled must
+    stay below it.
     """
 
-    panels: int = 24
+    panels: int = 4
     order: int = 48
     tol: float = 1e-8
 
@@ -216,7 +224,8 @@ def synthesize_incident(spectrum: GaussianSpectrum, x_grid, t: float,
     """Free packet (1/2pi) int dk g(k - k0) e^{i (k x - k^2 t / 2)}.
 
     t is one finite time, x_grid a uniform grid, and both ends of the k
-    window must have finite squares (ValueError otherwise).
+    window must have finite squares (ValueError otherwise).  A raw
+    evaluation of `quad`; ensure_converged sizes the rule.
 
     By default the integral covers k0 +- 8, so the full gaussian is
     retained and the centroid moves at exactly k0; pass
@@ -254,7 +263,8 @@ def synthesize_transmitted(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     x_grid must be uniform (ValueError otherwise).  Batched over times: a
     scalar t returns one PacketField, a 1-D array of times a list of
     fields, and either way each chunk of x costs one gemm shared by all
-    times and one offset block per call (see _phase_matvec).
+    times and one offset block per call (see _phase_matvec).  A raw
+    evaluation of `quad`; ensure_converged sizes the rule.
     """
     x = np.asarray(x_grid, dtype=float)
     _grid_steps(x)
@@ -299,7 +309,8 @@ def synthesize_collision(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     E w + conj(E conj(S w)) and the right one E S w + conj(E conj(w)),
     so each exterior region, a slice of the uniform x_grid (ValueError
     otherwise), is one _phase_matvec call with one offset block.  The
-    interior is chunked the same way.  No basis is cached.
+    interior is chunked the same way.  No basis is cached.  A raw
+    evaluation of `quad`; ensure_converged sizes the rule.
 
     No time may precede the synchronization instant -L / (2 k0).
     """
@@ -369,8 +380,9 @@ def _change(coarse: PacketField, fine: PacketField) -> float:
     return float(np.abs(np.abs(fine.psi) - np.abs(coarse.psi)).max() / scale)
 
 
-def ensure_converged(synth, quad: QuadratureSpec, max_doublings: int = 3
-                     ) -> tuple[PacketField | list[PacketField], float]:
+def ensure_converged(synth, quad: QuadratureSpec, max_doublings: int = 6
+                     ) -> tuple[PacketField | list[PacketField], float,
+                                QuadratureSpec]:
     """Evaluate `synth` on `quad`, doubling the panel count until one
     doubling changes no |psi| by more than quad.tol (relative to the
     maximum of the finer field).
@@ -378,8 +390,9 @@ def ensure_converged(synth, quad: QuadratureSpec, max_doublings: int = 3
     `synth` maps a QuadratureSpec to a PacketField or to a list of them
     (one per snapshot time); the change is the largest over the list.
     Returns the evaluation whose doubling passed (the coarser of the last
-    pair) and that change, so the change bounds the returned fields'
-    distance from the doubled rule.  Raises ConvergenceError with
+    pair), that change and the rule it was evaluated on, so the change
+    bounds the returned fields' distance from the doubled rule.  From the
+    default 4 panels, 6 doublings reach 256.  Raises ConvergenceError with
     diagnostics if the tolerance is still unmet after max_doublings.
     """
     def as_list(result):
@@ -388,12 +401,12 @@ def ensure_converged(synth, quad: QuadratureSpec, max_doublings: int = 3
     coarse = synth(quad)
     change = math.inf
     for _ in range(max_doublings):
-        quad = replace(quad, panels=2 * quad.panels)
-        fine = synth(quad)
+        finer = replace(quad, panels=2 * quad.panels)
+        fine = synth(finer)
         change = max(map(_change, as_list(coarse), as_list(fine)))
         if change < quad.tol:
-            return coarse, change
-        coarse = fine
+            return coarse, change, quad
+        coarse, quad = fine, finer
     raise ConvergenceError(
         f"quadrature not converged: change {change:.3e} > tol {quad.tol:.3e} "
         f"at {quad.panels} panels x order {quad.order}")
@@ -412,7 +425,10 @@ class TransmissionTimingReport:
     record the two breakdown symptoms: a multimodal emergence profile
     (a second local maximum of |psi|^2 above 0.25 of the peak in any of 24
     snapshots) and a filter-effect shift of the spectral maximum by more
-    than one standard deviation of the intensity.
+    than one standard deviation of the intensity.  quadrature_change is
+    the gate's error estimate: the largest peak-relative change of the
+    exit-face signals and the snapshots when the rule that gave them is
+    doubled.
 
     Agreement with t_spm is a narrow-spectrum limit: at fixed w/k0 and
     L k0 the discrepancy falls as k0^-2.  containment_outside above
@@ -435,6 +451,7 @@ class TransmissionTimingReport:
     filter_shift_sigmas: float
     filter_effect: bool
     spm_reliable: bool
+    quadrature_change: float
 
 
 def transmission_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfig,
@@ -447,6 +464,8 @@ def transmission_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfi
     at fixed w/k0 and L k0.  Needs k0 < w.  The ContainmentWarning of
     find_kmax is silenced; a containment_outside above 1e-3 in the result
     marks a point outside the validity window and clears spm_reliable.
+    The exit-face signals and the snapshots share one ensure_converged
+    call that starts from `quad` (ConvergenceError if it fails).
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ContainmentWarning)
@@ -461,27 +480,29 @@ def transmission_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfi
         tau = barrier.width / kr.k_max
         band = 0.05 * tau
 
-    ks, base = _transmitted_nodes(spectrum, barrier, quad)
-    shifted = base * np.exp(1j * transmission_phase(ks, barrier))
-
     # generous scan window: the reference peaks at t = 0, the transmitted
     # delay is bounded by the transit time at k0
     t_k0 = standard_transit_time(k0, barrier)
     upper = 6.0 / k0 + 2.0 * abs(t_k0)
     ts = np.arange(-6.0 / k0, upper, dt)
-    energies = -ks * ks / 2.0
-    sig_t, sig_r = (np.abs(_phase_matvec(ts, energies,
-                                         np.stack([shifted, base], axis=1))) ** 2).T
-    arrival = parabolic_refine(ts, sig_t, int(np.argmax(sig_t)))
-    reference = parabolic_refine(ts, sig_r, int(np.argmax(sig_r)))
-    delay = arrival - reference
-
     # multimodality scan over the emergence window
     t0_scale = (t_spm if math.isfinite(t_spm) else 0.0) + 1.0 / k0
     xs = np.linspace(h, h + 12.0, 2401)
-    snapshots = synthesize_transmitted(
-        spectrum, barrier, xs, np.linspace(0.05 * t0_scale, 3.0 * t0_scale, 24),
-        quad=quad)
+    t_snap = np.linspace(0.05 * t0_scale, 3.0 * t0_scale, 24)
+
+    def synth(q):
+        # the exit-face signals of the packet and of its phase-free
+        # reference, as fields whose grid is the time axis, then the snapshots
+        ks, base = _transmitted_nodes(spectrum, barrier, q)
+        shifted = base * np.exp(1j * transmission_phase(ks, barrier))
+        signals = _phase_matvec(ts, -ks * ks / 2.0, np.stack([shifted, base], axis=1))
+        return ([PacketField(x=ts, t=0.0, psi=sig) for sig in signals.T]
+                + synthesize_transmitted(spectrum, barrier, xs, t_snap, quad=q))
+
+    (signal, ref_signal, *snapshots), change, _ = ensure_converged(synth, quad)
+    arrival = signal.peak_position
+    reference = ref_signal.peak_position
+    delay = arrival - reference
     multimodal = any(f.is_multimodal() for f in snapshots)
 
     shift_sigmas = kr.k_max - k0
@@ -499,6 +520,7 @@ def transmission_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfi
         spm_reliable=bool(within and not multimodal and not filter_effect
                           and not kr.boundary_dominated
                           and kr.containment_outside <= _CONTAINMENT_LIMIT),
+        quadrature_change=change,
     )
 
 
@@ -509,6 +531,9 @@ class CollisionTimingReport:
     delay_predicted is scattering_delay(k0, barrier); delay_measured comes
     from a ballistic fit of the outgoing peak trajectory extrapolated back
     to the barrier face, counted from the synchronization instant.
+    quadrature_change is the gate's error estimate: the largest
+    peak-relative change of the fit and symmetry snapshots when the rule
+    that gave them is doubled.
     """
 
     t_sync: float
@@ -518,13 +543,19 @@ class CollisionTimingReport:
     symmetry_residual: float
     spectral_residual_max: float
     spectral_residual_integrated: float
+    quadrature_change: float
 
 
 def collision_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfig,
                             quad: QuadratureSpec = QuadratureSpec()
                             ) -> CollisionTimingReport:
     """Measure the collision delay and the two exactness properties
-    (mirror symmetry, unimodular outgoing spectrum)."""
+    (mirror symmetry, unimodular outgoing spectrum).
+
+    The fit and symmetry snapshots share one ensure_converged call that
+    starts from `quad` (ConvergenceError if it fails), and the spectral
+    residuals are taken on the rule that passed.
+    """
     k0 = spectrum.k0
     h = barrier.half_width
     if not k0 < barrier.w:
@@ -532,7 +563,28 @@ def collision_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     t_sync = collision_sync_time(spectrum, barrier)
     pred = scattering_delay(k0, barrier)
 
-    ks, wts = _collision_nodes(spectrum, quad)
+    # ballistic fit of the outgoing peak at 12 times, 4..14 past the exit face
+    t_fit = t_sync + pred + (np.linspace(4.0, 14.0, 12) + h) / k0
+    x_hi = h + k0 * (t_fit[-1] - t_sync) + 8.0
+    n_x = min(8001, max(2001, int((x_hi - h) * 40)))
+    xs = np.linspace(h, x_hi, n_x)
+    xs_sym = np.linspace(-x_hi, x_hi, 2401)
+    t_sym = np.array([t_sync, t_sync + 0.5 * (t_fit[0] - t_sync), t_fit[-1]])
+    fields, change, rule = ensure_converged(
+        lambda q: (synthesize_collision(spectrum, barrier, xs, t_fit, quad=q)
+                   + synthesize_collision(spectrum, barrier, xs_sym, t_sym, quad=q)),
+        quad)
+
+    trk = track_peak(fields[:len(t_fit)])
+    v, b = np.polyfit(trk.times, trk.positions, 1)
+    delay = (h - b) / v - t_sync
+
+    sym = 0.0
+    for f in fields[len(t_fit):]:
+        mag = np.abs(f.psi)
+        sym = max(sym, float(np.abs(mag - mag[::-1]).max() / mag.max()))
+
+    ks, wts = _collision_nodes(spectrum, rule)
     g = spectrum.amplitude(ks)
     refl, trans = _collision_amplitudes(ks, barrier)
     s_abs = np.abs(refl + trans)
@@ -540,24 +592,9 @@ def collision_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     res_int = float(abs(np.sum(wts * g * g * (s_abs**2 - 1.0))
                         / np.sum(wts * g * g)))
 
-    # ballistic fit of the outgoing peak at 12 times, 4..14 past the exit face
-    t_fit = t_sync + pred + (np.linspace(4.0, 14.0, 12) + h) / k0
-    x_hi = h + k0 * (t_fit[-1] - t_sync) + 8.0
-    n_x = min(8001, max(2001, int((x_hi - h) * 40)))
-    xs = np.linspace(h, x_hi, n_x)
-    trk = track_peak(synthesize_collision(spectrum, barrier, xs, t_fit, quad=quad))
-    v, b = np.polyfit(trk.times, trk.positions, 1)
-    delay = (h - b) / v - t_sync
-
-    xs_sym = np.linspace(-x_hi, x_hi, 2401)
-    sym = 0.0
-    t_sym = np.array([t_sync, t_sync + 0.5 * (t_fit[0] - t_sync), t_fit[-1]])
-    for f in synthesize_collision(spectrum, barrier, xs_sym, t_sym, quad=quad):
-        mag = np.abs(f.psi)
-        sym = max(sym, float(np.abs(mag - mag[::-1]).max() / mag.max()))
-
     return CollisionTimingReport(
         t_sync=t_sync, delay_predicted=pred, delay_measured=float(delay),
         velocity_fit=float(v), symmetry_residual=sym,
         spectral_residual_max=res_max, spectral_residual_integrated=res_int,
+        quadrature_change=change,
     )

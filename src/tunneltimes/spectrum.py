@@ -256,7 +256,7 @@ def distortion_onset(spectrum: GaussianSpectrum, w: float) -> DistortionReport:
     onset = math.sqrt(l2)
     BarrierConfig(w=w, width=onset)  # rejects w, or the onset, whose square overflows
 
-    frac = 1.0 - k0 / w
+    frac = (w - k0) / w  # w - k0 is exact near the top; 1 - k0/w cancels
     # the ratio first: w l2 (1 + v/3) overflows for w near 1e150
     quad = (w * l2 / 4.0) * ((1.0 + v / 3.0) / (1.0 + v / 4.0))
     linvar = (w * l2 / 4.0) * (1.0 + w * l2 / 3.0) / (1.0 + w * l2 / 4.0)
@@ -290,14 +290,17 @@ def cutoff_packet_profile(spectrum: GaussianSpectrum, x_grid, k_cut: float):
     A cut at (1 - delta) w models the filter of a barrier with top w; a
     cut at k0 + 8, beyond which the intensity is below 1e-13 of the peak,
     leaves the gaussian whole.  ValueError when the window or the profile
-    is empty.
+    is empty.  The rule is sized by ensure_converged from the default
+    QuadratureSpec (ConvergenceError if it fails).
     """
-    from .packets import synthesize_incident  # local import to avoid a cycle
+    # local import to avoid a cycle
+    from .packets import QuadratureSpec, ensure_converged, synthesize_incident
 
     if not 1e-9 * spectrum.k0 < k_cut < math.inf:
         raise ValueError("k_cut must be finite and above 1e-9 k0 "
                          "(a lower cut removes the whole support)")
-    fld = synthesize_incident(spectrum, x_grid, t=0.0, k_interval=(1e-12, k_cut))
+    fld, _, _ = ensure_converged(lambda q: synthesize_incident(
+        spectrum, x_grid, t=0.0, quad=q, k_interval=(1e-12, k_cut)), QuadratureSpec())
     if not np.any(fld.psi):
         raise ValueError("the spectrum has no weight below the cutoff; "
                          "the profile is identically zero")

@@ -279,7 +279,7 @@ def _criterion_9_point(k0a: float, **kwargs):
 
 def _spectral_group_delays(k0a: float) -> tuple[float, float]:
     """Transit time t_T(k) averaged over the transmitted spectrum on the
-    report's default nodes, weighted by |g T|^2 and by k |g T|^2.
+    fixed 24 x 48 rule, weighted by |g T|^2 and by k |g T|^2.
 
     The |g T|^2-weighted mean is the flux-centroid arrival delay: the
     flux-weighted mean arrival time at a plane, int t J dt / int J dt,
@@ -287,7 +287,7 @@ def _spectral_group_delays(k0a: float) -> tuple[float, float]:
     weighting has no arrival-time meaning; it is printed for comparison.
     """
     spec, b = _criterion_9_case(k0a)
-    ks, wts = QuadratureSpec().nodes(1e-9 * b.w, b.w)
+    ks, wts = QuadratureSpec(panels=24, order=48).nodes(1e-9 * b.w, b.w)
     t_k = np.array([standard_transit_time(float(q), b) for q in ks])
     weight = wts * (spec.amplitude(ks) * transmission_modulus(ks, b)) ** 2
     return (float(np.sum(weight * t_k) / np.sum(weight)),

@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from tunneltimes.numerics import (_INVPHI, _INVPHI2, _golden_lanes,
+from tunneltimes.numerics import (_INVPHI, _INVPHI2, _golden_lanes, _legendre,
                                   gauss_legendre_panels, golden_section_max,
                                   parabolic_refine, ridders_derivative,
                                   sinhc_cosh)
@@ -125,6 +125,38 @@ def test_gauss_panels_integrate_polynomial_exactly():
     exact = (3.0**10 - (-1.0) ** 10) / 10.0
     assert val == pytest.approx(exact, rel=1e-13)
     assert np.all(np.diff(ks) > 0)
+
+
+def _gauss_panels_by_loop(lo, hi, panels, order):
+    """The composite rule built one panel at a time from a fresh leggauss."""
+    x, wts = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(lo, hi, panels + 1)
+    nodes, weights = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        nodes.append(0.5 * (b - a) * x + 0.5 * (b + a))
+        weights.append(0.5 * (b - a) * wts)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+@pytest.mark.parametrize("lo, hi, panels, order", [
+    (1e-9, 4.0, 24, 48), (8e-9, 16.0, 4, 48), (1e-12, 10.0, 256, 48),
+    (-1.0, 3.0, 3, 6), (0.3, 0.30001, 7, 31), (0.0, 24.0, 48, 48)])
+def test_gauss_panels_bit_identical_to_panel_loop(lo, hi, panels, order):
+    ks, wts = gauss_legendre_panels(lo, hi, panels, order)
+    want_ks, want_wts = _gauss_panels_by_loop(lo, hi, panels, order)
+    np.testing.assert_array_equal(ks, want_ks)
+    np.testing.assert_array_equal(wts, want_wts)
+
+
+def test_gauss_base_nodes_cached_read_only():
+    gauss_legendre_panels(0.0, 1.0, 2, 17)
+    hits = _legendre.cache_info().hits
+    ks, _ = gauss_legendre_panels(0.0, 1.0, 4, 17)
+    assert _legendre.cache_info().hits == hits + 1
+    x, wts = _legendre(17)
+    assert not (x.flags.writeable or wts.flags.writeable)
+    ks[0] = -1.0  # the panel nodes are the caller's own
+    assert gauss_legendre_panels(0.0, 1.0, 4, 17)[0][0] > 0.0
 
 
 def test_gauss_panels_validation():

@@ -80,7 +80,7 @@ class TestQuadrature:
         spec, b = spectrum(), barrier()
         xs = np.linspace(b.half_width, b.half_width + 8.0, 257)
         quad = QuadratureSpec(panels=8, order=32)
-        fld, change = ensure_converged(
+        fld, change, _ = ensure_converged(
             lambda q: synthesize_transmitted(spec, b, xs, 0.4, quad=q), quad)
         assert change < quad.tol
 
@@ -105,13 +105,49 @@ class TestQuadrature:
         def synth(ts):
             return lambda q: synthesize_transmitted(spec, b, xs, ts, quad=q)
 
-        fields, change = ensure_converged(synth([0.4, 1.0, 2.0]), quad,
-                                          max_doublings=1)
+        fields, change, _ = ensure_converged(synth([0.4, 1.0, 2.0]), quad,
+                                             max_doublings=1)
         assert [f.t for f in fields] == [0.4, 1.0, 2.0]
         assert change < quad.tol
         ensure_converged(synth([0.4]), quad, max_doublings=1)
         with pytest.raises(ConvergenceError):
             ensure_converged(synth([0.4, 1.0, 20.0]), quad, max_doublings=1)
+
+    def test_gate_returns_the_rule_it_evaluated(self):
+        spec, b = spectrum(), barrier()
+        xs = np.linspace(b.half_width, b.half_width + 8.0, 257)
+        fld, change, rule = ensure_converged(
+            lambda q: synthesize_transmitted(spec, b, xs, 0.4, quad=q),
+            QuadratureSpec())
+        raw = synthesize_transmitted(spec, b, xs, 0.4, quad=rule)
+        np.testing.assert_array_equal(fld.psi, raw.psi)
+        assert rule.order == QuadratureSpec().order
+        assert change < rule.tol
+
+    def test_gate_does_not_pass_falsely_on_wide_collision_grid(self):
+        # the collide default physics on x in [-200, 200]: 4 -> 8 panels
+        # changes |psi| by 0.63, and the gate first passes at 32 -> 64
+        spec, b = spectrum(k0=8.0), barrier(16.0, 0.1)
+        xs = np.linspace(-200.0, 200.0, 401)
+        ts = np.linspace(collision_sync_time(spec, b), 1.5, 2)
+        fields, change, rule = ensure_converged(
+            lambda q: synthesize_collision(spec, b, xs, ts, quad=q), QuadratureSpec())
+        assert rule.panels >= 32
+        fixed = synthesize_collision(spec, b, xs, ts, quad=QuadratureSpec(panels=96))
+        for f, ref in zip(fields, fixed):
+            assert np.abs(np.abs(f.psi) - np.abs(ref.psi)).max() \
+                < rule.tol * np.abs(ref.psi).max()
+
+    @pytest.mark.parametrize("t", [0.0, 2.0, 5.0])
+    def test_gate_does_not_pass_falsely_on_wide_incident_grid(self, t):
+        spec = spectrum(k0=1.0)
+        xs = np.linspace(-40.0, 50.0, 4501)
+        fld, change, rule = ensure_converged(
+            lambda q: synthesize_incident(spec, xs, t, quad=q), QuadratureSpec())
+        assert rule.panels > QuadratureSpec().panels
+        fixed = synthesize_incident(spec, xs, t, quad=QuadratureSpec(panels=96))
+        ref = np.abs(fixed.psi)
+        assert np.abs(np.abs(fld.psi) - ref).max() < rule.tol * ref.max()
 
 
 def _assert_matches_naive_product(x, rng, k_max=6.0):
@@ -272,7 +308,9 @@ class TestIncident:
         xs = np.linspace(-40, 50, 4501)
 
         def width(t):
-            f = synthesize_incident(spec, xs, t)
+            # 4 panels alias on this 90-wide grid: size the rule by the gate
+            f, _, _ = ensure_converged(
+                lambda q: synthesize_incident(spec, xs, t, quad=q), QuadratureSpec())
             dens = f.density
             mu = np.trapezoid(xs * dens, xs) / np.trapezoid(dens, xs)
             var = np.trapezoid((xs - mu) ** 2 * dens, xs) / np.trapezoid(dens, xs)
@@ -402,3 +440,30 @@ class TestTransmissionTimingReport:
         rep = transmission_timing_report(GaussianSpectrum(k0=8.0),
                                          BarrierConfig(w=32.0, width=0.025))
         assert abs(rep.discrepancy) < 0.10 * rep.tau
+
+
+class TestReportsOnGatedRule:
+    """Each report from the 4-panel start agrees with its evaluation from
+    a 24-panel start: the same flags, and the measured delay within 1e-6."""
+
+    @pytest.mark.parametrize("k0a", [1.0, 4.0, 16.0])
+    def test_transmission_matches_24_panels(self, k0a):
+        # the criterion-9 sweep: w/k0 = 4 and L k0 = 0.2
+        spec, b = GaussianSpectrum(k0=k0a), BarrierConfig(w=4.0 * k0a, width=0.2 / k0a)
+        gated = transmission_timing_report(spec, b)
+        fixed = transmission_timing_report(spec, b, quad=QuadratureSpec(panels=24))
+        for flag in ("boundary_dominated", "within_band", "multimodal",
+                     "filter_effect", "spm_reliable"):
+            assert getattr(gated, flag) == getattr(fixed, flag)
+        assert gated.delay_measured == pytest.approx(fixed.delay_measured, abs=1e-6)
+        assert 0.0 <= gated.quadrature_change < QuadratureSpec().tol
+
+    def test_collision_matches_24_panels(self):
+        # the criterion-10 point
+        spec, b = GaussianSpectrum(k0=8.0), BarrierConfig(w=16.0, width=0.1)
+        gated = collision_timing_report(spec, b)
+        fixed = collision_timing_report(spec, b, quad=QuadratureSpec(panels=24))
+        assert gated.delay_measured == pytest.approx(fixed.delay_measured, abs=1e-6)
+        assert gated.symmetry_residual < 1e-10
+        assert gated.spectral_residual_max < 1e-8
+        assert 0.0 <= gated.quadrature_change < QuadratureSpec().tol

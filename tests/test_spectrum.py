@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from tunneltimes import (BarrierConfig, ContainmentWarning, GaussianSpectrum,
-                         containment_outside, cutoff_packet_profile,
+                         QuadratureSpec, containment_outside, cutoff_packet_profile,
                          cutoff_time_estimate, distortion_onset, find_kmax,
                          kmax_table, modulated_spectrum,
-                         transmission_modulus)
+                         synthesize_incident, transmission_modulus)
 from tunneltimes.cli import _TABLE1_LA, _TABLE1_WA
 from tunneltimes.numerics import ridders_derivative
 from tunneltimes.spectrum import KmaxResult
@@ -228,6 +228,20 @@ class TestDistortionOnset:
                     find_kmax(spectrum(1.0), [barrier(4.0, L), barrier(w, L)])
 
 
+    @pytest.mark.parametrize("gap", [1e-13, 1e-12, 3e-12, 1e-11, 1e-10])
+    def test_candidates_near_top_match_extended_precision(self, gap):
+        # w - k0 from 1e-13 w to 1e-10 w: 1 - k0/w would round k0/w first
+        # and lose up to 4e-4 relative to the cancellation
+        w = 3.3
+        k0 = w - w * gap
+        rep = distortion_onset(spectrum(k0), w)
+        with mp.workdps(60):
+            frac = (mp.mpf(w) - mp.mpf(k0)) / mp.mpf(w)
+            want_lin = float(mp.sqrt(1.5) * frac)
+            want_sqrt = float(mp.sqrt(1.5) * mp.sqrt(frac))
+        assert rep.onset_linear_candidate == pytest.approx(want_lin, rel=1e-12)
+        assert rep.onset_sqrt_candidate == pytest.approx(want_sqrt, rel=1e-12)
+
     @pytest.mark.parametrize("w", [1.5, 1.0 + 1e-12, 40.0, 1e6, 1e150])
     def test_onset_matches_extended_precision(self, w):
         # root of v^2 + 3(1 - C) v - 12 C = 0, v = (w L)^2, C = w (w - k0)/2,
@@ -295,6 +309,19 @@ class TestCutoffProfile:
         mag = np.abs(fld.psi)
         tail = mag[np.abs(xs) > 6.0]
         assert tail.max() < 1e-3 * mag.max()
+
+    def test_wide_grid_is_sized_by_the_gate(self):
+        # on x in [-200, 200] the 4-panel rule misses the profile by 1.4 %;
+        # the gated profile matches a fixed 96-panel rule to the tolerance
+        s = GaussianSpectrum(k0=2.0)
+        xs = np.linspace(-200.0, 200.0, 4001)
+        k_cut = 0.9 * 4.0
+        got = np.abs(cutoff_packet_profile(s, xs, k_cut).psi)
+        ref = np.abs(synthesize_incident(s, xs, 0.0, quad=QuadratureSpec(panels=96),
+                                         k_interval=(1e-12, k_cut)).psi)
+        raw = np.abs(synthesize_incident(s, xs, 0.0, k_interval=(1e-12, k_cut)).psi)
+        assert np.abs(raw - ref).max() > 1e-3 * ref.max()
+        assert np.abs(got - ref).max() < QuadratureSpec().tol * ref.max()
 
     def test_tails_grow_as_cutoff_tightens(self):
         xs = np.linspace(-12.0, 12.0, 2401)
