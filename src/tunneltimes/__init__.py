@@ -14,37 +14,35 @@ from .barrier import (BarrierConfig, InteriorCoefficients,
                       transfer_matrix_amplitudes, transmission_modulus,
                       transmission_phase)
 from .packets import (CollisionTimingReport, ConvergenceError, PacketField,
-                      PeakTrack, QuadratureSpec, TransmissionTimingReport,
+                      QuadratureSpec, TransmissionTimingReport,
                       collision_sync_time, collision_timing_report,
                       ensure_converged, synthesize_collision,
-                      synthesize_incident, synthesize_transmitted, track_peak,
+                      synthesize_incident, synthesize_transmitted,
                       transmission_timing_report)
-from .phase_times import (TimeParams, opaque_limit_time, rate_scattering,
-                          rate_standard, rate_table, scattering_delay,
+from .phase_times import (opaque_limit_time, rate_scattering, rate_standard,
+                          rate_table, scattering_delay,
                           scattering_time_coshsq_variant,
                           standard_transit_time)
 from .spectrum import (ContainmentWarning, DistortionReport, GaussianSpectrum,
                        KmaxResult, TableCell, containment_outside,
                        cutoff_packet_profile, cutoff_time_estimate,
-                       distortion_onset, find_kmax, kmax_table,
-                       modulated_spectrum)
+                       distortion_onset, find_kmax, kmax_table)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BarrierConfig", "CollisionTimingReport", "ContainmentWarning",
     "ConvergenceError", "DistortionReport", "GaussianSpectrum",
-    "InteriorCoefficients", "KmaxResult", "PacketField", "PeakTrack",
-    "QuadratureSpec", "ScatteringAmplitudes", "TableCell", "TimeParams",
-    "TransmissionTimingReport", "collision_phase",
-    "collision_sync_time", "collision_timing_report", "containment_outside",
-    "cutoff_packet_profile", "cutoff_time_estimate", "distortion_onset",
-    "ensure_converged", "find_kmax", "interior_field", "interior_matching",
-    "kmax_table", "modulated_spectrum", "opaque_limit_time",
+    "InteriorCoefficients", "KmaxResult", "PacketField", "QuadratureSpec",
+    "ScatteringAmplitudes", "TableCell", "TransmissionTimingReport",
+    "collision_phase", "collision_sync_time", "collision_timing_report",
+    "containment_outside", "cutoff_packet_profile", "cutoff_time_estimate",
+    "distortion_onset", "ensure_converged", "find_kmax", "interior_field",
+    "interior_matching", "kmax_table", "opaque_limit_time",
     "rate_scattering", "rate_standard", "rate_table", "scattering_delay",
     "scattering_time_coshsq_variant", "standard_transit_time",
     "symmetric_amplitudes", "synthesize_collision", "synthesize_incident",
-    "synthesize_transmitted", "track_peak", "transfer_matrix_amplitudes",
+    "synthesize_transmitted", "transfer_matrix_amplitudes",
     "transmission_modulus", "transmission_phase",
     "transmission_timing_report",
 ]

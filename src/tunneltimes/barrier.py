@@ -226,11 +226,12 @@ def transfer_matrix_amplitudes(k: float, barrier: BarrierConfig) -> tuple[comple
     matrices with one explicit diagonal propagator carrying the interior
     growth, so the product stays accurate deep into the opaque regime.
     No code shared with the closed forms; used as an oracle.  Flux
-    conservation |T|^2 + |R|^2 = 1 holds to machine precision.  k = w is
-    rejected: the interface matrix into the interior degenerates there.
+    conservation |T|^2 + |R|^2 = 1 holds to machine precision.  k = w
+    (the interface matrix into the interior degenerates) and an overflow
+    of e^{rho L} in the product are rejected.
     """
-    if not k > 0.0:
-        raise ValueError("wavenumber k must be positive")
+    if not (k > 0.0 and k * k < math.inf):  # false for nan too
+        raise ValueError("wavenumber k must be positive, with k^2 finite")
     w = barrier.w
     if abs(k - w) < 1e-9 * w:
         raise ValueError("transfer-matrix basis is singular at k = w; "
@@ -244,9 +245,13 @@ def transfer_matrix_amplitudes(k: float, barrier: BarrierConfig) -> tuple[comple
         return 0.5 * np.array([[1.0 + r, 1.0 - r], [1.0 - r, 1.0 + r]],
                               dtype=complex)
 
-    prop = np.array([[cmath.exp(-1j * kap * L), 0.0],
-                     [0.0, cmath.exp(1j * kap * L)]], dtype=complex)
-    m = interface(k, kap) @ prop @ interface(kap, k)
+    try:
+        prop = np.array([[cmath.exp(-1j * kap * L), 0.0],
+                         [0.0, cmath.exp(1j * kap * L)]], dtype=complex)
+        with np.errstate(over="raise"):
+            m = interface(k, kap) @ prop @ interface(kap, k)
+    except (OverflowError, FloatingPointError):
+        raise ValueError("e^{rho L} overflows the transfer matrix") from None
     # incident (1, R) referenced at -L/2 maps to (T', 0) referenced at +L/2;
     # converting both references back to the e^{+-ikx} convention gives the
     # overall plane-wave factor e^{-ikL}

@@ -93,6 +93,13 @@ def _outdir(args) -> Path:
     return out
 
 
+def _x_grid(args, lo: float, lower: str = "x-min") -> np.ndarray:
+    """x-points points on [lo, x-max]; ValueError naming both ends if empty."""
+    if not lo < args.x_max:
+        raise ValueError(f"x-max = {_fmt(args.x_max)} must exceed {lower} = {_fmt(lo)}")
+    return np.linspace(lo, args.x_max, args.x_points)
+
+
 def cmd_table1(args) -> int:
     wa = args.w_a or _TABLE1_WA
     la = args.l_a or _TABLE1_LA
@@ -178,8 +185,8 @@ def cmd_cutoff(args) -> int:
     deltas = args.delta if args.delta is not None else [0.1, 0.3]
     if any(not 0.0 <= d < 1.0 for d in deltas):
         raise ValueError("every delta must lie in [0, 1)")
+    xs = _x_grid(args, args.x_min)
     out = _outdir(args)
-    xs = np.linspace(args.x_min, args.x_max, args.x_points)
     spec = GaussianSpectrum(k0=k0_a)
     rows = []
     tail_metrics = {}
@@ -235,10 +242,9 @@ def _write_snapshots(out: Path, prefix: str, label: str, fields) -> list[str]:
 def cmd_packet(args) -> int:
     spec, barrier = _parse_common_packet(args)
     quad = QuadratureSpec(tol=args.tolerance)
+    x_min = max(args.x_min, barrier.half_width)
+    xs = _x_grid(args, x_min, "max(x-min, L/2)")
     out = _outdir(args)
-    h = barrier.half_width
-    x_min = max(args.x_min, h)
-    xs = np.linspace(x_min, args.x_max, args.x_points)
     ts = np.linspace(args.t_min, args.t_max, args.t_steps)
     snapshots, achieved, _ = ensure_converged(
         lambda q: synthesize_transmitted(spec, barrier, xs, ts, quad=q), quad)
@@ -263,11 +269,11 @@ def cmd_packet(args) -> int:
 def cmd_collide(args) -> int:
     spec, barrier = _parse_common_packet(args)
     quad = QuadratureSpec(tol=args.tolerance)
+    xs = _x_grid(args, args.x_min)
     out = _outdir(args)
     t_sync = collision_sync_time(spec, barrier)
     t_lo = max(args.t_min, t_sync)
     ts = np.linspace(t_lo, args.t_max, args.t_steps)
-    xs = np.linspace(args.x_min, args.x_max, args.x_points)
     snapshots, achieved, _ = ensure_converged(
         lambda q: synthesize_collision(spec, barrier, xs, ts, quad=q), quad)
     files = _write_snapshots(out, "collide", "collision snapshot", snapshots)

@@ -1,4 +1,4 @@
-"""Direct spectral synthesis of time-dependent packets, with peak tracking.
+"""Direct spectral synthesis of time-dependent packets.
 
 Fields are built by composite Gauss-Legendre quadrature over the momentum
 spectrum; there is no PDE time stepping anywhere.  Three configurations:
@@ -13,8 +13,8 @@ The transmitted and collision syntheses take one time or a batch of
 times; a batch shares each chunk's phase block across all its times.
 Every x grid must be uniform (_grid_steps is the one check; anything else
 raises ValueError), so that block is one offset block e^{i k r dx} per
-call, built by repeated doubling from about log2(rows) n_k-vector exps and
-scaled per chunk by one more n_k-vector exp.
+call (_offset_block), built by repeated doubling from about log2(rows)
+n_k-vector exps and scaled per chunk by one more n_k-vector exp.
 
 A QuadratureSpec is only the rule; each synthesis lays it over its own k
 window.  A direct synthesize_* call is a raw evaluation of the rule it is
@@ -169,27 +169,17 @@ def _chunked_matmul(x: np.ndarray, block, amp: np.ndarray,
     return out
 
 
-def _phase_matvec(x: np.ndarray, ks: np.ndarray, amp: np.ndarray,
+def _offset_block(x: np.ndarray, ks: np.ndarray,
                   scale: float | None = None) -> np.ndarray:
-    """sum_i amp_i e^{i k_i x_j}, chunked over x to bound memory.
+    """Offset block e^{i k r dx}, r < min(len(x), _X_CHUNK), of uniform x.
 
-    amp is (n_k,) or (n_k, n_t): one column per snapshot time, so a batch
-    of times costs one gemm per chunk.  x must be a uniform grid (checked
-    by _grid_steps at `scale`), so e^{i k (x_c + r dx)} = e^{i k r dx} e^{i k x_c}:
-    one _X_CHUNK x n_k offset block e^{i k r dx} per call, and an n_k exp
-    per chunk folded into amp.  The block is built by repeated doubling:
+    x is checked by _grid_steps at `scale`.  Built by repeated doubling:
     row 0 is 1 and rows [n, 2n) are rows [0, n) times e^{i k n dx}, so 512
-    rows cost 9 n_k-vector exps, and row r is the product of one factor
-    per set bit of r, each phase k 2^m dx rounded once.  Memory is bounded
-    by one _X_CHUNK x n_k complex block; nothing is cached.  Also the time
-    signal at a fixed plane, with x -> t and k -> -k^2/2.
+    rows cost 9 n_k-vector exps, and row r is the product of one factor per
+    set bit of r, each phase k 2^m dx rounded once.
     """
     steps = _grid_steps(x, scale)[:_X_CHUNK]
     phase = 1j * ks
-    # the result is allocated before the offset block, so that freeing the
-    # block leaves no heap hole below a live array (a 9-19 MB block that
-    # glibc serves from the heap once its mmap threshold has risen)
-    out = np.empty((len(x),) + np.shape(amp)[1:], dtype=complex)
     offs = np.empty((len(steps), len(ks)), dtype=complex)
     offs[0] = 1.0
     n = 1
@@ -197,6 +187,26 @@ def _phase_matvec(x: np.ndarray, ks: np.ndarray, amp: np.ndarray,
         m = min(n, len(steps) - n)
         np.multiply(offs[:m], np.exp(steps[n] * phase), out=offs[n:n + m])
         n *= 2
+    return offs
+
+
+def _phase_matvec(x: np.ndarray, ks: np.ndarray, amp: np.ndarray,
+                  scale: float | None = None) -> np.ndarray:
+    """sum_i amp_i e^{i k_i x_j}, chunked over x to bound memory.
+
+    amp is (n_k,) or (n_k, n_t): one column per snapshot time, so a batch
+    of times costs one gemm per chunk.  x must be a uniform grid, so
+    e^{i k (x_c + r dx)} = e^{i k r dx} e^{i k x_c}: one _offset_block per
+    call, and an n_k exp per chunk folded into amp.  Memory is bounded by
+    that one _X_CHUNK x n_k complex block; nothing is cached.  Also the
+    time signal at a fixed plane, with x -> t and k -> -k^2/2.
+    """
+    phase = 1j * ks
+    # the result is allocated before the offset block, so that freeing the
+    # block leaves no heap hole below a live array (a 9-19 MB block that
+    # glibc serves from the heap once its mmap threshold has risen)
+    out = np.empty((len(x),) + np.shape(amp)[1:], dtype=complex)
+    offs = _offset_block(x, ks, scale)
     # (a.T * e).T scales row i of a 1-D or 2-D amp by e_i, no reshape needed
     return _chunked_matmul(x, lambda xc, a: (
         offs[:len(xc)], (a.T * np.exp(xc[0] * phase)).T), amp, out)
@@ -347,29 +357,6 @@ def synthesize_collision(spectrum: GaussianSpectrum, barrier: BarrierConfig,
                 ks, barrier, np.stack([xc, -xc])[:, :, None]).sum(axis=0), a),
             weight)
     return _fields(x, t, ts, psi)
-
-
-@dataclass(frozen=True)
-class PeakTrack:
-    """Peak positions over a sequence of snapshots."""
-
-    times: np.ndarray
-    positions: np.ndarray
-
-
-def track_peak(fields) -> PeakTrack:
-    """Per-snapshot peak positions by parabolic refinement of |psi|^2.
-
-    Needs at least three snapshots with strictly increasing times.
-    """
-    fields = list(fields)
-    if len(fields) < 3:
-        raise ValueError("need at least 3 time samples to track a peak")
-    times = np.array([f.t for f in fields], dtype=float)
-    if not np.all(np.diff(times) > 0.0):
-        raise ValueError("snapshots must be ordered by strictly increasing time")
-    pos = np.array([f.peak_position for f in fields])
-    return PeakTrack(times=times, positions=pos)
 
 
 def _change(coarse: PacketField, fine: PacketField) -> float:
@@ -575,8 +562,7 @@ def collision_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfig,
                    + synthesize_collision(spectrum, barrier, xs_sym, t_sym, quad=q)),
         quad)
 
-    trk = track_peak(fields[:len(t_fit)])
-    v, b = np.polyfit(trk.times, trk.positions, 1)
+    v, b = np.polyfit(t_fit, [f.peak_position for f in fields[:len(t_fit)]], 1)
     delay = (h - b) / v - t_sync
 
     sym = 0.0

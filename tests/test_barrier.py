@@ -292,8 +292,18 @@ def test_oracle_sech_cross_check():
 def test_oracle_rejects_top_and_nonpositive():
     with pytest.raises(ValueError):
         transfer_matrix_amplitudes(4.0, barrier())
-    with pytest.raises(ValueError):
-        transfer_matrix_amplitudes(0.0, barrier())
+    for k in (0.0, math.nan, math.inf, 1e160):  # 1e160: k^2 overflows
+        with pytest.raises(ValueError):
+            transfer_matrix_amplitudes(k, barrier())
+
+
+def test_oracle_rejects_overflow():
+    # rho L = 1386: e^{rho L} overflows the propagator.  At rho L = 705
+    # it is finite, but the product with (1 + rho/k)^2 / 4 ~ 2.5e5 is not
+    rho = math.sqrt(50.0**2 - 0.05**2)
+    for k, b in ((8.0, barrier(16.0, 100.0)), (0.05, barrier(50.0, 705.0 / rho))):
+        with pytest.raises(ValueError, match="overflows"):
+            transfer_matrix_amplitudes(k, b)
 
 
 def _residuals(coeffs, b, k):

@@ -192,6 +192,19 @@ class TestCutoff:
         assert run(["cutoff", "--w-a", 1e160, "--out", tmp_path]) == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    # the packet grid starts at max(x-min, L/2) = 15, past x-max = 12
+    (["packet", "--l-a", 30], "x-max = 12 must exceed max(x-min, L/2) = 15"),
+    (["collide", "--x-min", 3, "--x-max", 3], "x-max = 3 must exceed x-min = 3"),
+    (["cutoff", "--x-min", 3, "--x-max", 3], "x-max = 3 must exceed x-min = 3"),
+])
+def test_empty_x_window_is_named(tmp_path, capsys, args, message):
+    out = tmp_path / "out"
+    assert run(args + ["--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestPacketCmd:
     def test_snapshots_and_timing(self, tmp_path):
         assert run(["packet", "--x-points", 401, "--x-max", 8.0,

@@ -9,9 +9,10 @@ from tunneltimes import (BarrierConfig, GaussianSpectrum, PacketField,
                          collision_timing_report, ensure_converged,
                          symmetric_amplitudes, synthesize_collision,
                          synthesize_incident, synthesize_transmitted,
-                         track_peak, transmission_timing_report)
+                         transmission_timing_report)
 from tunneltimes.barrier import _collision_amplitudes, interior_field
-from tunneltimes.packets import _X_CHUNK, ConvergenceError, _phase_matvec
+from tunneltimes.packets import (_X_CHUNK, ConvergenceError, _offset_block,
+                                 _phase_matvec)
 
 
 def barrier(w=4.0, L=0.2):
@@ -196,20 +197,25 @@ class TestBatchedSynthesis:
         (np.arange(-6.0, 14.0, 0.002), 2e-13),     # a time-signal grid
     ])
     def test_phase_matvec_offsets_match_extended_precision(self, x, bound):
-        # the doubled offset block against e^{i k x} at the float x: k x is
-        # formed and reduced mod 2 pi in long double, then cos and sin are
-        # taken in double.  The bound is the direct block's own error on
-        # these grids.
+        # the doubled offset block times each chunk's factor e^{i k x_c},
+        # the entries that _phase_matvec multiplies into amp, against
+        # e^{i k x} at the float x: k x is formed and reduced mod 2 pi in
+        # long double, then cos and sin are taken in double.  The bound is
+        # the direct block's own error on these grids.
         ks, _ = QuadratureSpec(panels=48, order=48).nodes(0.0, 24.0)
-        got = _phase_matvec(x, ks, np.eye(len(ks)))
+        offs = _offset_block(x, ks)
+        assert offs.shape == (min(len(x), _X_CHUNK), len(ks))
         kl = ks.astype(np.longdouble)
         # 2 pi to long double precision: float(2 pi) plus its rounding error
         two_pi = np.longdouble(2.0 * np.pi) + np.longdouble(2.4492935982947064e-16)
-        for lo in range(0, len(x), 1000):  # rows in blocks to bound memory
-            sl = slice(lo, lo + 1000)
-            kx = np.outer(x[sl].astype(np.longdouble), kl)
-            r = (kx - two_pi * np.rint(kx / two_pi)).astype(float)
-            assert np.abs(got[sl] - (np.cos(r) + 1j * np.sin(r))).max() <= bound
+        for lo in range(0, len(x), _X_CHUNK):
+            xc = x[lo:lo + _X_CHUNK]
+            got = offs[:len(xc)] * np.exp(xc[0] * 1j * ks)
+            for j in range(0, len(xc), 32):  # reference rows in cache-sized blocks
+                kx = np.outer(xc[j:j + 32].astype(np.longdouble), kl)
+                r = (kx - two_pi * np.rint(kx / two_pi)).astype(float)
+                want = np.cos(r) + 1j * np.sin(r)
+                assert np.abs(got[j:j + 32] - want).max() <= bound
 
     def test_phase_matvec_uniformity_check_is_tight(self):
         # a factored evaluation of this grid would miss by about k * 1e-6 dx
@@ -394,15 +400,6 @@ class TestCollision:
         assert rep.spectral_residual_max < 1e-12
         assert rep.velocity_fit == pytest.approx(8.0, rel=2e-3)
         assert rep.delay_measured == pytest.approx(rep.delay_predicted, rel=0.02)
-
-
-class TestTrackPeak:
-    def test_needs_three_samples(self):
-        spec = spectrum(k0=2.0)
-        xs = np.linspace(-10, 10, 501)
-        with pytest.raises(ValueError):
-            track_peak([synthesize_incident(spec, xs, 0.0),
-                        synthesize_incident(spec, xs, 1.0)])
 
 
 class TestTransmissionTimingReport:

@@ -4,12 +4,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from tunneltimes import (BarrierConfig, TimeParams, collision_phase,
-                         opaque_limit_time, rate_scattering, rate_standard,
-                         rate_table, scattering_delay,
-                         scattering_time_coshsq_variant, standard_transit_time,
-                         transmission_phase)
+from tunneltimes import (BarrierConfig, collision_phase, opaque_limit_time,
+                         rate_scattering, rate_standard, rate_table,
+                         scattering_delay, scattering_time_coshsq_variant,
+                         standard_transit_time, transmission_phase)
 from tunneltimes.numerics import ridders_derivative
+from tunneltimes.phase_times import TimeParams
 
 mp.mp.dps = 40
 

@@ -9,10 +9,10 @@ import pytest
 from tunneltimes import (BarrierConfig, ContainmentWarning, GaussianSpectrum,
                          QuadratureSpec, containment_outside, cutoff_packet_profile,
                          cutoff_time_estimate, distortion_onset, find_kmax,
-                         kmax_table, modulated_spectrum,
-                         synthesize_incident, transmission_modulus)
+                         kmax_table, synthesize_incident, transmission_modulus)
 from tunneltimes.cli import _TABLE1_LA, _TABLE1_WA
 from tunneltimes.numerics import ridders_derivative
+from tunneltimes.spectrum import modulated_spectrum
 from tunneltimes.spectrum import KmaxResult
 
 
