@@ -94,7 +94,15 @@ def _outdir(args) -> Path:
 
 
 def _x_grid(args, lo: float, lower: str = "x-min") -> np.ndarray:
-    """x-points points on [lo, x-max]; ValueError naming both ends if empty."""
+    """x-points points on [lo, x-max]: the one x check of cutoff, packet and
+    collide.  ValueError naming the flag at fault: a non-finite x-min or
+    x-max, fewer than 3 x-points (a field needs 3), or an empty window,
+    named by both ends."""
+    for name in ("x_min", "x_max"):
+        if not math.isfinite(getattr(args, name)):
+            raise ValueError(f"{name.replace('_', '-')} must be finite")
+    if args.x_points < 3:
+        raise ValueError(f"x-points = {args.x_points} must be at least 3")
     if not lo < args.x_max:
         raise ValueError(f"x-max = {_fmt(args.x_max)} must exceed {lower} = {_fmt(lo)}")
     return np.linspace(lo, args.x_max, args.x_points)
@@ -191,12 +199,15 @@ def cmd_cutoff(args) -> int:
     rows = []
     tail_metrics = {}
     estimates = {}
+    changes = {}
     # always include the untruncated reference profile
     for delta in [None] + list(deltas):
         k_cut = k0_a + 8.0 if delta is None else (1.0 - delta) * w_a
-        mag = np.abs(cutoff_packet_profile(spec, xs, k_cut).psi)
+        fld, change = cutoff_packet_profile(spec, xs, k_cut)
+        mag = np.abs(fld.psi)
         peak = mag.max()
         label = "none" if delta is None else _fmt(delta)
+        changes[label] = change
         for xv, mv in zip(xs, mag):
             rows.append((label, k_cut, xv, mv, mv / peak))
         tail = mag[(np.abs(xs) >= 5.0) & (np.abs(xs) <= 9.0)]
@@ -208,7 +219,8 @@ def cmd_cutoff(args) -> int:
         "x_min": args.x_min, "x_max": args.x_max, "x_points": args.x_points,
         "out": str(args.out),
     }, diagnostics={"tail_metric_by_delta": tail_metrics,
-                    "opaque_time_estimate_by_delta": estimates})
+                    "opaque_time_estimate_by_delta": estimates,
+                    "quadrature_change_by_delta": changes})
     _write_csv(out / "cutoff_profiles.csv", manifest,
                ["delta", "k_cut_a", "x_a", "abs_psi", "abs_psi_over_peak"], rows)
     manifest["outputs"] = ["cutoff_profiles.csv"]
@@ -221,9 +233,11 @@ def _parse_common_packet(args) -> tuple[GaussianSpectrum, BarrierConfig]:
         raise ValueError("need 0 < k0-a < w-a (tunneling regime)")
     if args.l_a is None or args.l_a < 0:
         raise ValueError("l-a must be nonnegative")
-    for name in ("t_min", "t_max", "x_min", "x_max"):
+    for name in ("t_min", "t_max"):
         if not math.isfinite(getattr(args, name)):
             raise ValueError(f"{name.replace('_', '-')} must be finite")
+    if args.t_steps < 1:
+        raise ValueError(f"t-steps = {args.t_steps} must be at least 1")
     return (GaussianSpectrum(k0=args.k0_a),
             BarrierConfig(w=args.w_a, width=args.l_a))
 

@@ -12,9 +12,17 @@ spectrum; there is no PDE time stepping anywhere.  Three configurations:
 The transmitted and collision syntheses take one time or a batch of
 times; a batch shares each chunk's phase block across all its times.
 Every x grid must be uniform (_grid_steps is the one check; anything else
-raises ValueError), so that block is one offset block e^{i k r dx} per
-call (_offset_block), built by repeated doubling from about log2(rows)
-n_k-vector exps and scaled per chunk by one more n_k-vector exp.
+raises ValueError), so that block is one offset block per call
+(_offset_block), built by repeated doubling, and each chunk of x only
+rescales the amplitudes by an n_k-vector exp.  Over one chunk of
+half-width hw, e^{ikx} is a polynomial in k of low degree: to about
+2^-60, r = _degree(hw (k_max - k_min) / 2) Chebyshev nodes in k carry it,
+a few dozen on the CLI grids against the 192-384 quadrature nodes.  So
+the block's columns are those r nodes, one real (r x n_k) barycentric
+matrix maps each chunk's amplitudes onto them, and a chunk costs about
+rows x r + r x n_k products per column instead of rows x n_k
+(_phase_matvec).  When r is no smaller than n_k the columns are the k
+nodes themselves and the sum is direct.
 
 A QuadratureSpec is only the rule; each synthesis lays it over its own k
 window.  A direct synthesize_* call is a raw evaluation of the rule it is
@@ -169,25 +177,71 @@ def _chunked_matmul(x: np.ndarray, block, amp: np.ndarray,
     return out
 
 
-def _offset_block(x: np.ndarray, ks: np.ndarray,
-                  scale: float | None = None) -> np.ndarray:
-    """Offset block e^{i k r dx}, r < min(len(x), _X_CHUNK), of uniform x.
+def _degree(kappa: float) -> int:
+    """Number of first-kind Chebyshev points that interpolate e^{i kappa s}
+    on [-1, 1] to about 2^-60.
 
-    x is checked by _grid_steps at `scale`.  Built by repeated doubling:
-    row 0 is 1 and rows [n, 2n) are rows [0, n) times e^{i k n dx}, so 512
-    rows cost 9 n_k-vector exps, and row r is the product of one factor per
-    set bit of r, each phase k 2^m dx rounded once.
+    The Chebyshev coefficients of e^{i kappa s} are 2 i^n J_n(kappa), with
+    |J_n(kappa)| <= (kappa/2)^n / n!, and the interpolant on r points
+    misses by at most twice the sum of those from n = r on.  That sum is
+    below 2^-60 from the smallest r with (kappa/2)^r / r! < 2^-60 / (2r + 2);
+    two points more are kept.  Always above kappa.
+    """
+    r = 1
+    while kappa > 0.0 and (r * math.log(kappa / 2.0) - math.lgamma(r + 1.0)
+                           >= -60.0 * math.log(2.0) - math.log(2.0 * r + 2.0)):
+        r += 1
+    return r + 2
+
+
+def _offset_block(x: np.ndarray, ks: np.ndarray, scale: float | None = None
+                  ) -> tuple[np.ndarray, np.ndarray | None, float]:
+    """Centred offset block of uniform x on interpolation nodes in k, the
+    map onto those nodes, and the block's half-width: (offs, interp, hw).
+
+    x is checked by _grid_steps at `scale`.  The block's rows j <
+    min(len(x), _X_CHUNK) span j dx - hw in [-hw, hw], over which
+    e^{i k (j dx - hw)}, k in [min ks, max ks], is interpolated to about
+    2^-60 by r = _degree(kappa) Chebyshev points, kappa = hw (max ks -
+    min ks) / 2.  So the columns are the r first-kind Chebyshev nodes kn
+    of [min ks, max ks], offs[j] = e^{i kn (j dx - hw)}, and interp is the
+    real (r, len(ks)) barycentric matrix with e^{i k (j dx - hw)} =
+    (offs @ interp)[j, k] to about 2^-60 plus round-off.  When r >= len(ks)
+    the columns are the ks themselves and interp is None.
+
+    Built by repeated doubling: row 0 is e^{-i kn hw} and rows [n, 2n) are
+    rows [0, n) times e^{i kn n dx}, so 512 rows cost 10 r-vector exps,
+    each phase rounded once.
     """
     steps = _grid_steps(x, scale)[:_X_CHUNK]
+    hw = steps[-1] / 2.0
+    lo, hi = ks.min(), ks.max()
+    kappa = hw * (hi - lo) / 2.0
+    r = _degree(kappa) if kappa < len(ks) else len(ks)
+    interp = None
+    if r < len(ks):
+        theta = (np.arange(r) + 0.5) * (math.pi / r)
+        nodes = (hi + lo) / 2.0 + (hi - lo) / 2.0 * np.cos(theta)
+        weights = np.sin(theta)
+        weights[1::2] *= -1.0  # barycentric weights (-1)^j sin(theta_j)
+        # in place throughout: fresh pages cost more than the arithmetic
+        interp = ks - nodes[:, None]
+        hit = interp == 0.0
+        interp[hit] = 1.0
+        np.divide(weights[:, None], interp, out=interp)
+        on_node = hit.any(axis=0)  # a k on a node takes that node's value
+        interp[:, on_node] = hit[:, on_node]
+        interp *= 1.0 / interp.sum(axis=0)
+        ks = nodes
     phase = 1j * ks
     offs = np.empty((len(steps), len(ks)), dtype=complex)
-    offs[0] = 1.0
+    offs[0] = np.exp(-hw * phase)
     n = 1
     while n < len(steps):  # rows [n, 2n) = rows [0, n) times e^{i k n dx}
         m = min(n, len(steps) - n)
         np.multiply(offs[:m], np.exp(steps[n] * phase), out=offs[n:n + m])
         n *= 2
-    return offs
+    return offs, interp, hw
 
 
 def _phase_matvec(x: np.ndarray, ks: np.ndarray, amp: np.ndarray,
@@ -195,21 +249,36 @@ def _phase_matvec(x: np.ndarray, ks: np.ndarray, amp: np.ndarray,
     """sum_i amp_i e^{i k_i x_j}, chunked over x to bound memory.
 
     amp is (n_k,) or (n_k, n_t): one column per snapshot time, so a batch
-    of times costs one gemm per chunk.  x must be a uniform grid, so
-    e^{i k (x_c + r dx)} = e^{i k r dx} e^{i k x_c}: one _offset_block per
-    call, and an n_k exp per chunk folded into amp.  Memory is bounded by
-    that one _X_CHUNK x n_k complex block; nothing is cached.  Also the
-    time signal at a fixed plane, with x -> t and k -> -k^2/2.
+    of times costs one gemm per chunk.  x must be a uniform grid, so for a
+    chunk starting at x_c, e^{i k (x_c + j dx)} = e^{i k (j dx - hw)}
+    e^{i k x_c} e^{i k hw}: one _offset_block per call.  Per chunk, amp is
+    scaled by e^{i k x_c} e^{i k hw} (both from exact values), mapped onto
+    the block's r nodes by interp (a real product on the re/im pairs), and
+    multiplied by the (rows x r) block: about n_x r + r n_k products per
+    column instead of n_x n_k.  Before round-off, the result is then
+    within about 2^-60 sum_i |amp_i| of the direct sum; when r >= n_k
+    there is no interp and the sum is direct.  Memory is bounded by the
+    one block; nothing is cached.  Also the time signal at a fixed plane,
+    with x -> t and k -> -k^2/2.
     """
     phase = 1j * ks
+    a2 = np.reshape(amp, (len(ks), -1))
     # the result is allocated before the offset block, so that freeing the
-    # block leaves no heap hole below a live array (a 9-19 MB block that
-    # glibc serves from the heap once its mmap threshold has risen)
-    out = np.empty((len(x),) + np.shape(amp)[1:], dtype=complex)
-    offs = _offset_block(x, ks, scale)
-    # (a.T * e).T scales row i of a 1-D or 2-D amp by e_i, no reshape needed
-    return _chunked_matmul(x, lambda xc, a: (
-        offs[:len(xc)], (a.T * np.exp(xc[0] * phase)).T), amp, out)
+    # block leaves no heap hole below a live array (a block of up to about
+    # 1 MB on the CLI grids, which glibc serves from the heap once its mmap
+    # threshold has risen)
+    out = np.empty((len(x), a2.shape[1]), dtype=complex)
+    offs, interp, hw = _offset_block(x, ks, scale)
+    shift = np.exp(hw * phase)
+
+    def block(xc, a):
+        a = a * (np.exp(xc[0] * phase) * shift)[:, None]
+        if interp is not None:  # (r, n_k) @ (n_k, 2 n_t) in real arithmetic
+            a = (interp @ a.view(float)).view(complex)
+        return offs[:len(xc)], a
+
+    return _chunked_matmul(x, block, a2, out).reshape(
+        (len(x),) + np.shape(amp)[1:])
 
 
 def _times(t) -> np.ndarray:

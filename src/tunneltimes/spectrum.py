@@ -285,13 +285,15 @@ def cutoff_time_estimate(delta: float, w: float) -> float:
 
 
 def cutoff_packet_profile(spectrum: GaussianSpectrum, x_grid, k_cut: float):
-    """psi(x) at t = 0 of the spectrum truncated to [0, k_cut], as a PacketField.
+    """psi(x) at t = 0 of the spectrum truncated to [0, k_cut], as a
+    PacketField, and the gate's quadrature change: (field, change).
 
     A cut at (1 - delta) w models the filter of a barrier with top w; a
     cut at k0 + 8, beyond which the intensity is below 1e-13 of the peak,
     leaves the gaussian whole.  ValueError when the window or the profile
     is empty.  The rule is sized by ensure_converged from the default
-    QuadratureSpec (ConvergenceError if it fails).
+    QuadratureSpec (ConvergenceError if it fails); change is the largest
+    peak-relative change of |psi| when that rule is doubled.
     """
     # local import to avoid a cycle
     from .packets import QuadratureSpec, ensure_converged, synthesize_incident
@@ -299,9 +301,9 @@ def cutoff_packet_profile(spectrum: GaussianSpectrum, x_grid, k_cut: float):
     if not 1e-9 * spectrum.k0 < k_cut < math.inf:
         raise ValueError("k_cut must be finite and above 1e-9 k0 "
                          "(a lower cut removes the whole support)")
-    fld, _, _ = ensure_converged(lambda q: synthesize_incident(
+    fld, change, _ = ensure_converged(lambda q: synthesize_incident(
         spectrum, x_grid, t=0.0, quad=q, k_interval=(1e-12, k_cut)), QuadratureSpec())
     if not np.any(fld.psi):
         raise ValueError("the spectrum has no weight below the cutoff; "
                          "the profile is identically zero")
-    return fld
+    return fld, change

@@ -183,6 +183,15 @@ class TestCutoff:
         k_cut = {r[0]: float(r[1]) for r in rows}
         assert k_cut == pytest.approx({"none": 10.0, "0.1": 3.6, "0.3": 2.8})
 
+    def test_records_quadrature_change(self, tmp_path):
+        # at the defaults every profile, the uncut one included, passed the
+        # gate's 1e-8
+        assert run(["cutoff", "--out", tmp_path]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        changes = manifest["diagnostics"]["quadrature_change_by_delta"]
+        assert set(changes) == {"none", "0.1", "0.3"}
+        assert all(0.0 <= c < 1e-8 for c in changes.values())
+
     def test_validation(self, tmp_path):
         assert run(["cutoff", "--delta", 1.0, "--out", tmp_path]) == 2
         assert run(["cutoff", "--w-a", "inf", "--out", tmp_path]) == 2
@@ -199,6 +208,22 @@ class TestCutoff:
     (["cutoff", "--x-min", 3, "--x-max", 3], "x-max = 3 must exceed x-min = 3"),
 ])
 def test_empty_x_window_is_named(tmp_path, capsys, args, message):
+    out = tmp_path / "out"
+    assert run(args + ["--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    # checked before np.linspace, which warns on an infinite end
+    (["cutoff", "--x-max", "inf"], "x-max must be finite"),
+    (["cutoff", "--x-points", 0], "x-points = 0 must be at least 3"),
+    (["packet", "--x-points", 2], "x-points = 2 must be at least 3"),
+    (["collide", "--x-min=-inf"], "x-min must be finite"),
+    (["packet", "--t-steps", -1], "t-steps = -1 must be at least 1"),
+    (["collide", "--t-steps", 0], "t-steps = 0 must be at least 1"),
+])
+def test_bad_grid_flag_is_named(tmp_path, capsys, args, message):
     out = tmp_path / "out"
     assert run(args + ["--out", out]) == 2
     assert message in capsys.readouterr().err
@@ -231,7 +256,7 @@ class TestPacketCmd:
         assert run(["packet", "--t-steps", 0, "--out", tmp_path]) == 2
         capsys.readouterr()
         assert run(["packet", "--x-points", 0, "--out", tmp_path]) == 2
-        assert "uniform grid" in capsys.readouterr().err
+        assert "x-points = 0 must be at least 3" in capsys.readouterr().err
         assert run(["packet", "--l-a", "nan", "--out", tmp_path]) == 2
         assert run(["packet", "--w-a", "inf", "--out", tmp_path]) == 2
         for opt, val in (("--t-max", "nan"), ("--t-min", "-inf"),

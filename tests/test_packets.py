@@ -11,8 +11,8 @@ from tunneltimes import (BarrierConfig, GaussianSpectrum, PacketField,
                          synthesize_incident, synthesize_transmitted,
                          transmission_timing_report)
 from tunneltimes.barrier import _collision_amplitudes, interior_field
-from tunneltimes.packets import (_X_CHUNK, ConvergenceError, _offset_block,
-                                 _phase_matvec)
+from tunneltimes.packets import (_X_CHUNK, ConvergenceError, _degree,
+                                 _offset_block, _phase_matvec)
 
 
 def barrier(w=4.0, L=0.2):
@@ -151,10 +151,12 @@ class TestQuadrature:
         assert np.abs(np.abs(fld.psi) - ref).max() < rule.tol * ref.max()
 
 
-def _assert_matches_naive_product(x, rng, k_max=6.0):
-    """_phase_matvec against exp(i outer(x, k)) @ amp, for 2-D and 1-D amp."""
-    ks = rng.uniform(0.0, k_max, 97)
-    amp = rng.normal(size=(97, 3)) + 1j * rng.normal(size=(97, 3))
+def _assert_matches_naive_product(x, rng, k_max=6.0, ks=None):
+    """_phase_matvec against exp(i outer(x, k)) @ amp, for 2-D and 1-D amp;
+    ks defaults to 97 uniform draws from [0, k_max)."""
+    if ks is None:
+        ks = rng.uniform(0.0, k_max, 97)
+    amp = rng.normal(size=(len(ks), 3)) + 1j * rng.normal(size=(len(ks), 3))
     naive = np.exp(1j * np.outer(x, ks))
     scale = np.abs(amp).sum(axis=0)
     got = _phase_matvec(x, ks, amp)
@@ -191,31 +193,77 @@ class TestBatchedSynthesis:
             assert len(x) == n_x
             _assert_matches_naive_product(x, np.random.default_rng(n_x), k_max)
 
-    @pytest.mark.parametrize("x, bound", [
-        (np.linspace(-16.0, 16.0, 1601), 2e-13),   # the collide default
-        (np.linspace(0.05, 120.0, 8001), 5e-13),   # the report's largest grid
-        (np.arange(-6.0, 14.0, 0.002), 2e-13),     # a time-signal grid
+    @pytest.mark.parametrize("x, ks", [
+        # one k node: zero k width, which the interpolation matrix would
+        # divide by; repeated, every k lies on every Chebyshev node
+        (np.linspace(-20.0, 20.0, 2 * _X_CHUNK + 1), np.array([2.5])),
+        (np.linspace(-20.0, 20.0, 2 * _X_CHUNK + 1), np.full(8, 2.5)),
+        # descending nodes, as the exit-plane signal passes -k^2/2
+        (np.arange(-6.0, 14.0, 0.002),
+         -QuadratureSpec().nodes(4e-9, 4.0)[0] ** 2 / 2.0),
+        # one x point: a block of zero width
+        (np.array([3.0]), np.linspace(0.0, 6.0, 97)),
     ])
-    def test_phase_matvec_offsets_match_extended_precision(self, x, bound):
-        # the doubled offset block times each chunk's factor e^{i k x_c},
-        # the entries that _phase_matvec multiplies into amp, against
-        # e^{i k x} at the float x: k x is formed and reduced mod 2 pi in
-        # long double, then cos and sin are taken in double.  The bound is
-        # the direct block's own error on these grids.
-        ks, _ = QuadratureSpec(panels=48, order=48).nodes(0.0, 24.0)
-        offs = _offset_block(x, ks)
+    def test_phase_matvec_degenerate_inputs(self, x, ks):
+        _assert_matches_naive_product(x, np.random.default_rng(len(ks)), ks=ks)
+
+    @pytest.mark.parametrize("x, rule, bound, interpolated", [
+        # the collide default
+        pytest.param(np.linspace(-16.0, 16.0, 1601), (48, 48), 2e-13, True,
+                     id="x0-2e-13"),
+        # the report's largest grid
+        pytest.param(np.linspace(0.05, 120.0, 8001), (48, 48), 5e-13, True,
+                     id="x1-5e-13"),
+        # a time-signal grid
+        pytest.param(np.arange(-6.0, 14.0, 0.002), (48, 48), 2e-13, True,
+                     id="x2-2e-13"),
+        # fewer ks than Chebyshev nodes: the block's columns are the ks
+        pytest.param(np.linspace(-16.0, 16.0, 1601), (1, 48), 2e-13, False,
+                     id="x3-2e-13"),
+    ])
+    def test_phase_matvec_offsets_match_extended_precision(self, x, rule, bound,
+                                                           interpolated):
+        # the entries that _phase_matvec multiplies into amp, built as it
+        # builds them (block rows times interpolation matrix times the chunk
+        # factor e^{i k x_c} e^{i k hw}), against e^{i k x} at the float x:
+        # k x is formed and reduced mod 2 pi in long double, then cos and
+        # sin are taken in double.  The bound is the direct block's own
+        # error on these grids.
+        ks, _ = QuadratureSpec(*rule).nodes(0.0, 24.0)
+        offs, interp, hw = _offset_block(x, ks)
+        assert (interp is not None) == interpolated
+        if interpolated:
+            assert interp.shape == (offs.shape[1], len(ks)) and interp.dtype == float
+            offs = offs @ interp
         assert offs.shape == (min(len(x), _X_CHUNK), len(ks))
         kl = ks.astype(np.longdouble)
         # 2 pi to long double precision: float(2 pi) plus its rounding error
         two_pi = np.longdouble(2.0 * np.pi) + np.longdouble(2.4492935982947064e-16)
         for lo in range(0, len(x), _X_CHUNK):
             xc = x[lo:lo + _X_CHUNK]
-            got = offs[:len(xc)] * np.exp(xc[0] * 1j * ks)
+            got = offs[:len(xc)] * (np.exp(xc[0] * 1j * ks) * np.exp(hw * 1j * ks))
             for j in range(0, len(xc), 32):  # reference rows in cache-sized blocks
                 kx = np.outer(xc[j:j + 32].astype(np.longdouble), kl)
                 r = (kx - two_pi * np.rint(kx / two_pi)).astype(float)
                 want = np.cos(r) + 1j * np.sin(r)
                 assert np.abs(got[j:j + 32] - want).max() <= bound
+
+    @pytest.mark.parametrize("kappa", [0.0, 1e-3, 1.0, 12.0, 41.0, 100.0, 300.0])
+    def test_degree_interpolates_to_round_off(self, kappa):
+        # barycentric interpolation of e^{i kappa s} on the _degree(kappa)
+        # first-kind Chebyshev points, all in long double so that only the
+        # truncation error the degree rule bounds is left above 1e-15
+        n = _degree(kappa)
+        pi = np.longdouble(np.pi) + np.longdouble(1.2246467991473532e-16)
+        theta = (np.arange(n, dtype=np.longdouble) + 0.5) * (pi / n)
+        nodes = np.cos(theta)
+        weights = np.sin(theta) * (-1.0) ** np.arange(n)
+        s = np.linspace(-1.0, 1.0, 2001).astype(np.longdouble)
+        terms = weights[:, None] / (s - nodes[:, None])
+        values = np.cos(kappa * nodes) + 1j * np.sin(kappa * nodes)
+        got = (terms * values[:, None]).sum(axis=0) / terms.sum(axis=0)
+        want = np.cos(kappa * s) + 1j * np.sin(kappa * s)
+        assert np.abs(got - want).max() <= 1e-15
 
     def test_phase_matvec_uniformity_check_is_tight(self):
         # a factored evaluation of this grid would miss by about k * 1e-6 dx

@@ -305,7 +305,7 @@ class TestCutoffProfile:
         # profile is the plain gaussian envelope with negligible tails
         s = GaussianSpectrum(k0=8.0)
         xs = np.linspace(-10.0, 10.0, 2001)
-        fld = cutoff_packet_profile(s, xs, s.k0 + 8.0)
+        fld, _ = cutoff_packet_profile(s, xs, s.k0 + 8.0)
         mag = np.abs(fld.psi)
         tail = mag[np.abs(xs) > 6.0]
         assert tail.max() < 1e-3 * mag.max()
@@ -316,12 +316,14 @@ class TestCutoffProfile:
         s = GaussianSpectrum(k0=2.0)
         xs = np.linspace(-200.0, 200.0, 4001)
         k_cut = 0.9 * 4.0
-        got = np.abs(cutoff_packet_profile(s, xs, k_cut).psi)
+        fld, change = cutoff_packet_profile(s, xs, k_cut)
+        got = np.abs(fld.psi)
         ref = np.abs(synthesize_incident(s, xs, 0.0, quad=QuadratureSpec(panels=96),
                                          k_interval=(1e-12, k_cut)).psi)
         raw = np.abs(synthesize_incident(s, xs, 0.0, k_interval=(1e-12, k_cut)).psi)
         assert np.abs(raw - ref).max() > 1e-3 * ref.max()
         assert np.abs(got - ref).max() < QuadratureSpec().tol * ref.max()
+        assert 0.0 <= change < QuadratureSpec().tol
 
     def test_tails_grow_as_cutoff_tightens(self):
         xs = np.linspace(-12.0, 12.0, 2401)
@@ -330,7 +332,7 @@ class TestCutoffProfile:
         s = GaussianSpectrum(k0=2.0)
         # uncut, then cut at 0.9 w and 0.7 w for w = 4
         for k_cut in (s.k0 + 8.0, 0.9 * 4.0, 0.7 * 4.0):
-            fld = cutoff_packet_profile(s, xs, k_cut)
+            fld, _ = cutoff_packet_profile(s, xs, k_cut)
             mag = np.abs(fld.psi)
             metrics.append(mag[window].max() / mag.max())
         assert metrics[0] < metrics[1] < metrics[2]
@@ -340,7 +342,7 @@ class TestCutoffProfile:
         s = GaussianSpectrum(k0=2.0)
         k_cut = 0.7 * 4.0
         xs = np.linspace(5.0, 12.0, 7001)
-        mag = np.abs(cutoff_packet_profile(s, xs, k_cut).psi)
+        mag = np.abs(cutoff_packet_profile(s, xs, k_cut)[0].psi)
         inner = mag[1:-1]
         peaks = xs[1:-1][(inner > mag[:-2]) & (inner > mag[2:])]
         spacing = float(np.median(np.diff(peaks)))
@@ -359,7 +361,7 @@ class TestCutoffProfile:
 def test_symmetry_of_profile():
     s = GaussianSpectrum(k0=2.0)
     xs = np.linspace(-8.0, 8.0, 1601)
-    mag = np.abs(cutoff_packet_profile(s, xs, 0.8 * 4.0).psi)
+    mag = np.abs(cutoff_packet_profile(s, xs, 0.8 * 4.0)[0].psi)
     np.testing.assert_allclose(mag, mag[::-1], atol=1e-12 * mag.max())
 
 
