@@ -16,6 +16,11 @@ Two families of amplitudes appear:
    two-packet collision.  Their sum is exactly unimodular,
    R_B + T_B = exp(-i [kL + phi]), with phi given by `collision_phase`.
 
+Each quantity is one function of scalar or array k: |T| is
+`transmission_modulus`, Theta `transmission_phase`, phi
+`collision_phase`, and the pair (R_B, T_B) `_collision_amplitudes`,
+which `packets` calls for the collision field.
+
 Every closed form derives from one private kernel, `_scaled_solution`,
 which evaluates the interior solution once as (c, sh, r) with
 cosh(rho L) = c e^r and sinh(rho L)/(rho L) = sh e^r.  r is 0 up to
@@ -63,25 +68,6 @@ class BarrierConfig:
     @property
     def half_width(self) -> float:
         return 0.5 * self.width
-
-
-@dataclass(frozen=True)
-class ScatteringAmplitudes:
-    """Single-k amplitude bundle at wavenumber k.
-
-    modulus/theta describe the single-packet transmission amplitude;
-    reflection/transmission are the collision amplitudes R_B, T_B whose
-    sum `combined` is unimodular with phase split as
-    combined = exp(-i [k L + phi]).
-    """
-
-    k: float
-    modulus: float
-    theta: float
-    reflection: complex
-    transmission: complex
-    combined: complex
-    phi: float
 
 
 @dataclass(frozen=True)
@@ -195,28 +181,6 @@ def collision_phase(k, barrier: BarrierConfig):
 def _collision_amplitudes(k, barrier: BarrierConfig):
     """(R_B, T_B) vectorized over k; overflow-safe; valid on both sides of the top."""
     return _pair(_scaled_solution(k, barrier.w, barrier.width))
-
-
-def symmetric_amplitudes(k: float, barrier: BarrierConfig) -> ScatteringAmplitudes:
-    """All single-k amplitudes for the symmetric-collision analysis.
-
-    Valid for any k > 0 (tunneling branch and the trigonometric
-    continuation above the top).  At L = 0 the reflection vanishes
-    identically and the combined amplitude is exactly 1.  The kernel is
-    evaluated once and every field derived from it.
-    """
-    kf = float(k)
-    sol = _scaled_solution(kf, barrier.w, barrier.width)
-    refl, trans = (complex(v) for v in _pair(sol))
-    return ScatteringAmplitudes(
-        k=kf,
-        modulus=float(_modulus(sol)),
-        theta=float(_theta(sol)),
-        reflection=refl,
-        transmission=trans,
-        combined=refl + trans,
-        phi=float(_phi(sol)),
-    )
 
 
 def transfer_matrix_amplitudes(k: float, barrier: BarrierConfig) -> tuple[complex, complex]:

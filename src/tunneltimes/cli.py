@@ -24,12 +24,12 @@ import numpy as np
 from . import __version__
 from .barrier import BarrierConfig
 from .packets import (ConvergenceError, QuadratureSpec, collision_sync_time,
-                      collision_timing_report, ensure_converged,
-                      synthesize_collision, synthesize_transmitted,
-                      transmission_timing_report)
+                      collision_timing_report, cutoff_packet_profile,
+                      ensure_converged, synthesize_collision,
+                      synthesize_transmitted, transmission_timing_report)
 from .phase_times import rate_table
-from .spectrum import (GaussianSpectrum, cutoff_packet_profile,
-                       cutoff_time_estimate, distortion_onset, kmax_table)
+from .spectrum import (GaussianSpectrum, cutoff_time_estimate,
+                       distortion_onset, kmax_table)
 
 _NONCOMMUTING_NOTE = ("limit of the standard rate at n=1 as alpha->0 is 4/3; "
                       "the n->1 limit of 1+1/(2n) is 3/2: the two limits do "

@@ -174,9 +174,10 @@ def gauss_legendre_panels(lo: float, hi: float, panels: int,
     """Composite Gauss-Legendre rule: `panels` equal panels of the given order.
 
     Returns (nodes, weights) concatenated over panels, nodes increasing.
+    lo and hi must be finite, with hi > lo.
     """
-    if not hi > lo:
-        raise ValueError("need hi > lo")
+    if not -math.inf < lo < hi < math.inf:  # false for nan too
+        raise ValueError("need finite ends with hi > lo")
     if panels < 1 or order < 2:
         raise ValueError("need panels >= 1 and order >= 2")
     x, wts = _legendre(order)

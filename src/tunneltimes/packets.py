@@ -3,7 +3,8 @@
 Fields are built by composite Gauss-Legendre quadrature over the momentum
 spectrum; there is no PDE time stepping anywhere.  Three configurations:
 
- * free (incident) packets,
+ * free (incident) packets, among them the t = 0 profile of a spectrum
+   cut off at k_cut (cutoff_packet_profile),
  * the transmitted packet behind the barrier, synthesized from the
    modulated amplitude g |T| and the transmission phase,
  * the symmetric two-packet collision, assembled region by region from
@@ -119,10 +120,13 @@ class PacketField:
         if x.ndim != 1 or len(x) < 3:
             raise ValueError("x must be a 1-D grid with at least 3 points")
         _grid_steps(x)
-        if len(self.psi) != len(x):
-            raise ValueError("psi and x must have matching lengths")
+        psi = np.asarray(self.psi, dtype=complex)
+        if psi.shape != x.shape:
+            raise ValueError("psi must be 1-D, with the length of x")
+        if not math.isfinite(self.t):
+            raise ValueError("t must be finite")
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "psi", np.asarray(self.psi, dtype=complex))
+        object.__setattr__(self, "psi", psi)
 
     @property
     def density(self) -> np.ndarray:
@@ -149,32 +153,12 @@ class PacketField:
         dens = self.density
         return parabolic_refine(self.x, dens, int(np.argmax(dens)))
 
-    def local_max_positions(self) -> np.ndarray:
-        """Positions of interior local maxima above 0.25 * global max."""
+    def is_multimodal(self) -> bool:
+        """More than one interior local maximum above 0.25 * global max."""
         dens = self.density
         dm = dens[1:-1]
         mask = (dm >= dens[:-2]) & (dm > dens[2:]) & (dm > _MODE_THRESHOLD * dens.max())
-        return self.x[1:-1][mask]
-
-    def is_multimodal(self) -> bool:
-        return len(self.local_max_positions()) > 1
-
-
-def _chunked_matmul(x: np.ndarray, block, amp: np.ndarray,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """Sum over k of a (x, k) matrix times amp, _X_CHUNK rows of x at a time.
-
-    block maps a chunk of x and amp ((n_k,) or (n_k, n_t)) to a pair
-    (matrix, a) whose product is that chunk of the result; each product
-    is written straight into the one (n_x,) or (n_x, n_t) output, `out`
-    when given.
-    """
-    if out is None:
-        out = np.empty((len(x),) + np.shape(amp)[1:], dtype=complex)
-    for lo in range(0, len(x), _X_CHUNK):
-        sl = slice(lo, lo + _X_CHUNK)
-        np.matmul(*block(x[sl], amp), out=out[sl])
-    return out
+        return np.count_nonzero(mask) > 1
 
 
 def _degree(kappa: float) -> int:
@@ -270,15 +254,13 @@ def _phase_matvec(x: np.ndarray, ks: np.ndarray, amp: np.ndarray,
     out = np.empty((len(x), a2.shape[1]), dtype=complex)
     offs, interp, hw = _offset_block(x, ks, scale)
     shift = np.exp(hw * phase)
-
-    def block(xc, a):
-        a = a * (np.exp(xc[0] * phase) * shift)[:, None]
+    for lo in range(0, len(x), _X_CHUNK):
+        rows = out[lo:lo + _X_CHUNK]
+        a = a2 * (np.exp(x[lo] * phase) * shift)[:, None]
         if interp is not None:  # (r, n_k) @ (n_k, 2 n_t) in real arithmetic
             a = (interp @ a.view(float)).view(complex)
-        return offs[:len(xc)], a
-
-    return _chunked_matmul(x, block, a2, out).reshape(
-        (len(x),) + np.shape(amp)[1:])
+        np.matmul(offs[:len(rows)], a, out=rows)
+    return out.reshape((len(x),) + np.shape(amp)[1:])
 
 
 def _times(t) -> np.ndarray:
@@ -388,7 +370,8 @@ def synthesize_collision(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     E w + conj(E conj(S w)) and the right one E S w + conj(E conj(w)),
     so each exterior region, a slice of the uniform x_grid (ValueError
     otherwise), is one _phase_matvec call with one offset block.  The
-    interior is chunked the same way.  No basis is cached.  A raw
+    interior is summed _X_CHUNK rows at a time, so that its (x, k) basis
+    stays bounded at large L.  No basis is cached.  A raw
     evaluation of `quad`; ensure_converged sizes the rule.
 
     No time may precede the synchronization instant -L / (2 k0).
@@ -411,7 +394,6 @@ def synthesize_collision(spectrum: GaussianSpectrum, barrier: BarrierConfig,
 
     left = x < -h
     right = x > h
-    inner = ~(left | right)
     psi = np.empty((len(x), n_t), dtype=complex)
     for region, direct, mirrored in ((left, weight, s_weight),
                                      (right, s_weight, weight)):
@@ -419,12 +401,13 @@ def synthesize_collision(spectrum: GaussianSpectrum, barrier: BarrierConfig,
             both = _phase_matvec(x[region], ks, np.concatenate(
                 [direct, mirrored.conj()], axis=1), scale)
             psi[region] = both[:, :n_t] + both[:, n_t:].conj()
-    if inner.any():
+    # x increases, so the interior is the rows [start, stop)
+    start, stop = np.count_nonzero(left), len(x) - np.count_nonzero(right)
+    for lo in range(start, stop, _X_CHUNK):
+        xc = x[lo:min(lo + _X_CHUNK, stop)]
         # psi(x) + psi(-x), psi the left-incident solution: one kernel call
-        psi[inner] = _chunked_matmul(
-            x[inner], lambda xc, a: (interior_field(
-                ks, barrier, np.stack([xc, -xc])[:, :, None]).sum(axis=0), a),
-            weight)
+        basis = interior_field(ks, barrier, np.stack([xc, -xc])[:, :, None])
+        np.matmul(basis.sum(axis=0), weight, out=psi[lo:lo + len(xc)])
     return _fields(x, t, ts, psi)
 
 
@@ -466,6 +449,28 @@ def ensure_converged(synth, quad: QuadratureSpec, max_doublings: int = 6
     raise ConvergenceError(
         f"quadrature not converged: change {change:.3e} > tol {quad.tol:.3e} "
         f"at {quad.panels} panels x order {quad.order}")
+
+
+def cutoff_packet_profile(spectrum: GaussianSpectrum, x_grid, k_cut: float):
+    """psi(x) at t = 0 of the spectrum truncated to [0, k_cut], as a
+    PacketField, and the gate's quadrature change: (field, change).
+
+    A cut at (1 - delta) w models the filter of a barrier with top w; a
+    cut at k0 + 8, beyond which the intensity is below 1e-13 of the peak,
+    leaves the gaussian whole.  ValueError when the window or the profile
+    is empty.  The rule is sized by ensure_converged from the default
+    QuadratureSpec (ConvergenceError if it fails); change is the largest
+    peak-relative change of |psi| when that rule is doubled.
+    """
+    if not 1e-9 * spectrum.k0 < k_cut < math.inf:
+        raise ValueError("k_cut must be finite and above 1e-9 k0 "
+                         "(a lower cut removes the whole support)")
+    fld, change, _ = ensure_converged(lambda q: synthesize_incident(
+        spectrum, x_grid, t=0.0, quad=q, k_interval=(1e-12, k_cut)), QuadratureSpec())
+    if not np.any(fld.psi):
+        raise ValueError("the spectrum has no weight below the cutoff; "
+                         "the profile is identically zero")
+    return fld, change
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,22 +42,13 @@ from .numerics import sinhc_cosh
 _ALPHA_SERIES = 0.1
 
 
-@dataclass(frozen=True)
-class TimeParams:
-    """Dimensionless groups alpha, n and tau of a phase time at k_eval."""
-
-    k_eval: float
-    alpha: float
-    n: float
-    tau: float
-
-    @classmethod
-    def from_k(cls, k: float, barrier: BarrierConfig) -> "TimeParams":
-        w = barrier.w
-        if not 0.0 < k < w:
-            raise ValueError("k_eval must lie in the tunneling window (0, w)")
-        alpha = math.sqrt(w * w - k * k) * barrier.width
-        return cls(k_eval=k, alpha=alpha, n=(k / w) ** 2, tau=barrier.width / k)
+def _time_params(k: float, barrier: BarrierConfig) -> tuple[float, float, float]:
+    """Dimensionless groups (alpha, n, tau) of a phase time at k in (0, w)."""
+    w = barrier.w
+    if not 0.0 < k < w:
+        raise ValueError("k_eval must lie in the tunneling window (0, w)")
+    alpha = math.sqrt(w * w - k * k) * barrier.width
+    return alpha, (k / w) ** 2, barrier.width / k
 
 
 def _validate_rate_args(alpha, n: float) -> np.ndarray:
@@ -135,8 +125,8 @@ def standard_transit_time(k_eval: float, barrier: BarrierConfig) -> float:
 
     Exact closed form tau * rate_standard(alpha, n).
     """
-    params = TimeParams.from_k(k_eval, barrier)
-    return params.tau * rate_standard(params.alpha, params.n)
+    alpha, n, tau = _time_params(k_eval, barrier)
+    return tau * rate_standard(alpha, n)
 
 
 def opaque_limit_time(k_eval: float, barrier: BarrierConfig) -> float:
@@ -158,8 +148,7 @@ def scattering_time_coshsq_variant(k0: float, barrier: BarrierConfig) -> float:
     alpha k0^2 term.  It does not reproduce the phase derivative and is
     exposed purely for diagnostic comparison; 0 at L = 0, and finite (tending
     to 0) for large alpha."""
-    params = TimeParams.from_k(k0, barrier)
-    a = params.alpha
+    a = _time_params(k0, barrier)[0]
     w2 = barrier.w**2
     s, c, r = sinhc_cosh(a**2)
     # cosh = c / sig and sinh/alpha = s / sig: numerator and denominator
@@ -182,8 +171,8 @@ def scattering_delay(k0: float, barrier: BarrierConfig) -> float:
     delay is its negative, the exact closed form
     tau * rate_scattering(alpha, n), which is 0 at L = 0.
     """
-    params = TimeParams.from_k(k0, barrier)
-    return params.tau * rate_scattering(params.alpha, params.n)
+    alpha, n, tau = _time_params(k0, barrier)
+    return tau * rate_scattering(alpha, n)
 
 
 def rate_table(n_values, alphas) -> list[tuple[float, float, float, float]]:

@@ -84,8 +84,6 @@ class KmaxResult:
 
     k_max: float
     boundary_dominated: bool
-    value_at_max: float
-    value_at_top: float
     containment_outside: float
 
 
@@ -165,10 +163,8 @@ def find_kmax(spectrum: GaussianSpectrum,
                 if peak is not None:
                     km[j], boundary[j] = peak, False
 
-    results = [KmaxResult(float(k), flag,
-                          float(modulated_spectrum(k, spectrum, b)),
-                          float(modulated_spectrum(b.w, spectrum, b)), out)
-               for b, k, flag, out in zip(barriers, km, boundary, outside)]
+    results = [KmaxResult(float(k), flag, out)
+               for k, flag, out in zip(km, boundary, outside)]
     return results[0] if isinstance(barrier, BarrierConfig) else results
 
 
@@ -282,28 +278,3 @@ def cutoff_time_estimate(delta: float, w: float) -> float:
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]; the estimate diverges at delta = 0")
     return 2.0 / (w * delta)
-
-
-def cutoff_packet_profile(spectrum: GaussianSpectrum, x_grid, k_cut: float):
-    """psi(x) at t = 0 of the spectrum truncated to [0, k_cut], as a
-    PacketField, and the gate's quadrature change: (field, change).
-
-    A cut at (1 - delta) w models the filter of a barrier with top w; a
-    cut at k0 + 8, beyond which the intensity is below 1e-13 of the peak,
-    leaves the gaussian whole.  ValueError when the window or the profile
-    is empty.  The rule is sized by ensure_converged from the default
-    QuadratureSpec (ConvergenceError if it fails); change is the largest
-    peak-relative change of |psi| when that rule is doubled.
-    """
-    # local import to avoid a cycle
-    from .packets import QuadratureSpec, ensure_converged, synthesize_incident
-
-    if not 1e-9 * spectrum.k0 < k_cut < math.inf:
-        raise ValueError("k_cut must be finite and above 1e-9 k0 "
-                         "(a lower cut removes the whole support)")
-    fld, change, _ = ensure_converged(lambda q: synthesize_incident(
-        spectrum, x_grid, t=0.0, quad=q, k_interval=(1e-12, k_cut)), QuadratureSpec())
-    if not np.any(fld.psi):
-        raise ValueError("the spectrum has no weight below the cutoff; "
-                         "the profile is identically zero")
-    return fld, change

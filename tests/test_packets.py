@@ -7,9 +7,8 @@ import pytest
 from tunneltimes import (BarrierConfig, GaussianSpectrum, PacketField,
                          QuadratureSpec, collision_sync_time,
                          collision_timing_report, ensure_converged,
-                         symmetric_amplitudes, synthesize_collision,
-                         synthesize_incident, synthesize_transmitted,
-                         transmission_timing_report)
+                         synthesize_collision, synthesize_incident,
+                         synthesize_transmitted, transmission_timing_report)
 from tunneltimes.barrier import _collision_amplitudes, interior_field
 from tunneltimes.packets import (_X_CHUNK, ConvergenceError, _degree,
                                  _offset_block, _phase_matvec)
@@ -32,6 +31,11 @@ class TestPacketField:
                         psi=np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError):
             PacketField(x=np.array([0.0, 1.0, 2.0]), t=0.0, psi=np.array([1.0]))
+        # a 2-D psi would give a flattened argmax as the peak
+        with pytest.raises(ValueError):
+            PacketField(x=np.linspace(0, 1, 5), t=0.0, psi=np.ones((5, 3)))
+        with pytest.raises(ValueError):
+            PacketField(x=np.linspace(0, 1, 5), t=math.nan, psi=np.ones(5))
         # increasing but not uniform: peak refinement would take the wrong
         # spacing (0.402587 for a peak at 0.4), so every entry point refuses it
         u = np.linspace(-1.0, 1.0, 401)
@@ -72,6 +76,10 @@ class TestQuadrature:
     def test_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec().nodes(1.0, 0.5)
+        for lo, hi in [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan),
+                       (math.nan, 1.0)]:
+            with pytest.raises(ValueError):
+                QuadratureSpec().nodes(lo, hi)
         with pytest.raises(ValueError):
             QuadratureSpec(panels=0)
         with pytest.raises(ValueError):
@@ -434,8 +442,8 @@ class TestCollision:
         b = BarrierConfig(w=4.0, width=0.4)
         ks = np.linspace(0.05, 10.0, 800)
         g = spec.amplitude(ks)
-        s_abs = np.array([abs(symmetric_amplitudes(float(k), b).combined)
-                          for k in ks])
+        refl, trans = _collision_amplitudes(ks, b)
+        s_abs = np.abs(refl + trans)
         np.testing.assert_allclose(g * s_abs, g, atol=1e-13 * g.max())
 
     def test_outgoing_delay_matches_scattering_rate(self):

@@ -9,7 +9,7 @@ from tunneltimes import (BarrierConfig, collision_phase, opaque_limit_time,
                          scattering_delay, scattering_time_coshsq_variant,
                          standard_transit_time, transmission_phase)
 from tunneltimes.numerics import ridders_derivative
-from tunneltimes.phase_times import TimeParams
+from tunneltimes.phase_times import _time_params
 
 mp.mp.dps = 40
 
@@ -40,16 +40,16 @@ def ridders_time(phase, k, b):
 
 class TestTimeParams:
     def test_fields(self):
-        p = TimeParams.from_k(1.0, barrier())
-        assert p.alpha == pytest.approx(math.sqrt(15.0) * 0.5, rel=1e-15)
-        assert p.n == pytest.approx(1.0 / 16.0, rel=1e-15)
-        assert p.tau == pytest.approx(0.5, rel=1e-15)
+        alpha, n, tau = _time_params(1.0, barrier())
+        assert alpha == pytest.approx(math.sqrt(15.0) * 0.5, rel=1e-15)
+        assert n == pytest.approx(1.0 / 16.0, rel=1e-15)
+        assert tau == pytest.approx(0.5, rel=1e-15)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            TimeParams.from_k(4.0, barrier())
+            _time_params(4.0, barrier())
         with pytest.raises(ValueError):
-            TimeParams.from_k(0.0, barrier())
+            _time_params(0.0, barrier())
 
 
 class TestRates:

@@ -87,11 +87,13 @@ class TestFindKmax:
         assert not res.boundary_dominated
 
     def test_boundary_dominated_cell(self):
+        s, b = spectrum(), BarrierConfig(w=1.5, width=0.8)
         with pytest.warns(ContainmentWarning):
-            res = find_kmax(spectrum(), BarrierConfig(w=1.5, width=0.8))
+            res = find_kmax(s, b)
         assert res.boundary_dominated
         assert res.k_max == 1.5
-        assert res.value_at_top >= res.value_at_max - 1e-15
+        assert (modulated_spectrum(b.w, s, b)
+                >= modulated_spectrum(res.k_max, s, b) - 1e-15)
 
     def test_kmax_bracket_invariant(self):
         # k0 <= k_max <= w over a random sweep; equality with k0 only at L = 0
