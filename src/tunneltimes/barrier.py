@@ -127,9 +127,9 @@ def _phi(sol):
     # Divide both arguments by 2^e ~ w^2 (w >= 1 only: scaling up could
     # overflow at k >> w) so that 2k(w^2 - k^2) stays finite for every
     # accepted w; a power of two changes no rounding, hence no phase.
-    e = max(math.frexp(w * w)[1], 0)
+    e = np.maximum(np.frexp(w * w)[1], 0)
     num = 2.0 * k * np.ldexp(w * w - k * k, -e) * L * sh
-    den = (math.ldexp(w * w, -e) * np.exp(-r)
+    den = (np.ldexp(w * w, -e) * np.exp(-r)
            + np.ldexp(2.0 * k * k - w * w, -e) * c)
     return np.arctan2(num, den)
 

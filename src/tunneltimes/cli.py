@@ -5,8 +5,10 @@ All quantities are dimensionless (lengths in units of the packet width a,
 mass m = 1, hbar = 1), so parameters enter as the groups w*a, k0*a, L/a.
 Each run writes its CSV artifacts plus a manifest.json echoing every
 resolved parameter; outputs contain no timestamps, so identical
-invocations are byte-identical.  Exit codes: 0 success, 2 parameter
-validation error, 3 numerical-convergence failure.
+invocations are byte-identical.  A subcommand validates and computes;
+`main` writes the directory only after it has returned, so only on exit
+0.  Exit codes: 0 success, 2 parameter validation error, 3
+numerical-convergence failure; exits 2 and 3 leave nothing behind.
 """
 
 from __future__ import annotations
@@ -43,23 +45,25 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _write_csv(path: Path, manifest: dict, columns: list[str],
+def _write_csv(path: Path, header: tuple, columns: list[str],
                rows: Iterable[tuple]) -> None:
     """Write the commented header, the column names and one line per row.
 
+    `header` is (title, parameters, notes): a `# tunneltimes <title>` line,
+    one `# key = value` line per parameter in key order, then one
+    `# note: ...` line per note.
     A row is formatted by one %-format built from the first row's cell
     types: '%s' for a str cell, '%.12g' (the text of `_fmt`) for any other.
     So every row must have the same cell types as the first; a str where
     the first row held a number raises TypeError.
     """
+    title, parameters, notes = header
     rows = list(rows)
     with path.open("w", encoding="utf-8") as fh:
-        fh.write(f"# tunneltimes {manifest['subcommand']}\n")
-        for key, val in sorted(manifest["parameters"].items()):
-            if key == "out":
-                continue  # keep data artifacts relocatable
+        fh.write(f"# tunneltimes {title}\n")
+        for key, val in sorted(parameters.items()):
             fh.write(f"# {key} = {val}\n")
-        for note in manifest.get("notes", []):
+        for note in notes:
             fh.write(f"# note: {note}\n")
         fh.write(",".join(columns) + "\n")
         if rows:
@@ -68,29 +72,26 @@ def _write_csv(path: Path, manifest: dict, columns: list[str],
             fh.write("".join([fmt % row for row in rows]))
 
 
-def _write_manifest(outdir: Path, manifest: dict) -> None:
+def _write_run(subcommand: str, out: str, run: tuple) -> None:
+    """Make `out`, write every CSV of a finished run, then manifest.json.
+
+    `run` is (parameters, files, diagnostics, notes) and each file is
+    (name, header, columns, rows); a header of None means the run's own,
+    (subcommand, parameters, notes).  Only the manifest records `out`.
+    """
+    parameters, files, diagnostics, notes = run
+    outdir = Path(out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, header, columns, rows in files:
+        _write_csv(outdir / name, header or (subcommand, parameters, notes),
+                   columns, rows)
+    manifest = {"tool": "tunneltimes", "version": __version__, "subcommand": subcommand,
+                "parameters": {**parameters, "out": str(out)},
+                "notes": notes, "diagnostics": diagnostics,
+                "outputs": [name for name, *_ in files]}
     with (outdir / "manifest.json").open("w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _manifest(subcommand: str, parameters: dict, notes: list[str] | None = None,
-              diagnostics: dict | None = None) -> dict:
-    return {
-        "tool": "tunneltimes",
-        "version": __version__,
-        "subcommand": subcommand,
-        "parameters": parameters,
-        "notes": notes or [],
-        "diagnostics": diagnostics or {},
-        "outputs": [],
-    }
-
-
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _x_grid(args, lo: float, lower: str = "x-min") -> np.ndarray:
@@ -108,7 +109,7 @@ def _x_grid(args, lo: float, lower: str = "x-min") -> np.ndarray:
     return np.linspace(lo, args.x_max, args.x_points)
 
 
-def cmd_table1(args) -> int:
+def cmd_table1(args) -> tuple:
     wa = args.w_a or _TABLE1_WA
     la = args.l_a or _TABLE1_LA
     if min(wa) <= 0 or min(la) < 0:
@@ -117,30 +118,23 @@ def cmd_table1(args) -> int:
         raise ValueError("k0-a must be positive")
     if args.k0_a >= min(wa):
         raise ValueError("k0-a must lie below every barrier top w-a")
-    out = _outdir(args)
     cells = kmax_table(args.k0_a, wa, la, scan_points=args.scan_points)
-    manifest = _manifest("table1", {
-        "k0_a": args.k0_a, "w_a": list(wa), "l_a": list(la),
-        "scan_points": args.scan_points, "out": str(args.out),
-    })
+    params = {"k0_a": args.k0_a, "w_a": list(wa), "l_a": list(la),
+              "scan_points": args.scan_points}
     rows = [(c.w_a, c.l_a, c.kmax_a, "*" if c.boundary_dominated else "")
             for c in cells]
-    _write_csv(out / "table1.csv", manifest, ["w_a", "L_a", "kmax_a", "flag"], rows)
-
     # wide, human-readable grid with the boundary-dominated star markers
     mark = {(c.w_a, c.l_a): "*" if c.boundary_dominated else f"{c.kmax_a:.4f}"
             for c in cells}
-    _write_csv(out / "table1_grid.csv",
-               {"subcommand": "table1 (grid layout; * = boundary-dominated)",
-                "parameters": {}},
-               ["L_a\\w_a"] + [_fmt(w) for w in wa],
-               [(f"{lv:.2f}", *(mark[wv, lv] for wv in wa)) for lv in la])
-    manifest["outputs"] = ["table1.csv", "table1_grid.csv"]
-    _write_manifest(out, manifest)
-    return 0
+    grid = [(f"{lv:.2f}", *(mark[wv, lv] for wv in wa)) for lv in la]
+    return params, [
+        ("table1.csv", None, ["w_a", "L_a", "kmax_a", "flag"], rows),
+        ("table1_grid.csv", ("table1 (grid layout; * = boundary-dominated)", {}, []),
+         ["L_a\\w_a"] + [_fmt(w) for w in wa], grid),
+    ], {}, []
 
 
-def cmd_rates(args) -> int:
+def cmd_rates(args) -> tuple:
     ns = args.n or [0.2, 0.4, 0.6, 0.8, 1.0]
     if any(not 0.0 < n <= 1.0 for n in ns):
         raise ValueError("every n must lie in (0, 1]")
@@ -148,28 +142,18 @@ def cmd_rates(args) -> int:
         raise ValueError("need 0 < alpha-min < alpha-max, both finite")
     if args.alpha_steps < 2:
         raise ValueError("alpha-steps must be at least 2")
-    out = _outdir(args)
     alphas = np.geomspace(args.alpha_min, args.alpha_max, args.alpha_steps)
     rows = rate_table(ns, alphas)
     notes = [_NONCOMMUTING_NOTE] if any(n == 1.0 for n in ns) else []
-    manifest = _manifest("rates", {
-        "n": list(ns), "alpha_min": args.alpha_min, "alpha_max": args.alpha_max,
-        "alpha_steps": args.alpha_steps, "out": str(args.out),
-    }, notes=notes)
-    _write_csv(out / "rates.csv", manifest, ["alpha", "n", "R_T", "R_phi"], rows)
-    manifest["outputs"] = ["rates.csv"]
-    _write_manifest(out, manifest)
-    return 0
+    params = {"n": list(ns), "alpha_min": args.alpha_min,
+              "alpha_max": args.alpha_max, "alpha_steps": args.alpha_steps}
+    return params, [("rates.csv", None, ["alpha", "n", "R_T", "R_phi"], rows)], {}, notes
 
 
-def cmd_distortion(args) -> int:
+def cmd_distortion(args) -> tuple:
     if not (args.k0_a > 0 and args.w_a > args.k0_a):
         raise ValueError("need 0 < k0-a < w-a")
-    out = _outdir(args)
     rep = distortion_onset(GaussianSpectrum(k0=args.k0_a), args.w_a)
-    manifest = _manifest("distortion", {
-        "w_a": args.w_a, "k0_a": args.k0_a, "out": str(args.out),
-    }, notes=["onset candidates disagree; onset_numeric is authoritative"])
     cols = ["w_a", "k0_a", "onset_numeric", "onset_linear_candidate",
             "onset_sqrt_candidate", "onset_quadratic_limit",
             "gaussian_logderiv", "t_logderiv_numeric",
@@ -178,14 +162,12 @@ def cmd_distortion(args) -> int:
            rep.onset_sqrt_candidate, rep.onset_quadratic_limit,
            rep.gaussian_logderiv, rep.t_logderiv_numeric,
            rep.t_logderiv_quadratic, rep.t_logderiv_linear_variant)
-    _write_csv(out / "distortion.csv", manifest, cols, [row])
-    manifest["outputs"] = ["distortion.csv"]
-    manifest["diagnostics"] = dataclasses.asdict(rep)
-    _write_manifest(out, manifest)
-    return 0
+    return ({"w_a": args.w_a, "k0_a": args.k0_a},
+            [("distortion.csv", None, cols, [row])], dataclasses.asdict(rep),
+            ["onset candidates disagree; onset_numeric is authoritative"])
 
 
-def cmd_cutoff(args) -> int:
+def cmd_cutoff(args) -> tuple:
     w_a = args.w_a
     k0_a = args.k0_a if args.k0_a is not None else 0.5 * w_a
     if not (k0_a > 0 and w_a > 0):
@@ -194,7 +176,6 @@ def cmd_cutoff(args) -> int:
     if any(not 0.0 <= d < 1.0 for d in deltas):
         raise ValueError("every delta must lie in [0, 1)")
     xs = _x_grid(args, args.x_min)
-    out = _outdir(args)
     spec = GaussianSpectrum(k0=k0_a)
     rows = []
     tail_metrics = {}
@@ -214,18 +195,14 @@ def cmd_cutoff(args) -> int:
         tail_metrics[label] = float(tail.max() / peak) if len(tail) else None
         if delta is not None and delta > 0.0:
             estimates[label] = cutoff_time_estimate(delta, w_a)
-    manifest = _manifest("cutoff", {
-        "w_a": w_a, "k0_a": k0_a, "delta": list(deltas),
-        "x_min": args.x_min, "x_max": args.x_max, "x_points": args.x_points,
-        "out": str(args.out),
-    }, diagnostics={"tail_metric_by_delta": tail_metrics,
-                    "opaque_time_estimate_by_delta": estimates,
-                    "quadrature_change_by_delta": changes})
-    _write_csv(out / "cutoff_profiles.csv", manifest,
-               ["delta", "k_cut_a", "x_a", "abs_psi", "abs_psi_over_peak"], rows)
-    manifest["outputs"] = ["cutoff_profiles.csv"]
-    _write_manifest(out, manifest)
-    return 0
+    params = {"w_a": w_a, "k0_a": k0_a, "delta": list(deltas),
+              "x_min": args.x_min, "x_max": args.x_max, "x_points": args.x_points}
+    return params, [
+        ("cutoff_profiles.csv", None,
+         ["delta", "k_cut_a", "x_a", "abs_psi", "abs_psi_over_peak"], rows),
+    ], {"tail_metric_by_delta": tail_metrics,
+        "opaque_time_estimate_by_delta": estimates,
+        "quadrature_change_by_delta": changes}, []
 
 
 def _parse_common_packet(args) -> tuple[GaussianSpectrum, BarrierConfig]:
@@ -242,66 +219,52 @@ def _parse_common_packet(args) -> tuple[GaussianSpectrum, BarrierConfig]:
             BarrierConfig(w=args.w_a, width=args.l_a))
 
 
-def _write_snapshots(out: Path, prefix: str, label: str, fields) -> list[str]:
-    """One CSV per snapshot, headed by its time; returns the file names."""
-    files = [f"{prefix}_{i:03d}.csv" for i in range(len(fields))]
-    for name, fld in zip(files, fields):
-        _write_csv(out / name,
-                   {"subcommand": label, "parameters": {"t": _fmt(fld.t)}},
-                   ["x", "re_psi", "im_psi", "abs2"],
-                   zip(fld.x, fld.psi.real, fld.psi.imag, fld.density))
-    return files
+def _snapshot_files(prefix: str, label: str, fields) -> list[tuple]:
+    """One CSV per snapshot, headed by its time; rows are formatted lazily."""
+    return [(f"{prefix}_{i:03d}.csv", (label, {"t": _fmt(fld.t)}, []),
+             ["x", "re_psi", "im_psi", "abs2"],
+             zip(fld.x, fld.psi.real, fld.psi.imag, fld.density))
+            for i, fld in enumerate(fields)]
 
 
-def cmd_packet(args) -> int:
+def cmd_packet(args) -> tuple:
     spec, barrier = _parse_common_packet(args)
     quad = QuadratureSpec(tol=args.tolerance)
     x_min = max(args.x_min, barrier.half_width)
     xs = _x_grid(args, x_min, "max(x-min, L/2)")
-    out = _outdir(args)
     ts = np.linspace(args.t_min, args.t_max, args.t_steps)
     snapshots, achieved, _ = ensure_converged(
         lambda q: synthesize_transmitted(spec, barrier, xs, ts, quad=q), quad)
-    files = _write_snapshots(out, "packet", "packet snapshot", snapshots)
     rep = transmission_timing_report(spec, barrier, quad=quad)
     timing = {k: (str(v) if isinstance(v, bool) else v)
               for k, v in dataclasses.asdict(rep).items()}
-    manifest = _manifest("packet", {
-        "w_a": args.w_a, "k0_a": args.k0_a, "l_a": args.l_a,
-        "x_min": x_min, "x_max": args.x_max, "x_points": args.x_points,
-        "t_min": args.t_min, "t_max": args.t_max, "t_steps": args.t_steps,
-        "tolerance": args.tolerance, "out": str(args.out),
-    }, diagnostics={"quadrature_change_on_doubling": achieved,
-                    "timing": timing})
-    _write_csv(out / "packet_timing.csv", manifest,
-               list(timing), [tuple(timing.values())])
-    manifest["outputs"] = files + ["packet_timing.csv"]
-    _write_manifest(out, manifest)
-    return 0
+    params = {"w_a": args.w_a, "k0_a": args.k0_a, "l_a": args.l_a,
+              "x_min": x_min, "x_max": args.x_max, "x_points": args.x_points,
+              "t_min": args.t_min, "t_max": args.t_max, "t_steps": args.t_steps,
+              "tolerance": args.tolerance}
+    files = _snapshot_files("packet", "packet snapshot", snapshots)
+    files.append(("packet_timing.csv", None, list(timing), [tuple(timing.values())]))
+    return params, files, {"quadrature_change_on_doubling": achieved,
+                           "timing": timing}, []
 
 
-def cmd_collide(args) -> int:
+def cmd_collide(args) -> tuple:
     spec, barrier = _parse_common_packet(args)
     quad = QuadratureSpec(tol=args.tolerance)
     xs = _x_grid(args, args.x_min)
-    out = _outdir(args)
     t_sync = collision_sync_time(spec, barrier)
     t_lo = max(args.t_min, t_sync)
     ts = np.linspace(t_lo, args.t_max, args.t_steps)
     snapshots, achieved, _ = ensure_converged(
         lambda q: synthesize_collision(spec, barrier, xs, ts, quad=q), quad)
-    files = _write_snapshots(out, "collide", "collision snapshot", snapshots)
     rep = collision_timing_report(spec, barrier, quad=quad)
-    manifest = _manifest("collide", {
-        "w_a": args.w_a, "k0_a": args.k0_a, "l_a": args.l_a,
-        "x_min": args.x_min, "x_max": args.x_max, "x_points": args.x_points,
-        "t_min": t_lo, "t_max": args.t_max, "t_steps": args.t_steps,
-        "tolerance": args.tolerance, "out": str(args.out),
-    }, diagnostics={"quadrature_change_on_doubling": achieved,
-                    **dataclasses.asdict(rep)})
-    manifest["outputs"] = files
-    _write_manifest(out, manifest)
-    return 0
+    params = {"w_a": args.w_a, "k0_a": args.k0_a, "l_a": args.l_a,
+              "x_min": args.x_min, "x_max": args.x_max, "x_points": args.x_points,
+              "t_min": t_lo, "t_max": args.t_max, "t_steps": args.t_steps,
+              "tolerance": args.tolerance}
+    return (params, _snapshot_files("collide", "collision snapshot", snapshots),
+            {"quadrature_change_on_doubling": achieved,
+             **dataclasses.asdict(rep)}, [])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,13 +349,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        run = args.func(args)
     except ValueError as exc:
         print(f"tunneltimes: parameter error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"tunneltimes: convergence failure: {exc}", file=sys.stderr)
         return 3
+    _write_run(args.command, args.out, run)
+    return 0
 
 
 if __name__ == "__main__":

@@ -10,12 +10,10 @@ k0 a = 1 the spectrum is outside the analysis's validity window; the test
 prints the measured numbers there.
 """
 
-import json
 import math
 import time
 
 import numpy as np
-import pytest
 
 from tunneltimes import (BarrierConfig, GaussianSpectrum, QuadratureSpec,
                          collision_phase, collision_sync_time,

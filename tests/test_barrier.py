@@ -8,7 +8,7 @@ import pytest
 from tunneltimes import (BarrierConfig, collision_phase, interior_field,
                          interior_matching, transfer_matrix_amplitudes,
                          transmission_modulus, transmission_phase)
-from tunneltimes.barrier import _collision_amplitudes
+from tunneltimes.barrier import _collision_amplitudes, _phi, _scaled_solution
 
 # reference values at (w a, L/a, k a) = (4, 0.5, 1), frozen from a
 # 40-digit evaluation of the continuity-matched amplitudes
@@ -168,6 +168,14 @@ def test_combined_equals_phase_closed_form():
         refl, trans = _collision_amplitudes(k, b)
         want = cmath.exp(-1j * (k * L + collision_phase(k, b)))
         assert abs(refl + trans - want) < 1e-10
+    # one barrier per lane: each lane takes the arithmetic of a lone call
+    w = rng.uniform(0.5, 10.0, 200)
+    k = rng.uniform(1e-2, 1.0 - 1e-2, 200) * w
+    L = rng.uniform(0.0, 20.0, 200) / w
+    lanes = _phi(_scaled_solution(k, w, L))
+    single = [collision_phase(kv, BarrierConfig(w=wv, width=Lv))
+              for wv, kv, Lv in zip(w, k, L)]
+    np.testing.assert_array_equal(lanes, single)
 
 
 def test_phi_special_point():

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import tunneltimes
-from tunneltimes import (BarrierConfig, GaussianSpectrum, QuadratureSpec,
-                         synthesize_collision)
+from tunneltimes import (BarrierConfig, ConvergenceError, GaussianSpectrum,
+                         QuadratureSpec, cli, synthesize_collision)
 from tunneltimes.cli import _write_csv, main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -222,11 +222,27 @@ def test_empty_x_window_is_named(tmp_path, capsys, args, message):
     (["collide", "--x-min=-inf"], "x-min must be finite"),
     (["packet", "--t-steps", -1], "t-steps = -1 must be at least 1"),
     (["collide", "--t-steps", 0], "t-steps = 0 must be at least 1"),
+    (["collide", "--t-max=-5"], "collision field is defined for t >="),
+    (["cutoff", "--w-a", "1e160"], "the k window's ends must have finite squares"),
 ])
 def test_bad_grid_flag_is_named(tmp_path, capsys, args, message):
     out = tmp_path / "out"
     assert run(args + ["--out", out]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, report", [
+    ("packet", "transmission_timing_report"),
+    ("collide", "collision_timing_report"),
+])
+def test_convergence_failure_leaves_no_output(tmp_path, monkeypatch, command, report):
+    # the report runs after the snapshots have been synthesised
+    def fail(*args, **kwargs):
+        raise ConvergenceError("forced")
+    monkeypatch.setattr(cli, report, fail)
+    out = tmp_path / "out"
+    assert run([command, "--x-points", 101, "--t-steps", 2, "--out", out]) == 3
     assert not out.exists()
 
 
@@ -319,12 +335,12 @@ class TestCollideCmd:
             assert np.abs(mag - ref).max() / ref.max() < p["tolerance"]
 
 
-def _per_cell_csv(manifest, columns, rows):
+def _per_cell_csv(header, columns, rows):
     """The writer's text by the per-cell rule it replaced: the oracle."""
-    lines = [f"# tunneltimes {manifest['subcommand']}"]
-    lines += [f"# {k} = {v}" for k, v in sorted(manifest["parameters"].items())
-              if k != "out"]
-    lines += [f"# note: {note}" for note in manifest.get("notes", [])]
+    title, parameters, notes = header
+    lines = [f"# tunneltimes {title}"]
+    lines += [f"# {k} = {v}" for k, v in sorted(parameters.items())]
+    lines += [f"# note: {note}" for note in notes]
     lines.append(",".join(columns))
     lines += [",".join(c if isinstance(c, str) else f"{c:.12g}" for c in row)
               for row in rows]
@@ -332,16 +348,15 @@ def _per_cell_csv(manifest, columns, rows):
 
 
 class TestWriteCsv:
-    MANIFEST = {"subcommand": "demo", "notes": ["a note"],
-                "parameters": {"b": 2.0, "a": [1, 2], "out": "elsewhere"}}
+    HEADER = ("demo", {"b": 2.0, "a": [1, 2]}, ["a note"])
     AWKWARD = [-0.0, 5e-324, 1e300, -1e300, 1e-300, -1e-300, np.inf, -np.inf,
                np.nan, 0.1 + 0.2, 2**70, True, 1, 0, np.float64(-2.5e-17),
                np.float64(np.pi), np.int64(-7), np.int64(2**62), np.float32(0.1)]
 
     def check(self, path, columns, rows):
-        _write_csv(path, self.MANIFEST, columns, iter(rows))
+        _write_csv(path, self.HEADER, columns, iter(rows))
         assert path.read_bytes() == _per_cell_csv(
-            self.MANIFEST, columns, rows).encode("utf-8")
+            self.HEADER, columns, rows).encode("utf-8")
 
     def test_header_only(self, tmp_path):
         self.check(tmp_path / "empty.csv", ["x", "y"], [])
@@ -377,5 +392,5 @@ class TestWriteCsv:
 
     def test_text_in_a_numeric_column_raises(self, tmp_path):
         with pytest.raises(TypeError):
-            _write_csv(tmp_path / "bad.csv", self.MANIFEST, ["x", "flag"],
+            _write_csv(tmp_path / "bad.csv", self.HEADER, ["x", "flag"],
                        [(1.0, ""), ("1.0", "*")])
