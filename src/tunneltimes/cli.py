@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from collections.abc import Iterable
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,9 @@ _NONCOMMUTING_NOTE = ("limit of the standard rate at n=1 as alpha->0 is 4/3; "
 
 _TABLE1_WA = [1.5, 2.0, 4.0, 6.0, 8.0, 10.0, 20.0]
 _TABLE1_LA = [round(0.1 * i, 1) for i in range(11)]
+# rows per write in _write_csv: one write call per row (fh.writelines) was
+# measured slower, and the whole file in one write holds every row's text
+_CSV_BLOCK = 1024
 
 
 def _fmt(x: float) -> str:
@@ -55,10 +59,16 @@ def _write_csv(path: Path, header: tuple, columns: list[str],
     A row is formatted by one %-format built from the first row's cell
     types: '%s' for a str cell, '%.12g' (the text of `_fmt`) for any other.
     So every row must have the same cell types as the first; a str where
-    the first row held a number raises TypeError.
+    the first row held a number raises TypeError.  `rows` may be lazy: it
+    is read once, and formatted and written `_CSV_BLOCK` rows at a time,
+    so the writer itself holds at most one block of text, whatever the
+    file length (rows that the caller built up front stay the caller's).
+    A column that repeats across rows or files is cheapest passed as text
+    already formatted by `_fmt`, and a numeric one as Python floats.
     """
     title, parameters, notes = header
-    rows = list(rows)
+    rows = iter(rows)
+    first = next(rows, None)
     with path.open("w", encoding="utf-8") as fh:
         fh.write(f"# tunneltimes {title}\n")
         for key, val in sorted(parameters.items()):
@@ -66,10 +76,13 @@ def _write_csv(path: Path, header: tuple, columns: list[str],
         for note in notes:
             fh.write(f"# note: {note}\n")
         fh.write(",".join(columns) + "\n")
-        if rows:
-            fmt = ",".join("%s" if isinstance(cell, str) else "%.12g"
-                           for cell in rows[0]) + "\n"
-            fh.write("".join([fmt % row for row in rows]))
+        if first is None:
+            return
+        fmt = ",".join("%s" if isinstance(cell, str) else "%.12g"
+                       for cell in first) + "\n"
+        rows = chain([first], rows)
+        while block := [fmt % row for row in islice(rows, _CSV_BLOCK)]:
+            fh.write("".join(block))
 
 
 def _write_run(subcommand: str, out: str, run: tuple) -> None:
@@ -96,12 +109,9 @@ def _write_run(subcommand: str, out: str, run: tuple) -> None:
 
 def _x_grid(args, lo: float, lower: str = "x-min") -> np.ndarray:
     """x-points points on [lo, x-max]: the one x check of cutoff, packet and
-    collide.  ValueError naming the flag at fault: a non-finite x-min or
-    x-max, fewer than 3 x-points (a field needs 3), or an empty window,
-    named by both ends."""
-    for name in ("x_min", "x_max"):
-        if not math.isfinite(getattr(args, name)):
-            raise ValueError(f"{name.replace('_', '-')} must be finite")
+    collide.  ValueError naming the flag at fault: fewer than 3 x-points (a
+    field needs 3), or an empty window, named by both ends.  `main` has
+    already checked that x-min and x-max are finite."""
     if args.x_points < 3:
         raise ValueError(f"x-points = {args.x_points} must be at least 3")
     if not lo < args.x_max:
@@ -138,8 +148,8 @@ def cmd_rates(args) -> tuple:
     ns = args.n or [0.2, 0.4, 0.6, 0.8, 1.0]
     if any(not 0.0 < n <= 1.0 for n in ns):
         raise ValueError("every n must lie in (0, 1]")
-    if not 0 < args.alpha_min < args.alpha_max < math.inf:
-        raise ValueError("need 0 < alpha-min < alpha-max, both finite")
+    if not 0 < args.alpha_min < args.alpha_max:
+        raise ValueError("need 0 < alpha-min < alpha-max")
     if args.alpha_steps < 2:
         raise ValueError("alpha-steps must be at least 2")
     alphas = np.geomspace(args.alpha_min, args.alpha_max, args.alpha_steps)
@@ -176,8 +186,9 @@ def cmd_cutoff(args) -> tuple:
     if any(not 0.0 <= d < 1.0 for d in deltas):
         raise ValueError("every delta must lie in [0, 1)")
     xs = _x_grid(args, args.x_min)
+    x_text = [_fmt(x) for x in xs.tolist()]
     spec = GaussianSpectrum(k0=k0_a)
-    rows = []
+    blocks = []
     tail_metrics = {}
     estimates = {}
     changes = {}
@@ -189,8 +200,8 @@ def cmd_cutoff(args) -> tuple:
         peak = mag.max()
         label = "none" if delta is None else _fmt(delta)
         changes[label] = change
-        for xv, mv in zip(xs, mag):
-            rows.append((label, k_cut, xv, mv, mv / peak))
+        blocks.append(zip(repeat(label), repeat(_fmt(k_cut)), x_text,
+                          mag.tolist(), (mag / peak).tolist()))
         tail = mag[(np.abs(xs) >= 5.0) & (np.abs(xs) <= 9.0)]
         tail_metrics[label] = float(tail.max() / peak) if len(tail) else None
         if delta is not None and delta > 0.0:
@@ -199,7 +210,8 @@ def cmd_cutoff(args) -> tuple:
               "x_min": args.x_min, "x_max": args.x_max, "x_points": args.x_points}
     return params, [
         ("cutoff_profiles.csv", None,
-         ["delta", "k_cut_a", "x_a", "abs_psi", "abs_psi_over_peak"], rows),
+         ["delta", "k_cut_a", "x_a", "abs_psi", "abs_psi_over_peak"],
+         chain.from_iterable(blocks)),
     ], {"tail_metric_by_delta": tail_metrics,
         "opaque_time_estimate_by_delta": estimates,
         "quadrature_change_by_delta": changes}, []
@@ -210,20 +222,23 @@ def _parse_common_packet(args) -> tuple[GaussianSpectrum, BarrierConfig]:
         raise ValueError("need 0 < k0-a < w-a (tunneling regime)")
     if args.l_a is None or args.l_a < 0:
         raise ValueError("l-a must be nonnegative")
-    for name in ("t_min", "t_max"):
-        if not math.isfinite(getattr(args, name)):
-            raise ValueError(f"{name.replace('_', '-')} must be finite")
     if args.t_steps < 1:
         raise ValueError(f"t-steps = {args.t_steps} must be at least 1")
     return (GaussianSpectrum(k0=args.k0_a),
             BarrierConfig(w=args.w_a, width=args.l_a))
 
 
+def _snapshot_rows(x_text: list[str], fld) -> Iterable[tuple]:
+    yield from zip(x_text, fld.psi.real.tolist(), fld.psi.imag.tolist(),
+                   fld.density.tolist())
+
+
 def _snapshot_files(prefix: str, label: str, fields) -> list[tuple]:
-    """One CSV per snapshot, headed by its time; rows are formatted lazily."""
+    """One CSV per snapshot, headed by its time.  The snapshots share one x
+    grid, formatted once; each file's rows are made only as it is written."""
+    x_text = [_fmt(x) for x in fields[0].x.tolist()]
     return [(f"{prefix}_{i:03d}.csv", (label, {"t": _fmt(fld.t)}, []),
-             ["x", "re_psi", "im_psi", "abs2"],
-             zip(fld.x, fld.psi.real, fld.psi.imag, fld.density))
+             ["x", "re_psi", "im_psi", "abs2"], _snapshot_rows(x_text, fld))
             for i, fld in enumerate(fields)]
 
 
@@ -345,10 +360,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_args(args) -> None:
+    """The checks that every subcommand shares, made before it computes:
+    every float flag, one value or an `append` list, is finite, and `out`
+    lies under no file.  ValueError naming the flag."""
+    for name, value in vars(args).items():
+        for v in value if isinstance(value, list) else [value]:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{name.replace('_', '-')} must be finite")
+    out = Path(args.out)
+    found = next(p for p in (out, *out.parents) if p.exists())
+    if not found.is_dir():
+        raise ValueError(f"out = {args.out}: {found} exists and is not a directory")
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _check_args(args)
         run = args.func(args)
     except ValueError as exc:
         print(f"tunneltimes: parameter error: {exc}", file=sys.stderr)

@@ -7,8 +7,9 @@ import pytest
 
 import tunneltimes
 from tunneltimes import (BarrierConfig, ConvergenceError, GaussianSpectrum,
-                         QuadratureSpec, cli, synthesize_collision)
-from tunneltimes.cli import _write_csv, main
+                         QuadratureSpec, cli, cutoff_packet_profile,
+                         synthesize_collision)
+from tunneltimes.cli import _CSV_BLOCK, _fmt, _write_csv, main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -224,6 +225,10 @@ def test_empty_x_window_is_named(tmp_path, capsys, args, message):
     (["collide", "--t-steps", 0], "t-steps = 0 must be at least 1"),
     (["collide", "--t-max=-5"], "collision field is defined for t >="),
     (["cutoff", "--w-a", "1e160"], "the k window's ends must have finite squares"),
+    # one finiteness check over every float flag, lists included
+    (["table1", "--w-a", 2.0, "--w-a", "nan"], "w-a must be finite"),
+    (["packet", "--l-a", "inf"], "l-a must be finite"),
+    (["cutoff", "--k0-a", "inf"], "k0-a must be finite"),
 ])
 def test_bad_grid_flag_is_named(tmp_path, capsys, args, message):
     out = tmp_path / "out"
@@ -244,6 +249,20 @@ def test_convergence_failure_leaves_no_output(tmp_path, monkeypatch, command, re
     out = tmp_path / "out"
     assert run([command, "--x-points", 101, "--t-steps", 2, "--out", out]) == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_out_under_a_file_exits_2_before_computing(tmp_path, capsys, monkeypatch, under):
+    def fail(*args, **kwargs):
+        raise AssertionError("computed before out was checked")
+    monkeypatch.setattr(cli, "rate_table", fail)
+    blocker = tmp_path / "taken"
+    blocker.write_bytes(b"keep me\n")
+    out = blocker / under if under else blocker
+    assert run(["rates", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"out = {out}" in err and "is not a directory" in err
+    assert blocker.read_bytes() == b"keep me\n"
 
 
 class TestPacketCmd:
@@ -394,3 +413,44 @@ class TestWriteCsv:
         with pytest.raises(TypeError):
             _write_csv(tmp_path / "bad.csv", self.HEADER, ["x", "flag"],
                        [(1.0, ""), ("1.0", "*")])
+
+
+class TestWriteCsvBlocks:
+    """The writer streams its rows in blocks of `_CSV_BLOCK`; the CLI hands
+    it text and Python floats.  Both are checked against the oracle."""
+
+    @pytest.mark.parametrize("n", [_CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1,
+                                   2 * _CSV_BLOCK + 1])
+    def test_block_boundaries(self, tmp_path, n):
+        # the CLI's own inputs: x as text formatted once, the rest Python
+        # floats; the oracle reads the numpy scalars they came from
+        x = np.linspace(-3.0, 5.0, n)
+        psi = np.exp(1j * 2.5 * x - x * x / 4.0)
+        cols = (x, psi.real, psi.imag, np.abs(psi) ** 2)
+        rows = zip([_fmt(v) for v in x.tolist()], *(c.tolist() for c in cols[1:]))
+        path = tmp_path / "blocks.csv"
+        names = ["x", "re_psi", "im_psi", "abs2"]
+        _write_csv(path, TestWriteCsv.HEADER, names, rows)
+        expected = _per_cell_csv(TestWriteCsv.HEADER, names, list(zip(*cols)))
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert len(path.read_text().splitlines()) == 5 + n
+
+    def test_cutoff_file_matches_old_rows(self, tmp_path):
+        # rows as cmd_cutoff built them before its columns were formatted once:
+        # numpy scalars, with a float k_cut
+        assert run(["cutoff", "--x-points", 101, "--out", tmp_path]) == 0
+        params = json.loads((tmp_path / "manifest.json").read_text())["parameters"]
+        params.pop("out")
+        xs = np.linspace(params["x_min"], params["x_max"], params["x_points"])
+        spec = GaussianSpectrum(k0=params["k0_a"])
+        rows = []
+        for delta in [None] + params["delta"]:
+            k_cut = (params["k0_a"] + 8.0 if delta is None
+                     else (1.0 - delta) * params["w_a"])
+            mag = np.abs(cutoff_packet_profile(spec, xs, k_cut)[0].psi)
+            label = "none" if delta is None else _fmt(delta)
+            rows += [(label, k_cut, xv, mv, mv / mag.max()) for xv, mv in zip(xs, mag)]
+        expected = _per_cell_csv(
+            ("cutoff", params, []),
+            ["delta", "k_cut_a", "x_a", "abs_psi", "abs_psi_over_peak"], rows)
+        assert (tmp_path / "cutoff_profiles.csv").read_bytes() == expected.encode("utf-8")
