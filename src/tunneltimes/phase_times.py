@@ -7,23 +7,21 @@ combined-amplitude phase phi(k, L) gives the symmetric-collision
 scattering time t = (1/k0) dphi/dk.  Both are returned in closed form as
 plain floats.
 
-For phi the branch that keeps the combined amplitude identity
-exp(-i [kL + phi]) exact is monotonically decreasing in k, so the signed
-derivative is negative; the positive scattering delay (time from the
-peaks reaching the barrier faces to the scattered peaks re-emerging) is
-its negative, tau * rate_scattering(alpha, n), and is what
-scattering_delay returns.  A variant closed form with a squared-cosh
-denominator circulates for this quantity; it does not reproduce the phase
-derivative and is kept only as a diagnostic.
+The branch of phi that keeps exp(-i [kL + phi]) exact decreases in k, so
+scattering_delay returns the positive delay -(1/k0) dphi/dk (time from the
+peaks reaching the barrier faces to the scattered peaks re-emerging).  A
+variant closed form with a squared-cosh denominator circulates for it; it
+does not reproduce the phase derivative and is kept only as a diagnostic.
 
-Dimensionless parameters: alpha = rho(k) L, n = k^2/w^2, and the
-classical traversal time tau = L / k; alpha^2 must be finite.
-
-rate_scattering (at half angles) and the variant take the sinh/cosh
-kernel of `numerics`.  rate_standard keeps a series: at n = 1 its
-numerator cancels to O(alpha^3).  Above alpha = 0.1 its expm1 form is as
-accurate as the kernel form (worst relative error against mpmath,
-alpha in [0.1, 2e3], n in [1e-12, 1]: 2.7e-14 against 3.6e-14).
+Each time is tau = L / k times one ratio of z = (w^2 - k^2) L^2 = m (w L)^2,
+n = k^2/w^2 and m = 1 - n, from one `sinhc_cosh` call as in `barrier`, so
+it continues through the top k = w.  With (s, c) = (sinh(sqrt z)/sqrt z,
+cosh(sqrt z)) and (S, C) the same at z/4, R_T = 2 (c s - n(2n - 1)) /
+(4nm + z s^2) and R_phi = (n + S C) / (n + (z/4) S^2).  The rates take
+z = alpha^2, alpha = rho L, and 0 < n <= 1.  Only R_T cancels, at the top,
+so it takes a series below |z| = _Z_SERIES; above, its kernel form is within
+2.7e-14 of mpmath for alpha in [0.1, 2e3] plus {300.1, 1e4, 1e154},
+n in [1e-12, 1] (the expm1 form it replaced: 2.7e-14).
 """
 
 from __future__ import annotations
@@ -36,29 +34,58 @@ import numpy as np
 from .barrier import BarrierConfig
 from .numerics import sinhc_cosh
 
-# Below this alpha rate_standard switches to series numerator/denominator
-# pairs (through alpha^8); chosen so both branches agree to ~1e-13 at the
-# seam even at n = 1, where the direct numerator cancels to O(alpha^3).
-_ALPHA_SERIES = 0.1
+# Below this |z| (alpha = 0.1) R_T takes its series through z^4, which misses
+# mpmath by 1.4e-12 at n = 1e-12, alpha = 0.0999, where the denominator is ~z.
+_Z_SERIES = 0.01
 
 
-def _time_params(k: float, barrier: BarrierConfig) -> tuple[float, float, float]:
-    """Dimensionless groups (alpha, n, tau) of a phase time at k in (0, w)."""
-    w = barrier.w
-    if not 0.0 < k < w:
-        raise ValueError("k_eval must lie in the tunneling window (0, w)")
-    alpha = math.sqrt(w * w - k * k) * barrier.width
-    return alpha, (k / w) ** 2, barrier.width / k
+def _time_params(k: float, barrier: BarrierConfig) -> tuple[float, float, float, float]:
+    """(z, n, m, tau) of a phase time at a finite k > 0, with z finite;
+    m = (w - k)(w + k)/w^2 and z = m (w L)^2 keep their digits at the top."""
+    w, L = barrier.w, barrier.width
+    m = (w - k) / w * ((w + k) / w)
+    z = m * (w * L) ** 2
+    if not (0.0 < k < math.inf and math.isfinite(z)):
+        raise ValueError("k_eval must be positive and finite, with (w^2 - k^2) L^2 finite")
+    return z, (k / w) * (k / w), m, L / k
 
 
-def _validate_rate_args(alpha, n: float) -> np.ndarray:
+def _transit_ratio(z: np.ndarray, n: float, m: float, mm: float, zz):
+    """R_T at the signed squares z, with m = 1 - n.
+
+    Series constants carry m and the other terms z, so (mm, zz) (zz scalar
+    or like z) is any positive multiple of (m, z); (1, (w L)^2) has no 0/0.
+    """
+    out = np.empty_like(z)
+    big = np.abs(z) >= _Z_SERIES
+    s, c, r = sinhc_cosh(z[big])
+    e = np.exp(-2.0 * r)  # the e^r scale of (s, c) moves onto the n terms
+    out[big] = 2.0 * (c * s - n * (2.0 * n - 1.0) * e) / (4.0 * n * m * e + z[big] * s * s)
+    zs, zz = z[~big], np.broadcast_to(zz, z.shape)[~big]
+    num = mm * (1.0 + 2.0 * n) \
+        + zz * (2.0 / 3.0 + zs * (2.0 / 15.0 + zs * (4.0 / 315.0 + zs * (2.0 / 2835.0))))
+    den = 4.0 * n * mm + zz * (1.0 + zs * (1.0 / 3.0 + zs * (2.0 / 45.0 + zs / 315.0)))
+    out[~big] = 2.0 * num / den
+    return out
+
+
+def _scattering_ratio(z, n: float):
+    """R_phi at the signed square z: (n + S C) / (n + zeta S^2) at zeta = z/4."""
+    zeta = 0.25 * z
+    s, c, r = sinhc_cosh(zeta)
+    n_scaled = n * np.exp(-2.0 * r)
+    return (n_scaled + s * c) / (n_scaled + zeta * s * s)
+
+
+def _alpha_squared(alpha, n: float) -> np.ndarray:
+    """z = alpha^2 of the rates, once alpha and n are checked."""
     arr = np.asarray(alpha, dtype=float)
     # alpha <= sqrt(max float) is exactly alpha * alpha < inf
     if not np.all((arr >= 0.0) & (arr <= math.sqrt(sys.float_info.max))):
         raise ValueError("alpha must be nonnegative, with alpha^2 finite")
     if not 0.0 < n <= 1.0:
         raise ValueError("n must lie in (0, 1]")
-    return arr
+    return arr * arr
 
 
 def rate_standard(alpha, n: float):
@@ -69,37 +96,10 @@ def rate_standard(alpha, n: float):
     two limits do not commute, and no smoothing is applied.  Scalar or
     array alpha.
     """
-    arr = _validate_rate_args(alpha, n)
-    out = np.empty_like(arr)
-    small = arr < _ALPHA_SERIES
-    if small.any():
-        a2 = arr[small] ** 2
-        if n == 1.0:
-            # both constant terms vanish; a2 is divided out so that an
-            # underflowing a2 cannot give 0/0
-            num = 2.0 / 3.0 + (2.0 / 15.0) * a2 + (4.0 / 315.0) * a2 * a2 \
-                + (2.0 / 2835.0) * a2**3
-            den = 1.0 + a2 / 3.0 + (2.0 / 45.0) * a2 * a2 + a2**3 / 315.0
-        else:
-            # (sc - a n(2n-1))/a and (4n(1-n) + sinh^2)/1, each through a^8;
-            # the constant 1 + n - 2n^2 is factored so that it keeps its
-            # digits just below n = 1
-            num = (1.0 - n) * (1.0 + 2.0 * n) + (2.0 / 3.0) * a2 \
-                + (2.0 / 15.0) * a2 * a2 + (4.0 / 315.0) * a2**3 \
-                + (2.0 / 2835.0) * a2**4
-            den = 4.0 * n * (1.0 - n) + a2 + a2 * a2 / 3.0 \
-                + (2.0 / 45.0) * a2**3 + a2**4 / 315.0
-        # alpha = 0 exactly: the finite directional limit
-        lim = 4.0 / 3.0 if n == 1.0 else 1.0 + 0.5 / n
-        out[small] = np.where(arr[small] == 0.0, lim, 2.0 * num / den)
-    big = ~small
-    if big.any():
-        a = arr[big]
-        e = np.exp(-2.0 * a)
-        one_minus = -np.expm1(-2.0 * a)
-        num = -np.expm1(-4.0 * a) - 4.0 * a * n * (2.0 * n - 1.0) * e
-        den = one_minus * one_minus + 16.0 * n * (1.0 - n) * e
-        out[big] = (2.0 / a) * num / den
+    z = _alpha_squared(alpha, n)
+    m = 1.0 - n
+    # at n = 1 the pair (0, 1) is the alpha -> 0 limit, also where alpha^2 underflows
+    out = _transit_ratio(z, n, m, *((m, z) if m else (0.0, 1.0)))
     return out if out.ndim else float(out)
 
 
@@ -111,22 +111,18 @@ def rate_scattering(alpha, n: float):
     C = cosh(a), where no term cancels for any alpha.  Limits 1 + 1/n as
     alpha -> 0 and 0 as alpha -> infinity.  Scalar or array alpha.
     """
-    arr = _validate_rate_args(alpha, n)
-    half = 0.5 * arr
-    s, c, r = sinhc_cosh(half * half)
-    n_scaled = n * np.exp(-2.0 * r)  # the e^r scale of (S, C) moves onto n
-    hs = half * s
-    out = (n_scaled + s * c) / (n_scaled + hs * hs)
+    out = _scattering_ratio(_alpha_squared(alpha, n), n)
     return out if np.ndim(out) else float(out)
 
 
 def standard_transit_time(k_eval: float, barrier: BarrierConfig) -> float:
-    """Stationary-phase transit time t = (1/k) dTheta/dk at k_eval.
+    """Stationary-phase transit time t = (1/k) dTheta/dk at any k_eval > 0.
 
-    Exact closed form tau * rate_standard(alpha, n).
+    Exact closed form tau R_T, on both sides of the top.  At k = w it is
+    (2L/w)(3 + 2v/3)/(4 + v) with v = (w L)^2, the limit of both sides.
     """
-    alpha, n, tau = _time_params(k_eval, barrier)
-    return tau * rate_standard(alpha, n)
+    z, n, m, tau = _time_params(k_eval, barrier)
+    return tau * float(_transit_ratio(np.asarray(z), n, m, 1.0, (barrier.w * barrier.width) ** 2))
 
 
 def opaque_limit_time(k_eval: float, barrier: BarrierConfig) -> float:
@@ -146,10 +142,12 @@ def opaque_limit_time(k_eval: float, barrier: BarrierConfig) -> float:
 def scattering_time_coshsq_variant(k0: float, barrier: BarrierConfig) -> float:
     """Variant closed form with squared-cosh denominator and opposite-sign
     alpha k0^2 term.  It does not reproduce the phase derivative and is
-    exposed purely for diagnostic comparison; 0 at L = 0, and finite (tending
-    to 0) for large alpha."""
-    a = _time_params(k0, barrier)[0]
+    exposed purely for diagnostic comparison; needs 0 < k0 < w, is 0 at
+    L = 0, and finite (tending to 0) for large alpha."""
     w2 = barrier.w**2
+    if not 0.0 < k0 < barrier.w:
+        raise ValueError("the variant needs the tunneling window 0 < k0 < w")
+    a = math.sqrt(barrier.w * barrier.w - k0 * k0) * barrier.width
     s, c, r = sinhc_cosh(a**2)
     # cosh = c / sig and sinh/alpha = s / sig: numerator and denominator
     # are multiplied by sig^2, and sig = 1.0 below alpha = 300 changes no bit.
@@ -165,14 +163,14 @@ def scattering_time_coshsq_variant(k0: float, barrier: BarrierConfig) -> float:
 
 
 def scattering_delay(k0: float, barrier: BarrierConfig) -> float:
-    """Symmetric-collision scattering delay -(1/k0) dphi/dk at k0.
+    """Symmetric-collision scattering delay -(1/k0) dphi/dk at any k0 > 0.
 
     On the shipped branch of phi the phase derivative is negative; the
-    delay is its negative, the exact closed form
-    tau * rate_scattering(alpha, n), which is 0 at L = 0.
+    delay is its negative, the exact closed form tau R_phi on both sides
+    of the top, which is 2 tau at k0 = w and 0 at L = 0.
     """
-    alpha, n, tau = _time_params(k0, barrier)
-    return tau * rate_scattering(alpha, n)
+    z, n, _, tau = _time_params(k0, barrier)
+    return tau * float(_scattering_ratio(z, n))
 
 
 def rate_table(n_values, alphas) -> list[tuple[float, float, float, float]]:

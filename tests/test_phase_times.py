@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath as mp
@@ -24,11 +25,25 @@ T_SCATT_AT_K1 = -0.68149921179846080906         # (1/k0) dphi/dk at k0 a = 1
 T_SCATT_COSHSQ_AT_K1 = 0.14510571648379781027   # diagnostic variant there
 
 
-def mp_dtheta(k, w, L):
-    def f(q):
-        r = mp.sqrt(w * w - q * q)
-        return mp.atan((2 * q * q - w * w) * mp.tanh(r * L) / (2 * q * r))
-    return float(mp.diff(f, mp.mpf(k)))
+def mp_amplitudes(q, w, L):
+    """Complex numbers whose arguments are Theta and phi at q, written in the
+    signed square z = (w^2 - q^2) L^2 so that they continue through the top."""
+    w, L = mp.mpf(w), mp.mpf(L)
+    z = (w * w - q * q) * L * L
+    root = mp.sqrt(mp.mpc(z))
+    s, c = (mp.re(mp.sinh(root) / root), mp.re(mp.cosh(root))) if z else (1, 1)
+    return (mp.mpc(2 * q * c, (2 * q * q - w * w) * L * s),
+            mp.mpc(w * w + (2 * q * q - w * w) * c, 2 * q * (w * w - q * q) * L * s))
+
+
+def mp_times(k, w, L):
+    """(t_T, delay) = ((1/k) dTheta/dk, -(1/k) dphi/dk) by mpmath derivatives."""
+    k = mp.mpf(k)
+    ref = mp_amplitudes(k, w, L)
+    # each phase relative to its value at k is continuous there on any branch
+    d = [mp.diff(lambda q, i=i: mp.arg(mp_amplitudes(q, w, L)[i] / ref[i]), k)
+         for i in (0, 1)]
+    return float(d[0] / k), float(-d[1] / k)
 
 
 def ridders_time(phase, k, b):
@@ -40,16 +55,26 @@ def ridders_time(phase, k, b):
 
 class TestTimeParams:
     def test_fields(self):
-        alpha, n, tau = _time_params(1.0, barrier())
-        assert alpha == pytest.approx(math.sqrt(15.0) * 0.5, rel=1e-15)
-        assert n == pytest.approx(1.0 / 16.0, rel=1e-15)
-        assert tau == pytest.approx(0.5, rel=1e-15)
+        # (z, n, m, tau) below, at and above the top of (w, L) = (4, 0.5)
+        for k, want in [(1.0, (3.75, 1.0 / 16.0, 15.0 / 16.0, 0.5)),
+                        (4.0, (0.0, 1.0, 0.0, 0.125)), (8.0, (-12.0, 4.0, -3.0, 0.0625))]:
+            assert _time_params(k, barrier()) == pytest.approx(want, rel=1e-15)
+        # m = (w - k)(w + k)/w^2 keeps the digits that 1 - (k/w)^2 loses
+        k = 4.0 * (1.0 - 1e-12)
+        z, _, m, _ = _time_params(k, barrier())
+        want = (16 - mp.mpf(k) ** 2) / 16
+        assert m == pytest.approx(float(want), rel=1e-15)
+        assert z == pytest.approx(float(want * 4), rel=1e-15)
 
     def test_domain(self):
+        # any finite k > 0, at and above the top too, with (w^2 - k^2) L^2 finite
+        for k in (4.0, 6.0, 1e3):
+            _time_params(k, barrier())
+        for k in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                _time_params(k, barrier())
         with pytest.raises(ValueError):
-            _time_params(4.0, barrier())
-        with pytest.raises(ValueError):
-            _time_params(0.0, barrier())
+            _time_params(1e200, barrier(w=1.0, L=1e150))
 
 
 class TestRates:
@@ -81,7 +106,7 @@ class TestRates:
         assert rate_scattering(0.0, 1.0) == pytest.approx(2.0, rel=1e-15)
 
     def test_matches_mpmath_midrange(self):
-        for a in (0.01, 0.5, 2.0, 10.0, 40.0):
+        for a in (0.01, 0.5, 2.0, 10.0, 40.0, 300.1, 1e4, 1e154):
             for n in (0.1, 0.5, 0.9, 1.0):
                 am = mp.mpf(a)
                 want_std = float((2 / am) * ((mp.cosh(am) * mp.sinh(am) - am * n * (2 * n - 1))
@@ -159,7 +184,7 @@ class TestStandardTransitTime:
         assert t == pytest.approx(T_TRANSIT_AT_21155, rel=1e-13)
         deriv, err = ridders_time(transmission_phase, 2.1155, barrier())
         assert deriv == pytest.approx(t, rel=1e-6)
-        assert t == pytest.approx(mp_dtheta(2.1155, 4.0, 0.5) / 2.1155, rel=1e-12)
+        assert t == pytest.approx(mp_times(2.1155, 4.0, 0.5)[0], rel=1e-12)
         assert math.isfinite(err) and err < 1e-10
 
     def test_derivative_consistency_random(self):
@@ -189,8 +214,44 @@ class TestStandardTransitTime:
             4.0 * L / (3.0 * w), rel=1e-10)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            standard_transit_time(4.0, barrier())
+        # both times take any finite k > 0, at and above the top too
+        b = barrier()
+        for k in (4.0, 6.0):
+            assert standard_transit_time(k, b) > 0.0 and scattering_delay(k, b) > 0.0
+        for k in (0.0, -1.0, math.nan, math.inf):
+            for time in (standard_transit_time, scattering_delay):
+                with pytest.raises(ValueError):
+                    time(k, b)
+
+    def test_exact_top_is_the_continuous_limit(self):
+        # t_T(w) = (2L/w)(3 + 2v/3)/(4 + v), v = (w L)^2: between 4/3 tau (opaque)
+        # and 3/2 tau (thin), and not rate_standard's 4/3 at n = 1 (alpha -> 0
+        # first); the delay there is 2 tau
+        for w, L in [(4.0, 0.5), (4.0, 0.2), (1.0, 10.0), (16.0, 20.0)]:
+            b = barrier(w, L)
+            v, tau = (w * L) ** 2, L / w
+            want = (2.0 * L / w) * (3.0 + 2.0 * v / 3.0) / (4.0 + v)
+            assert standard_transit_time(w, b) == pytest.approx(want, rel=1e-15)
+            assert 4.0 / 3.0 < want / tau < 1.5
+            # t_T moves by about (4/15) eps v off the top, 3e-8 at (16, 20)
+            for eps in (-1e-12, 1e-12) if v <= 100.0 else ():
+                assert standard_transit_time(w * (1.0 + eps), b) == pytest.approx(want, rel=1e-9)
+            assert scattering_delay(w, b) == pytest.approx(2.0 * tau, rel=1e-15)
+
+    @pytest.mark.parametrize("w, L", [(4.0, 0.2), (16.0, 0.1), (4.0, 3.0), (2.0, 0.4),
+                                      (1.0, 10.0), (16.0, 20.0)])
+    def test_both_times_match_mpmath_through_the_top(self, w, L):
+        # below, within 1e-9 w of, at and above the top; rho L = 305 at
+        # (16, 20) and k = 0.3 w
+        b = barrier(w, L)
+        for ratio in (0.3, 0.999, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.001, 1.5, 3.0):
+            k = ratio * w
+            theta, phi = (complex(a) for a in mp_amplitudes(mp.mpf(k), w, L))
+            assert abs(cmath.exp(1j * transmission_phase(k, b)) - theta / abs(theta)) < 1e-13
+            assert abs(cmath.exp(1j * collision_phase(k, b)) - phi / abs(phi)) < 1e-13
+            t_want, delay_want = mp_times(k, w, L)
+            assert standard_transit_time(k, b) == pytest.approx(t_want, rel=1e-12)
+            assert scattering_delay(k, b) == pytest.approx(delay_want, rel=1e-12)
 
 
 class TestOpaqueLimitTime:
@@ -256,6 +317,12 @@ class TestScatteringPhaseTime:
                           (50.0, 8.189352661996051e-85), (77.4, 6.699316098489803e-131)]:
             assert scattering_time_coshsq_variant(1.0, barrier(4.0, L)) == frozen
 
+    def test_variant_keeps_the_tunneling_window(self):
+        # unlike the delay, the diagnostic variant is not continued through the top
+        for k0 in (4.0, 6.0, 0.0):
+            with pytest.raises(ValueError):
+                scattering_time_coshsq_variant(k0, barrier())
+
     def test_closed_form_is_minus_ridders_derivative(self):
         rng = np.random.default_rng(17)
         for _ in range(25):
@@ -297,7 +364,7 @@ class TestScatteringPhaseTime:
 
 def test_theta_derivative_matches_mpmath_spot():
     b = barrier(2.0, 0.7)
-    want = mp_dtheta(1.1, 2.0, 0.7) / 1.1
+    want = mp_times(1.1, 2.0, 0.7)[0]
     assert standard_transit_time(1.1, b) == pytest.approx(want, rel=1e-12)
     assert transmission_phase(1.1, b) == pytest.approx(
         float(mp.atan((2 * 1.1**2 - 4.0) * mp.tanh(mp.sqrt(4 - 1.21) * 0.7)

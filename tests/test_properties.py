@@ -17,6 +17,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from tunneltimes import (BarrierConfig, interior_field,  # noqa: E402
+                         scattering_delay, standard_transit_time,
                          transfer_matrix_amplitudes)
 from tunneltimes.barrier import _collision_amplitudes  # noqa: E402
 
@@ -76,3 +77,22 @@ def test_transfer_matrix_oracle(w, ratio, width):
     assert not at_top and rho_l < 709.8
     assert abs(t - trans) <= 1e-11 * abs(trans)
     assert abs(r - refl) <= 1e-11
+
+
+@_DRAWS
+@_BARRIERS
+@example(w=16.0, ratio=0.5, width=100.0)  # rho L = 1386
+@example(w=4.0, ratio=1.0, width=3.0)
+@example(w=4.0, ratio=2.5, width=3.0)
+def test_phase_times_positive(w, ratio, width):
+    # t_T and the scattering delay are finite and positive on both sides
+    # of the top, and exactly 0 at L = 0
+    b = BarrierConfig(w=w, width=width)
+    k = ratio * w
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        times = standard_transit_time(k, b), scattering_delay(k, b)
+    for t in times:
+        assert math.isfinite(t)
+        # tau = L / k is 0 at L = 0, and also when a subnormal L underflows
+        assert t > 0.0 if width / k else t == 0.0
