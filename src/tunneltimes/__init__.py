@@ -23,24 +23,23 @@ from .phase_times import (opaque_limit_time, rate_scattering, rate_standard,
                           rate_table, scattering_delay,
                           scattering_time_coshsq_variant,
                           standard_transit_time)
-from .spectrum import (ContainmentWarning, DistortionReport, GaussianSpectrum,
-                       KmaxResult, TableCell, containment_outside,
-                       cutoff_time_estimate, distortion_onset, find_kmax,
-                       kmax_table)
+from .spectrum import (DistortionReport, GaussianSpectrum, KmaxResult,
+                       containment_outside, cutoff_time_estimate,
+                       distortion_onset, find_kmax)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BarrierConfig", "CollisionTimingReport", "ContainmentWarning",
-    "ConvergenceError", "DistortionReport", "GaussianSpectrum",
-    "InteriorCoefficients", "KmaxResult", "PacketField", "QuadratureSpec",
-    "TableCell", "TransmissionTimingReport", "collision_phase",
-    "collision_sync_time", "collision_timing_report", "containment_outside",
-    "cutoff_packet_profile", "cutoff_time_estimate", "distortion_onset",
-    "ensure_converged", "find_kmax", "interior_field", "interior_matching",
-    "kmax_table", "opaque_limit_time", "rate_scattering", "rate_standard",
-    "rate_table", "scattering_delay", "scattering_time_coshsq_variant",
-    "standard_transit_time", "synthesize_collision", "synthesize_incident",
-    "synthesize_transmitted", "transfer_matrix_amplitudes",
-    "transmission_modulus", "transmission_phase", "transmission_timing_report",
+    "BarrierConfig", "CollisionTimingReport", "ConvergenceError",
+    "DistortionReport", "GaussianSpectrum", "InteriorCoefficients",
+    "KmaxResult", "PacketField", "QuadratureSpec", "TransmissionTimingReport",
+    "collision_phase", "collision_sync_time", "collision_timing_report",
+    "containment_outside", "cutoff_packet_profile", "cutoff_time_estimate",
+    "distortion_onset", "ensure_converged", "find_kmax", "interior_field",
+    "interior_matching", "opaque_limit_time", "rate_scattering",
+    "rate_standard", "rate_table", "scattering_delay",
+    "scattering_time_coshsq_variant", "standard_transit_time",
+    "synthesize_collision", "synthesize_incident", "synthesize_transmitted",
+    "transfer_matrix_amplitudes", "transmission_modulus", "transmission_phase",
+    "transmission_timing_report",
 ]

@@ -31,8 +31,8 @@ from .packets import (ConvergenceError, QuadratureSpec, collision_sync_time,
                       ensure_converged, synthesize_collision,
                       synthesize_transmitted, transmission_timing_report)
 from .phase_times import rate_table
-from .spectrum import (GaussianSpectrum, cutoff_time_estimate,
-                       distortion_onset, kmax_table)
+from .spectrum import (_CONTAINMENT_LIMIT, GaussianSpectrum,
+                       cutoff_time_estimate, distortion_onset, find_kmax)
 
 _NONCOMMUTING_NOTE = ("limit of the standard rate at n=1 as alpha->0 is 4/3; "
                       "the n->1 limit of 1+1/(2n) is 3/2: the two limits do "
@@ -128,20 +128,28 @@ def cmd_table1(args) -> tuple:
         raise ValueError("k0-a must be positive")
     if args.k0_a >= min(wa):
         raise ValueError("k0-a must lie below every barrier top w-a")
-    cells = kmax_table(args.k0_a, wa, la, scan_points=args.scan_points)
+    cells = [(wv, lv) for wv in wa for lv in la]  # w-major
+    results = find_kmax(GaussianSpectrum(k0=args.k0_a),
+                        [BarrierConfig(w=wv, width=lv) for wv, lv in cells],
+                        scan_points=args.scan_points)
     params = {"k0_a": args.k0_a, "w_a": list(wa), "l_a": list(la),
               "scan_points": args.scan_points}
-    rows = [(c.w_a, c.l_a, c.kmax_a, "*" if c.boundary_dominated else "")
-            for c in cells]
+    rows = [(wv, lv, r.k_max, "*" if r.boundary_dominated else "")
+            for (wv, lv), r in zip(cells, results)]
     # wide, human-readable grid with the boundary-dominated star markers
-    mark = {(c.w_a, c.l_a): "*" if c.boundary_dominated else f"{c.kmax_a:.4f}"
-            for c in cells}
+    mark = {(wv, lv): flag or f"{km:.4f}" for wv, lv, km, flag in rows}
     grid = [(f"{lv:.2f}", *(mark[wv, lv] for wv in wa)) for lv in la]
+    # the leak depends on w and k0 alone: one value per column, so it is
+    # a manifest entry rather than a CSV column repeated down each column
+    leaks = {"containment_outside_by_w_a": {_fmt(wv): r.containment_outside
+                                            for (wv, _), r in zip(cells, results)},
+             "leaky_cells": sum(r.containment_outside > _CONTAINMENT_LIMIT
+                                for r in results)}
     return params, [
         ("table1.csv", None, ["w_a", "L_a", "kmax_a", "flag"], rows),
         ("table1_grid.csv", ("table1 (grid layout; * = boundary-dominated)", {}, []),
          ["L_a\\w_a"] + [_fmt(w) for w in wa], grid),
-    ], {}, []
+    ], leaks, []
 
 
 def cmd_rates(args) -> tuple:

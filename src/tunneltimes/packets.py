@@ -44,7 +44,6 @@ filter-effect flags instead of averaging anything away.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,8 +52,7 @@ from .barrier import (BarrierConfig, _collision_amplitudes, interior_field,
                       transmission_modulus, transmission_phase)
 from .numerics import gauss_legendre_panels, parabolic_refine
 from .phase_times import scattering_delay, standard_transit_time
-from .spectrum import (_CONTAINMENT_LIMIT, ContainmentWarning, GaussianSpectrum,
-                       find_kmax)
+from .spectrum import _CONTAINMENT_LIMIT, GaussianSpectrum, find_kmax
 
 _X_CHUNK = 512  # rows of the (x, k) phase matrix evaluated at a time
 _MODE_THRESHOLD = 0.25  # local maxima below this fraction of the peak are ignored
@@ -522,15 +520,13 @@ def transmission_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfi
     stationary-phase prediction at the modulated-spectrum maximum.
 
     The two agree in the narrow-spectrum limit, approached as k0^-2
-    at fixed w/k0 and L k0.  Needs k0 < w.  The ContainmentWarning of
-    find_kmax is silenced; a containment_outside above 1e-3 in the result
-    marks a point outside the validity window and clears spm_reliable.
+    at fixed w/k0 and L k0.  Needs k0 < w.  A containment_outside above
+    1e-3 in the result (from find_kmax) marks a point outside the
+    validity window and clears spm_reliable.
     The exit-face signals and the snapshots share one ensure_converged
     call that starts from `quad` (ConvergenceError if it fails).
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ContainmentWarning)
-        kr = find_kmax(spectrum, barrier)
+    [kr] = find_kmax(spectrum, [barrier])
     k0 = spectrum.k0
     h = barrier.half_width
 

@@ -17,7 +17,6 @@ they disagree with each other and with the exact onset).
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -28,12 +27,8 @@ from .barrier import (BarrierConfig, _modulus, _scaled_solution,
 from .numerics import _golden_lanes
 
 # spectra whose intensity leaks more than this fraction outside [0, w]
-# are formally outside the validity window; a warning (not an error)
+# are formally outside the validity window; reported, not rejected
 _CONTAINMENT_LIMIT = 1e-3
-
-
-class ContainmentWarning(UserWarning):
-    """Spectrum intensity leaks non-negligibly outside the tunneling window."""
 
 
 @dataclass(frozen=True)
@@ -62,17 +57,6 @@ def containment_outside(spectrum: GaussianSpectrum, barrier: BarrierConfig) -> f
     return below + above
 
 
-def _warn_if_leaky(spectrum: GaussianSpectrum, barrier: BarrierConfig) -> float:
-    outside = containment_outside(spectrum, barrier)
-    if outside > _CONTAINMENT_LIMIT:
-        warnings.warn(
-            f"spectrum intensity outside [0, w] is {outside:.3g} "
-            f"(> {_CONTAINMENT_LIMIT:g}); the modulated-maximum analysis is "
-            "formally outside its validity window",
-            ContainmentWarning, stacklevel=3)
-    return outside
-
-
 def modulated_spectrum(k, spectrum: GaussianSpectrum, barrier: BarrierConfig):
     """g(k - k0) |T(k, L)|, the transmitted amplitude density; scalar or array."""
     return spectrum.amplitude(k) * transmission_modulus(k, barrier)
@@ -80,7 +64,12 @@ def modulated_spectrum(k, spectrum: GaussianSpectrum, barrier: BarrierConfig):
 
 @dataclass(frozen=True)
 class KmaxResult:
-    """Location of the modulated-spectrum maximum on (0, w]."""
+    """Location of the modulated-spectrum maximum on (0, w].
+
+    containment_outside is the fraction of the intensity g^2 outside
+    [0, w] (`containment_outside`); above `_CONTAINMENT_LIMIT` the cell
+    lies formally outside the validity window of the analysis.
+    """
 
     k_max: float
     boundary_dominated: bool
@@ -115,33 +104,29 @@ def _interior_maxima(k0: float, barriers: list[BarrierConfig], lo, hi, top):
     return [p if ok else None for p, ok in zip(peak.tolist(), beats_top.tolist())]
 
 
-def find_kmax(spectrum: GaussianSpectrum,
-              barrier: BarrierConfig | Sequence[BarrierConfig],
-              scan_points: int = 4096) -> KmaxResult | list[KmaxResult]:
-    """Global maximizer of the modulated spectrum on (0, w].
+def find_kmax(spectrum: GaussianSpectrum, barriers: Sequence[BarrierConfig],
+              scan_points: int = 4096) -> list[KmaxResult]:
+    """Global maximizer of the modulated spectrum on (0, w], one result per
+    barrier, each equal to a call with that barrier alone.
 
     Dense scan of `scan_points` (at least 3) followed by golden-section
     refinement, to a bracket of 1e-10, of the bracketed interior maximum
     (the product can be bimodal near the distortion onset, so a local
     method alone would be unsafe).  When no interior maximum beats the
     value at k = w the result is flagged boundary-dominated and k_max = w
-    is returned.  Needs k0 < w; containment violations only warn.
+    is returned.  Needs k0 < w; leakage outside [0, w] is reported in
+    each result's containment_outside, not rejected.
 
-    One BarrierConfig returns one KmaxResult; a sequence of barriers
-    returns a list, one result per barrier, equal to one call each.  The
-    scan is one `transmission_modulus` call per barrier; the refinements
-    of all barriers then run in lock step, one amplitude-kernel call per
-    golden-section step for every bracket.
+    The scan is one `transmission_modulus` call per barrier; the
+    refinements of all barriers then run in lock step, one
+    amplitude-kernel call per golden-section step for every bracket.
     """
     if scan_points < 3:
         raise ValueError("scan_points must be at least 3")
-    barriers = [barrier] if isinstance(barrier, BarrierConfig) else list(barrier)
+    barriers = list(barriers)  # TypeError for a bare BarrierConfig
     k0 = spectrum.k0
     if not all(k0 < b.w for b in barriers):
         raise ValueError("find_kmax needs the tunneling regime k0 < w")
-    outside = []
-    for b in barriers:  # a loop: a comprehension frame would shift the stacklevel
-        outside.append(_warn_if_leaky(spectrum, b))
 
     # L = 0: |T| = 1, the maximum is the gaussian's own peak; otherwise
     # k = w until an interior maximum beats it
@@ -163,38 +148,8 @@ def find_kmax(spectrum: GaussianSpectrum,
                 if peak is not None:
                     km[j], boundary[j] = peak, False
 
-    results = [KmaxResult(float(k), flag, out)
-               for k, flag, out in zip(km, boundary, outside)]
-    return results[0] if isinstance(barrier, BarrierConfig) else results
-
-
-@dataclass(frozen=True)
-class TableCell:
-    """One cell of the k_max table: barrier top w, length L, result."""
-
-    w_a: float
-    l_a: float
-    kmax_a: float
-    boundary_dominated: bool
-
-
-def kmax_table(k0_a: float, wa_values, la_values,
-               scan_points: int = 4096) -> list[TableCell]:
-    """k_max(w, L) grid at fixed incident momentum k0.
-
-    One `find_kmax` call over every (w, L) cell, w-major, so all cells
-    share its lock-step refinement.  Containment warnings are suppressed
-    here; columns with small w are known to leak and still reproduce the
-    reference digits.
-    """
-    spec = GaussianSpectrum(k0=k0_a)
-    grid = [(wa, la) for wa in wa_values for la in la_values]
-    barriers = [BarrierConfig(w=wa, width=la) for wa, la in grid]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ContainmentWarning)
-        results = find_kmax(spec, barriers, scan_points=scan_points)
-    return [TableCell(wa, la, res.k_max, res.boundary_dominated)
-            for (wa, la), res in zip(grid, results)]
+    return [KmaxResult(float(k), flag, containment_outside(spectrum, b))
+            for k, flag, b in zip(km, boundary, barriers)]
 
 
 @dataclass(frozen=True)
@@ -272,9 +227,16 @@ def distortion_onset(spectrum: GaussianSpectrum, w: float) -> DistortionReport:
 def cutoff_time_estimate(delta: float, w: float) -> float:
     """Opaque-limit time 2 / (w delta) for a spectrum cut off at (1 - delta) w.
 
-    Finite for any delta in (0, 1]; delta = 0 is rejected (the estimate
-    diverges as the cut approaches the top of the barrier).
+    ValueError unless delta lies in (0, 1] (the estimate diverges as the
+    cut approaches the top of the barrier), w is positive and finite, and
+    the estimate itself is finite.
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]; the estimate diverges at delta = 0")
-    return 2.0 / (w * delta)
+    if not 0.0 < w < math.inf:
+        raise ValueError("w must be positive and finite")
+    wd = w * delta
+    t = 2.0 / wd if wd > 0.0 else math.inf
+    if t == math.inf:
+        raise ValueError(f"the estimate 2 / (w delta) overflows at w = {w:g}, delta = {delta:g}")
+    return t

@@ -7,9 +7,9 @@ import pytest
 
 import tunneltimes
 from tunneltimes import (BarrierConfig, ConvergenceError, GaussianSpectrum,
-                         QuadratureSpec, cli, cutoff_packet_profile,
-                         synthesize_collision)
-from tunneltimes.cli import _CSV_BLOCK, _fmt, _write_csv, main
+                         QuadratureSpec, cli, containment_outside,
+                         cutoff_packet_profile, synthesize_collision)
+from tunneltimes.cli import _CSV_BLOCK, _TABLE1_WA, _fmt, _write_csv, main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -70,6 +70,21 @@ class TestTable1:
         assert code == 0
         assert rec.counts["trace.counter_errors"] == 0
         assert rec.counts["spectrum.find_kmax.calls"] == 1
+
+    def test_manifest_records_leakage(self, tmp_path):
+        # every default cell leaks (k0 = 1 sits one sigma above k = 0);
+        # k0 = 8 under w = 16 and 20 is contained
+        assert run(["table1", "--out", tmp_path / "a"]) == 0
+        diag = json.loads((tmp_path / "a" / "manifest.json").read_text())["diagnostics"]
+        assert diag["leaky_cells"] == 77
+        assert diag["containment_outside_by_w_a"] == {
+            _fmt(w): containment_outside(GaussianSpectrum(k0=1.0),
+                                         BarrierConfig(w=w, width=0.0))
+            for w in _TABLE1_WA}
+        assert run(["table1", "--k0-a", 8.0, "--w-a", 16.0, "--w-a", 20.0,
+                    "--out", tmp_path / "b"]) == 0
+        diag = json.loads((tmp_path / "b" / "manifest.json").read_text())["diagnostics"]
+        assert diag["leaky_cells"] == 0
 
     def test_star_cells_marked(self, tmp_path):
         assert run(["table1", "--w-a", 1.5, "--l-a", 0.7, "--l-a", 0.8,

@@ -6,14 +6,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from tunneltimes import (BarrierConfig, ContainmentWarning, GaussianSpectrum,
-                         QuadratureSpec, containment_outside, cutoff_packet_profile,
+from tunneltimes import (BarrierConfig, GaussianSpectrum, QuadratureSpec,
+                         containment_outside, cutoff_packet_profile,
                          cutoff_time_estimate, distortion_onset, find_kmax,
-                         kmax_table, synthesize_incident, transmission_modulus)
+                         synthesize_incident, transmission_modulus)
 from tunneltimes.cli import _TABLE1_LA, _TABLE1_WA
 from tunneltimes.numerics import ridders_derivative
-from tunneltimes.spectrum import modulated_spectrum
-from tunneltimes.spectrum import KmaxResult
+from tunneltimes.spectrum import _CONTAINMENT_LIMIT, KmaxResult, modulated_spectrum
 
 
 def barrier(w=4.0, L=0.5):
@@ -57,8 +56,8 @@ class TestModulatedSpectrum:
 
     def test_stationary_at_kmax(self):
         s, b = spectrum(), barrier(4.0, 0.5)
-        with pytest.warns(ContainmentWarning):
-            res = find_kmax(s, b)
+        [res] = find_kmax(s, [b])
+        assert res.containment_outside > _CONTAINMENT_LIMIT
         eps = 1e-6
         d = (modulated_spectrum(res.k_max + eps, s, b)
              - modulated_spectrum(res.k_max - eps, s, b)) / (2 * eps)
@@ -73,23 +72,20 @@ class TestFindKmax:
         (20.0, 1.0, 2.1392),
     ])
     def test_reference_cells(self, wa, la, want):
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ContainmentWarning)
-            res = find_kmax(spectrum(), BarrierConfig(w=wa, width=la))
+        [res] = find_kmax(spectrum(), [BarrierConfig(w=wa, width=la)])
         assert not res.boundary_dominated
         assert res.k_max == pytest.approx(want, abs=1e-3)
 
     def test_zero_width_returns_k0(self):
-        with pytest.warns(ContainmentWarning):
-            res = find_kmax(spectrum(), barrier(4.0, 0.0))
+        [res] = find_kmax(spectrum(), [barrier(4.0, 0.0)])
+        assert res.containment_outside > _CONTAINMENT_LIMIT
         assert res.k_max == 1.0
         assert not res.boundary_dominated
 
     def test_boundary_dominated_cell(self):
         s, b = spectrum(), BarrierConfig(w=1.5, width=0.8)
-        with pytest.warns(ContainmentWarning):
-            res = find_kmax(s, b)
+        [res] = find_kmax(s, [b])
+        assert res.containment_outside > _CONTAINMENT_LIMIT
         assert res.boundary_dominated
         assert res.k_max == 1.5
         assert (modulated_spectrum(b.w, s, b)
@@ -97,20 +93,16 @@ class TestFindKmax:
 
     def test_kmax_bracket_invariant(self):
         # k0 <= k_max <= w over a random sweep; equality with k0 only at L = 0
-        import warnings
         rng = np.random.default_rng(23)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ContainmentWarning)
-            for _ in range(50):
-                wa = rng.uniform(1.2, 20.0)
-                la = rng.uniform(0.0, 1.0)
-                res = find_kmax(spectrum(), BarrierConfig(w=wa, width=la))
-                assert 1.0 - 1e-9 <= res.k_max <= wa + 1e-12
-                if la > 1e-3:
-                    assert res.k_max > 1.0
+        for _ in range(50):
+            wa = rng.uniform(1.2, 20.0)
+            la = rng.uniform(0.0, 1.0)
+            [res] = find_kmax(spectrum(), [BarrierConfig(w=wa, width=la)])
+            assert 1.0 - 1e-9 <= res.k_max <= wa + 1e-12
+            if la > 1e-3:
+                assert res.k_max > 1.0
 
     def test_barrier_list_equals_one_call_each(self):
-        import warnings
         # the default table (its brackets scale with w, so lanes take 33 to
         # 39 steps), L = 0, a boundary-dominated cell, rho L > 300, and a
         # wider w (more steps still)
@@ -118,10 +110,8 @@ class TestFindKmax:
                     for wa in _TABLE1_WA for la in _TABLE1_LA]
         barriers += [BarrierConfig(w=1.5, width=0.8), BarrierConfig(w=20.0, width=40.0),
                      BarrierConfig(w=4.0, width=0.0), BarrierConfig(w=60.0, width=0.05)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ContainmentWarning)
-            together = find_kmax(spectrum(), barriers)
-            apart = [find_kmax(spectrum(), b) for b in barriers]
+        together = find_kmax(spectrum(), barriers)
+        apart = [r for b in barriers for r in find_kmax(spectrum(), [b])]
         assert together == apart
         flags = {r.boundary_dominated for r in together}
         assert flags == {True, False}
@@ -130,48 +120,50 @@ class TestFindKmax:
         # On the flat top of g |T| the last bits of each objective value
         # steer the search; this cell's 9th digit moves if the squared
         # offset (k - k0)^2 is rounded differently.
-        with pytest.warns(ContainmentWarning):
-            res = find_kmax(GaussianSpectrum(k0=0.943344),
-                            BarrierConfig(w=3.93541, width=0.8))
+        [res] = find_kmax(GaussianSpectrum(k0=0.943344),
+                          [BarrierConfig(w=3.93541, width=0.8)])
+        assert res.containment_outside > _CONTAINMENT_LIMIT
         assert res.k_max == 2.4917002839056845
 
     def test_result_shape_follows_argument(self):
         s, b = GaussianSpectrum(k0=8.0), BarrierConfig(w=16.0, width=0.1)
-        one = find_kmax(s, b)
+        [one] = find_kmax(s, [b])
         assert isinstance(one, KmaxResult)
-        assert find_kmax(s, [b]) == [one]
         assert find_kmax(s, (b, b)) == [one, one]
         assert find_kmax(s, []) == []
+        with pytest.raises(TypeError):
+            find_kmax(s, b)
 
     def test_one_containment_warning_per_leaky_barrier(self):
         # at k0 = 8: w = 9 and w = 10 leak (0.16, 0.023), w = 12 and 16 do not
         leaky = [BarrierConfig(w=9.0, width=0.1), BarrierConfig(w=10.0, width=0.2)]
         tight = [BarrierConfig(w=12.0, width=0.0), BarrierConfig(w=16.0, width=0.1)]
-        with pytest.warns(ContainmentWarning) as caught:
-            find_kmax(GaussianSpectrum(k0=8.0), [leaky[0], tight[0], leaky[1], tight[1]])
-        assert len(caught) == 2
-        assert all(w.filename == __file__ for w in caught)
+        results = find_kmax(GaussianSpectrum(k0=8.0),
+                            [leaky[0], tight[0], leaky[1], tight[1]])
+        outside = [r.containment_outside for r in results]
+        assert [x > _CONTAINMENT_LIMIT for x in outside] == [True, False, True, False]
+        assert outside == [containment_outside(GaussianSpectrum(k0=8.0), b)
+                           for b in (leaky[0], tight[0], leaky[1], tight[1])]
 
     def test_containment_quiet_when_contained(self):
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ContainmentWarning)
-            find_kmax(GaussianSpectrum(k0=8.0),
-                      BarrierConfig(w=16.0, width=0.1))
+        [res] = find_kmax(GaussianSpectrum(k0=8.0),
+                          [BarrierConfig(w=16.0, width=0.1)])
+        assert res.containment_outside <= _CONTAINMENT_LIMIT
 
 
 class TestKmaxTable:
     def test_monotone_down_columns_before_star(self):
-        cells = kmax_table(1.0, [4.0, 6.0], [round(0.1 * i, 1) for i in range(11)])
+        las = [round(0.1 * i, 1) for i in range(11)]
         for wa in (4.0, 6.0):
-            col = [c.kmax_a for c in cells if c.w_a == wa and not c.boundary_dominated]
+            results = find_kmax(spectrum(), [barrier(wa, la) for la in las])
+            col = [r.k_max for r in results if not r.boundary_dominated]
             assert np.all(np.diff(col) > 0.0)
 
     def test_custom_k0(self):
-        cells = kmax_table(0.5, [1.5, 4.0], [0.0, 0.3, 0.6])
-        for c in cells:
-            if not c.boundary_dominated:
-                assert 0.5 - 1e-9 <= c.kmax_a <= c.w_a
+        barriers = [barrier(wa, la) for wa in (1.5, 4.0) for la in (0.0, 0.3, 0.6)]
+        for b, r in zip(barriers, find_kmax(spectrum(0.5), barriers)):
+            if not r.boundary_dominated:
+                assert 0.5 - 1e-9 <= r.k_max <= b.w
 
 
 class TestDistortionOnset:
@@ -225,7 +217,7 @@ class TestDistortionOnset:
         for w in (1.0, 0.5):
             for L in (0.0, 0.3):
                 with pytest.raises(ValueError):
-                    find_kmax(spectrum(1.0), barrier(w, L))
+                    find_kmax(spectrum(1.0), [barrier(w, L)])
                 with pytest.raises(ValueError, match="k0 < w"):
                     find_kmax(spectrum(1.0), [barrier(4.0, L), barrier(w, L)])
 
@@ -299,6 +291,10 @@ class TestCutoffTime:
             cutoff_time_estimate(0.0, 4.0)
         with pytest.raises(ValueError):
             cutoff_time_estimate(-0.5, 4.0)
+        # w not positive and finite, or 2 / (w delta) overflowing
+        for w in (-1.0, math.nan, math.inf, 1e-320):
+            with pytest.raises(ValueError):
+                cutoff_time_estimate(0.5, w)
 
 
 class TestCutoffProfile:
