@@ -119,6 +119,12 @@ def _x_grid(args, lo: float, lower: str = "x-min") -> np.ndarray:
     return np.linspace(lo, args.x_max, args.x_points)
 
 
+def _t_grid(args, lo: float, lower: str = "t-min") -> np.ndarray:
+    if not lo <= args.t_max:
+        raise ValueError(f"t-max = {_fmt(args.t_max)} must not precede {lower} = {_fmt(lo)}")
+    return np.linspace(lo, args.t_max, args.t_steps)
+
+
 def cmd_table1(args) -> tuple:
     wa = args.w_a or _TABLE1_WA
     la = args.l_a or _TABLE1_LA
@@ -255,7 +261,7 @@ def cmd_packet(args) -> tuple:
     quad = QuadratureSpec(tol=args.tolerance)
     x_min = max(args.x_min, barrier.half_width)
     xs = _x_grid(args, x_min, "max(x-min, L/2)")
-    ts = np.linspace(args.t_min, args.t_max, args.t_steps)
+    ts = _t_grid(args, args.t_min)
     snapshots, achieved, _ = ensure_converged(
         lambda q: synthesize_transmitted(spec, barrier, xs, ts, quad=q), quad)
     rep = transmission_timing_report(spec, barrier, quad=quad)
@@ -275,9 +281,8 @@ def cmd_collide(args) -> tuple:
     spec, barrier = _parse_common_packet(args)
     quad = QuadratureSpec(tol=args.tolerance)
     xs = _x_grid(args, args.x_min)
-    t_sync = collision_sync_time(spec, barrier)
-    t_lo = max(args.t_min, t_sync)
-    ts = np.linspace(t_lo, args.t_max, args.t_steps)
+    t_lo = max(args.t_min, collision_sync_time(spec, barrier))
+    ts = _t_grid(args, t_lo, "max(t-min, t_sync)")
     snapshots, achieved, _ = ensure_converged(
         lambda q: synthesize_collision(spec, barrier, xs, ts, quad=q), quad)
     rep = collision_timing_report(spec, barrier, quad=quad)

@@ -169,6 +169,12 @@ def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, wts
 
 
+def check_count(value, least: int, name: str) -> None:
+    """ValueError unless value is an int or numpy integer of at least `least`."""
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValueError(f"{name} must be an integer of at least {least}")
+
+
 def gauss_legendre_panels(lo: float, hi: float, panels: int,
                           order: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule: `panels` equal panels of the given order.
@@ -178,8 +184,8 @@ def gauss_legendre_panels(lo: float, hi: float, panels: int,
     """
     if not -math.inf < lo < hi < math.inf:  # false for nan too
         raise ValueError("need finite ends with hi > lo")
-    if panels < 1 or order < 2:
-        raise ValueError("need panels >= 1 and order >= 2")
+    check_count(panels, 1, "panels")
+    check_count(order, 2, "order")
     x, wts = _legendre(order)
     edges = np.linspace(lo, hi, panels + 1)
     half = (0.5 * (edges[1:] - edges[:-1]))[:, None]

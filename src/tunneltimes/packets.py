@@ -10,18 +10,18 @@ spectrum; there is no PDE time stepping anywhere.  Three configurations:
  * the symmetric two-packet collision, assembled region by region from
    the explicit left- and right-incident solutions.
 
-The transmitted and collision syntheses take one time or a batch of
-times; a batch shares each chunk's phase block across all its times.
-Every x grid must be uniform (_grid_steps is the one check; anything else
-raises ValueError), so that block is one offset block per call
-(_offset_block), built by repeated doubling, and each chunk of x only
-rescales the amplitudes by an n_k-vector exp.  Over one chunk of
-half-width hw, e^{ikx} is a polynomial in k of low degree: to about
-2^-60, r = _degree(hw (k_max - k_min) / 2) Chebyshev nodes in k carry it,
-a few dozen on the CLI grids against the 192-384 quadrature nodes.  So
-the block's columns are those r nodes, one real (r x n_k) barycentric
-matrix maps each chunk's amplitudes onto them, and a chunk costs about
-rows x r + r x n_k products per column instead of rows x n_k
+Every synthesis takes a 1-D sequence of times t (a scalar raises
+ValueError) and returns a list of PacketField, one per time; the times
+share each chunk's phase block.  Each checks its x grid once, before any
+phase sum: it must be uniform (_uniform_grid), so that block is one
+offset block per call (_offset_block), built by repeated doubling, and
+each chunk of x only rescales the amplitudes by an n_k-vector exp.  Over
+one chunk of half-width hw, e^{ikx} is a polynomial in k of low degree:
+to about 2^-60, r = _degree(hw (k_max - k_min) / 2) Chebyshev nodes in k
+carry it, a few dozen on the CLI grids against the 192-384 quadrature
+nodes.  So the block's columns are those r nodes, one real (r x n_k)
+barycentric matrix maps each chunk's amplitudes onto them, and a chunk
+costs about rows x r + r x n_k products per column instead of rows x n_k
 (_phase_matvec).  When r is no smaller than n_k the columns are the k
 nodes themselves and the sum is direct.
 
@@ -50,7 +50,7 @@ import numpy as np
 
 from .barrier import (BarrierConfig, _collision_amplitudes, interior_field,
                       transmission_modulus, transmission_phase)
-from .numerics import gauss_legendre_panels, parabolic_refine
+from .numerics import check_count, gauss_legendre_panels, parabolic_refine
 from .phase_times import scattering_delay, standard_transit_time
 from .spectrum import _CONTAINMENT_LIMIT, GaussianSpectrum, find_kmax
 
@@ -79,8 +79,8 @@ class QuadratureSpec:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if self.panels < 1 or self.order < 2:
-            raise ValueError("need panels >= 1 and order >= 2")
+        check_count(self.panels, 1, "panels")
+        check_count(self.order, 2, "order")
         if not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
 
@@ -89,20 +89,20 @@ class QuadratureSpec:
         return gauss_legendre_panels(k_lo, k_hi, self.panels, self.order)
 
 
-def _grid_steps(x: np.ndarray, scale: float | None = None) -> np.ndarray:
-    """Offsets j dx from x_0 of the uniform grid x; ValueError for any other x.
+def _uniform_grid(x_grid) -> np.ndarray:
+    """x_grid as a float array if it is a uniform grid; ValueError otherwise.
 
-    Uniform: 1-D, increasing (one point is a grid), each x_j within 4 ulps
-    of `scale` of x_0 + j dx.  scale defaults to max |x|; a slice of a
-    linspace carries the whole grid's rounding and passes that grid's.
+    Uniform: 1-D, at least 3 points, finite ends with x_0 < x_-1 (checked
+    first, so that no step is formed from an infinite end), and each x_j
+    within 4 ulps of max(|x_0|, |x_-1|) of x_0 + j dx.
     """
+    x = np.asarray(x_grid, dtype=float)
     n = len(x) if x.ndim == 1 else 0
-    dx = (x[-1] - x[0]) / max(n - 1, 1) if n else math.nan
-    steps = np.arange(n) * dx
-    if not ((dx > 0.0 or n == 1) and np.abs(x - (x[0] + steps)).max()
-            <= 4.0 * np.finfo(float).eps * (scale or np.abs(x).max())):
-        raise ValueError("x must be a finite, increasing uniform grid")
-    return steps
+    if not (n >= 3 and -math.inf < x[0] < x[-1] < math.inf and np.abs(
+            x - (x[0] + np.arange(n) * ((x[-1] - x[0]) / (n - 1)))).max()
+            <= 4.0 * np.finfo(float).eps * max(-x[0], x[-1])):
+        raise ValueError("x must be a finite, increasing uniform grid of at least 3 points")
+    return x
 
 
 @dataclass(frozen=True)
@@ -114,10 +114,7 @@ class PacketField:
     psi: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim != 1 or len(x) < 3:
-            raise ValueError("x must be a 1-D grid with at least 3 points")
-        _grid_steps(x)
+        x = _uniform_grid(self.x)
         psi = np.asarray(self.psi, dtype=complex)
         if psi.shape != x.shape:
             raise ValueError("psi must be 1-D, with the length of x")
@@ -176,18 +173,18 @@ def _degree(kappa: float) -> int:
     return r + 2
 
 
-def _offset_block(x: np.ndarray, ks: np.ndarray, scale: float | None = None
+def _offset_block(x: np.ndarray, ks: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray | None, float]:
     """Centred offset block of uniform x on interpolation nodes in k, the
     map onto those nodes, and the block's half-width: (offs, interp, hw).
 
-    x is checked by _grid_steps at `scale`.  The block's rows j <
-    min(len(x), _X_CHUNK) span j dx - hw in [-hw, hw], over which
-    e^{i k (j dx - hw)}, k in [min ks, max ks], is interpolated to about
-    2^-60 by r = _degree(kappa) Chebyshev points, kappa = hw (max ks -
-    min ks) / 2.  So the columns are the r first-kind Chebyshev nodes kn
-    of [min ks, max ks], offs[j] = e^{i kn (j dx - hw)}, and interp is the
-    real (r, len(ks)) barycentric matrix with e^{i k (j dx - hw)} =
+    x is a checked grid or a slice of one; dx comes from its ends.  The
+    block's rows j < min(len(x), _X_CHUNK) span j dx - hw in [-hw, hw],
+    over which e^{i k (j dx - hw)}, k in [min ks, max ks], is interpolated
+    to about 2^-60 by r = _degree(kappa) Chebyshev points, kappa = hw (max
+    ks - min ks) / 2.  So the columns are the r first-kind Chebyshev nodes
+    kn of [min ks, max ks], offs[j] = e^{i kn (j dx - hw)}, and interp is
+    the real (r, len(ks)) barycentric matrix with e^{i k (j dx - hw)} =
     (offs @ interp)[j, k] to about 2^-60 plus round-off.  When r >= len(ks)
     the columns are the ks themselves and interp is None.
 
@@ -195,7 +192,7 @@ def _offset_block(x: np.ndarray, ks: np.ndarray, scale: float | None = None
     rows [0, n) times e^{i kn n dx}, so 512 rows cost 10 r-vector exps,
     each phase rounded once.
     """
-    steps = _grid_steps(x, scale)[:_X_CHUNK]
+    steps = np.arange(min(len(x), _X_CHUNK)) * ((x[-1] - x[0]) / max(len(x) - 1, 1))
     hw = steps[-1] / 2.0
     lo, hi = ks.min(), ks.max()
     kappa = hw * (hi - lo) / 2.0
@@ -226,13 +223,12 @@ def _offset_block(x: np.ndarray, ks: np.ndarray, scale: float | None = None
     return offs, interp, hw
 
 
-def _phase_matvec(x: np.ndarray, ks: np.ndarray, amp: np.ndarray,
-                  scale: float | None = None) -> np.ndarray:
+def _phase_matvec(x: np.ndarray, ks: np.ndarray, amp: np.ndarray) -> np.ndarray:
     """sum_i amp_i e^{i k_i x_j}, chunked over x to bound memory.
 
     amp is (n_k,) or (n_k, n_t): one column per snapshot time, so a batch
-    of times costs one gemm per chunk.  x must be a uniform grid, so for a
-    chunk starting at x_c, e^{i k (x_c + j dx)} = e^{i k (j dx - hw)}
+    of times costs one gemm per chunk.  x is uniform (see _offset_block), so
+    for a chunk starting at x_c, e^{i k (x_c + j dx)} = e^{i k (j dx - hw)}
     e^{i k x_c} e^{i k hw}: one _offset_block per call.  Per chunk, amp is
     scaled by e^{i k x_c} e^{i k hw} (both from exact values), mapped onto
     the block's r nodes by interp (a real product on the re/im pairs), and
@@ -250,7 +246,7 @@ def _phase_matvec(x: np.ndarray, ks: np.ndarray, amp: np.ndarray,
     # 1 MB on the CLI grids, which glibc serves from the heap once its mmap
     # threshold has risen)
     out = np.empty((len(x), a2.shape[1]), dtype=complex)
-    offs, interp, hw = _offset_block(x, ks, scale)
+    offs, interp, hw = _offset_block(x, ks)
     shift = np.exp(hw * phase)
     for lo in range(0, len(x), _X_CHUNK):
         rows = out[lo:lo + _X_CHUNK]
@@ -262,28 +258,36 @@ def _phase_matvec(x: np.ndarray, ks: np.ndarray, amp: np.ndarray,
 
 
 def _times(t) -> np.ndarray:
-    """Snapshot times as a finite, nonempty 1-D array (a scalar t is one time)."""
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    """t as a nonempty 1-D array of finite times; ValueError otherwise."""
+    ts = np.asarray(t, dtype=float)
     if ts.ndim != 1 or not ts.size or not np.all(np.isfinite(ts)):
-        raise ValueError("t must be a finite time or a nonempty 1-D array of finite times")
+        raise ValueError("t must be a nonempty 1-D sequence of finite times")
     return ts
 
 
-def _fields(x: np.ndarray, t, ts: np.ndarray,
-            psi: np.ndarray) -> PacketField | list[PacketField]:
-    """One PacketField per column of psi; a bare field when t is a scalar."""
-    fields = [PacketField(x=x, t=float(tj), psi=psi[:, j]) for j, tj in enumerate(ts)]
-    return fields[0] if np.ndim(t) == 0 else fields
+def _fields(x: np.ndarray, ts: np.ndarray, psi: np.ndarray) -> list[PacketField]:
+    """One PacketField per time of ts, the column of psi at that time."""
+    return [PacketField(x=x, t=float(tj), psi=psi[:, j]) for j, tj in enumerate(ts)]
 
 
-def synthesize_incident(spectrum: GaussianSpectrum, x_grid, t: float,
+def _plane_wave_fields(x: np.ndarray, t, ks: np.ndarray, amp: np.ndarray,
+                       phase: np.ndarray) -> list[PacketField]:
+    """sum_i amp_i e^{i (phase_i + k_i x - k_i^2 t / 2)} on the checked grid
+    x, one PacketField per time of t, each time one column of a phase sum."""
+    ts = _times(t)
+    cols = amp[:, None] * np.exp(1j * (phase[:, None] - np.outer(ks * ks, ts) / 2.0))
+    return _fields(x, ts, _phase_matvec(x, ks, cols))
+
+
+def synthesize_incident(spectrum: GaussianSpectrum, x_grid, t,
                         quad: QuadratureSpec = QuadratureSpec(),
                         k_interval: tuple[float, float] | None = None
-                        ) -> PacketField:
-    """Free packet (1/2pi) int dk g(k - k0) e^{i (k x - k^2 t / 2)}.
+                        ) -> list[PacketField]:
+    """Free packet (1/2pi) int dk g(k - k0) e^{i (k x - k^2 t / 2)}: a list
+    of PacketField, one per time of t.
 
-    t is one finite time, x_grid a uniform grid, and both ends of the k
-    window must have finite squares (ValueError otherwise).  A raw
+    x_grid must be uniform, t a 1-D sequence of finite times, and both ends
+    of the k window must have finite squares (ValueError otherwise).  A raw
     evaluation of `quad`; ensure_converged sizes the rule.
 
     By default the integral covers k0 +- 8, so the full gaussian is
@@ -291,17 +295,15 @@ def synthesize_incident(spectrum: GaussianSpectrum, x_grid, t: float,
     k_interval=(0, w) to reproduce the truncated-window convention of the
     transmitted-packet integral.
     """
-    x = np.asarray(x_grid, dtype=float)
-    t = _times(t).item()  # .item() rejects a batch
+    x = _uniform_grid(x_grid)
     if k_interval is None:
         k_interval = (spectrum.k0 - 8.0, spectrum.k0 + 8.0)
     lo, hi = map(float, k_interval)
     if not (lo * lo < math.inf and hi * hi < math.inf):  # false for nan too
         raise ValueError("the k window's ends must have finite squares")
     ks, wts = quad.nodes(lo, hi)
-    amp = spectrum.amplitude(ks) * wts / (2.0 * math.pi) \
-        * np.exp(-1j * ks * ks * t / 2.0)
-    return PacketField(x=x, t=t, psi=_phase_matvec(x, ks, amp))
+    return _plane_wave_fields(x, t, ks, spectrum.amplitude(ks) * wts / (2.0 * math.pi),
+                              np.zeros_like(ks))
 
 
 def _transmitted_nodes(spectrum: GaussianSpectrum, barrier: BarrierConfig,
@@ -314,28 +316,21 @@ def _transmitted_nodes(spectrum: GaussianSpectrum, barrier: BarrierConfig,
 
 def synthesize_transmitted(spectrum: GaussianSpectrum, barrier: BarrierConfig,
                            x_grid, t, quad: QuadratureSpec = QuadratureSpec()
-                           ) -> PacketField | list[PacketField]:
-    """Transmitted packet behind the barrier (defined for x >= L/2 only).
+                           ) -> list[PacketField]:
+    """Transmitted packet behind the barrier (defined for x >= L/2 only): a
+    list of PacketField, one per time of t.
 
     (1/2pi) int_0^w dk g(k - k0) |T| e^{i [k (x - L/2) - k^2 t / 2 + Theta]}.
 
-    x_grid must be uniform (ValueError otherwise).  Batched over times: a
-    scalar t returns one PacketField, a 1-D array of times a list of
-    fields, and either way each chunk of x costs one gemm shared by all
-    times and one offset block per call (see _phase_matvec).  A raw
-    evaluation of `quad`; ensure_converged sizes the rule.
+    x_grid must be uniform and t a 1-D sequence of finite times (ValueError
+    otherwise).  A raw evaluation of `quad`; ensure_converged sizes the rule.
     """
-    x = np.asarray(x_grid, dtype=float)
-    _grid_steps(x)
-    ts = _times(t)
+    x = _uniform_grid(x_grid)
     h = barrier.half_width
     if x[0] < h - 1e-12:
         raise ValueError("transmitted field is defined for x >= L/2 only")
     ks, base = _transmitted_nodes(spectrum, barrier, quad)
-    phase = ((transmission_phase(ks, barrier) - ks * h)[:, None]
-             - np.outer(ks * ks, ts) / 2.0)
-    amp = base[:, None] * np.exp(1j * phase)
-    return _fields(x, t, ts, _phase_matvec(x, ks, amp))
+    return _plane_wave_fields(x, t, ks, base, transmission_phase(ks, barrier) - ks * h)
 
 
 def collision_sync_time(spectrum: GaussianSpectrum, barrier: BarrierConfig) -> float:
@@ -351,8 +346,8 @@ def _collision_nodes(spectrum: GaussianSpectrum,
 
 def synthesize_collision(spectrum: GaussianSpectrum, barrier: BarrierConfig,
                          x_grid, t, quad: QuadratureSpec = QuadratureSpec()
-                         ) -> PacketField | list[PacketField]:
-    """Symmetric two-packet collision field at time t.
+                         ) -> list[PacketField]:
+    """Symmetric two-packet collision field: a list of PacketField, one per time of t.
 
     Superposes the explicit left- and right-incident stationary solutions
     weighted by g(k - k0) e^{-i E t} over k in (0, k0 + 8] (the
@@ -362,21 +357,18 @@ def synthesize_collision(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     collision-integral convention; only shapes and ratios of this field
     are meaningful.
 
-    Batched over times like synthesize_transmitted: a scalar t returns
-    one PacketField, a 1-D array of times a list of fields.  With
-    S = R_B + T_B and e^{-ikx} = conj(e^{ikx}), the left exterior field is
+    x_grid and t as for synthesize_transmitted.  With S = R_B + T_B and
+    e^{-ikx} = conj(e^{ikx}), the left exterior field is
     E w + conj(E conj(S w)) and the right one E S w + conj(E conj(w)),
-    so each exterior region, a slice of the uniform x_grid (ValueError
-    otherwise), is one _phase_matvec call with one offset block.  The
-    interior is summed _X_CHUNK rows at a time, so that its (x, k) basis
-    stays bounded at large L.  No basis is cached.  A raw
-    evaluation of `quad`; ensure_converged sizes the rule.
+    so each exterior region, a slice of the checked x_grid, is one
+    _phase_matvec call with one offset block.  The interior is summed
+    _X_CHUNK rows at a time, so that its (x, k) basis stays bounded at
+    large L.  No basis is cached.  A raw evaluation of `quad`;
+    ensure_converged sizes the rule.
 
     No time may precede the synchronization instant -L / (2 k0).
     """
-    x = np.asarray(x_grid, dtype=float)
-    _grid_steps(x)
-    scale = np.abs(x).max()
+    x = _uniform_grid(x_grid)
     ts = _times(t)
     t_sync = collision_sync_time(spectrum, barrier)
     if np.any(ts < t_sync - 1e-12):
@@ -397,7 +389,7 @@ def synthesize_collision(spectrum: GaussianSpectrum, barrier: BarrierConfig,
                                      (right, s_weight, weight)):
         if region.any():
             both = _phase_matvec(x[region], ks, np.concatenate(
-                [direct, mirrored.conj()], axis=1), scale)
+                [direct, mirrored.conj()], axis=1))
             psi[region] = both[:, :n_t] + both[:, n_t:].conj()
     # x increases, so the interior is the rows [start, stop)
     start, stop = np.count_nonzero(left), len(x) - np.count_nonzero(right)
@@ -406,7 +398,7 @@ def synthesize_collision(spectrum: GaussianSpectrum, barrier: BarrierConfig,
         # psi(x) + psi(-x), psi the left-incident solution: one kernel call
         basis = interior_field(ks, barrier, np.stack([xc, -xc])[:, :, None])
         np.matmul(basis.sum(axis=0), weight, out=psi[lo:lo + len(xc)])
-    return _fields(x, t, ts, psi)
+    return _fields(x, ts, psi)
 
 
 def _change(coarse: PacketField, fine: PacketField) -> float:
@@ -418,29 +410,26 @@ def _change(coarse: PacketField, fine: PacketField) -> float:
 
 
 def ensure_converged(synth, quad: QuadratureSpec, max_doublings: int = 6
-                     ) -> tuple[PacketField | list[PacketField], float,
-                                QuadratureSpec]:
+                     ) -> tuple[list[PacketField], float, QuadratureSpec]:
     """Evaluate `synth` on `quad`, doubling the panel count until one
     doubling changes no |psi| by more than quad.tol (relative to the
     maximum of the finer field).
 
-    `synth` maps a QuadratureSpec to a PacketField or to a list of them
-    (one per snapshot time); the change is the largest over the list.
+    `synth` maps a QuadratureSpec to a list of PacketField, as every
+    synthesis returns; the change is the largest over the list.
     Returns the evaluation whose doubling passed (the coarser of the last
     pair), that change and the rule it was evaluated on, so the change
     bounds the returned fields' distance from the doubled rule.  From the
     default 4 panels, 6 doublings reach 256.  Raises ConvergenceError with
-    diagnostics if the tolerance is still unmet after max_doublings.
+    diagnostics if the tolerance is still unmet after max_doublings, an
+    integer of at least 1 (ValueError otherwise).
     """
-    def as_list(result):
-        return [result] if isinstance(result, PacketField) else result
-
+    check_count(max_doublings, 1, "max_doublings")
     coarse = synth(quad)
-    change = math.inf
     for _ in range(max_doublings):
         finer = replace(quad, panels=2 * quad.panels)
         fine = synth(finer)
-        change = max(map(_change, as_list(coarse), as_list(fine)))
+        change = max(map(_change, coarse, fine))
         if change < quad.tol:
             return coarse, change, quad
         coarse, quad = fine, finer
@@ -463,8 +452,8 @@ def cutoff_packet_profile(spectrum: GaussianSpectrum, x_grid, k_cut: float):
     if not 1e-9 * spectrum.k0 < k_cut < math.inf:
         raise ValueError("k_cut must be finite and above 1e-9 k0 "
                          "(a lower cut removes the whole support)")
-    fld, change, _ = ensure_converged(lambda q: synthesize_incident(
-        spectrum, x_grid, t=0.0, quad=q, k_interval=(1e-12, k_cut)), QuadratureSpec())
+    [fld], change, _ = ensure_converged(lambda q: synthesize_incident(
+        spectrum, x_grid, t=[0.0], quad=q, k_interval=(1e-12, k_cut)), QuadratureSpec())
     if not np.any(fld.psi):
         raise ValueError("the spectrum has no weight below the cutoff; "
                          "the profile is identically zero")
@@ -541,7 +530,7 @@ def transmission_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfi
     # delay is bounded by the transit time at k0
     t_k0 = standard_transit_time(k0, barrier)
     upper = 6.0 / k0 + 2.0 * abs(t_k0)
-    ts = np.arange(-6.0 / k0, upper, dt)
+    ts = _uniform_grid(np.arange(-6.0 / k0, upper, dt))
     # multimodality scan over the emergence window
     t0_scale = (t_spm if math.isfinite(t_spm) else 0.0) + 1.0 / k0
     xs = np.linspace(h, h + 12.0, 2401)

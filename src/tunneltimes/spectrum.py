@@ -24,7 +24,7 @@ import numpy as np
 
 from .barrier import (BarrierConfig, _modulus, _scaled_solution,
                       transmission_modulus)
-from .numerics import _golden_lanes
+from .numerics import _golden_lanes, check_count
 
 # spectra whose intensity leaks more than this fraction outside [0, w]
 # are formally outside the validity window; reported, not rejected
@@ -109,7 +109,7 @@ def find_kmax(spectrum: GaussianSpectrum, barriers: Sequence[BarrierConfig],
     """Global maximizer of the modulated spectrum on (0, w], one result per
     barrier, each equal to a call with that barrier alone.
 
-    Dense scan of `scan_points` (at least 3) followed by golden-section
+    Dense scan of `scan_points` (an integer, at least 3) followed by golden-section
     refinement, to a bracket of 1e-10, of the bracketed interior maximum
     (the product can be bimodal near the distortion onset, so a local
     method alone would be unsafe).  When no interior maximum beats the
@@ -121,8 +121,7 @@ def find_kmax(spectrum: GaussianSpectrum, barriers: Sequence[BarrierConfig],
     refinements of all barriers then run in lock step, one
     amplitude-kernel call per golden-section step for every bracket.
     """
-    if scan_points < 3:
-        raise ValueError("scan_points must be at least 3")
+    check_count(scan_points, 3, "scan_points")
     barriers = list(barriers)  # TypeError for a bare BarrierConfig
     k0 = spectrum.k0
     if not all(k0 < b.w for b in barriers):

@@ -383,7 +383,7 @@ def test_criterion_10_collision_exactness():
         xs = np.linspace(-14.0, 14.0, 2801)
         t0 = collision_sync_time(spec, b)
         for t in (t0, t0 + 0.4, t0 + 1.2):
-            f = synthesize_collision(spec, b, xs, float(t))
+            [f] = synthesize_collision(spec, b, xs, [t])
             mag = np.abs(f.psi)
             worst_sym = max(worst_sym, float(np.abs(mag - mag[::-1]).max() / mag.max()))
         rep = collision_timing_report(spec, b)

@@ -231,6 +231,21 @@ def test_empty_x_window_is_named(tmp_path, capsys, args, message):
 
 
 @pytest.mark.parametrize("args, message", [
+    # snapshots were written in descending time
+    (["packet", "--t-min", 3, "--t-max", 1], "t-max = 1 must not precede t-min = 3"),
+    # the collision starts at t_sync = -L/(2 k0) = -0.00625 at the defaults
+    (["collide", "--t-max", -3], "t-max = -3 must not precede max(t-min, t_sync) = -0.00625"),
+    (["collide", "--t-min", 1, "--t-max", 0.5],
+     "t-max = 0.5 must not precede max(t-min, t_sync) = 1"),
+])
+def test_reversed_t_window_is_named(tmp_path, capsys, args, message):
+    out = tmp_path / "out"
+    assert run(args + ["--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
     # checked before np.linspace, which warns on an infinite end
     (["cutoff", "--x-max", "inf"], "x-max must be finite"),
     (["cutoff", "--x-points", 0], "x-points = 0 must be at least 3"),
@@ -238,7 +253,7 @@ def test_empty_x_window_is_named(tmp_path, capsys, args, message):
     (["collide", "--x-min=-inf"], "x-min must be finite"),
     (["packet", "--t-steps", -1], "t-steps = -1 must be at least 1"),
     (["collide", "--t-steps", 0], "t-steps = 0 must be at least 1"),
-    (["collide", "--t-max=-5"], "collision field is defined for t >="),
+    (["collide", "--t-max=-5"], "t-max = -5 must not precede max(t-min, t_sync)"),
     (["cutoff", "--w-a", "1e160"], "the k window's ends must have finite squares"),
     # one finiteness check over every float flag, lists included
     (["table1", "--w-a", 2.0, "--w-a", "nan"], "w-a must be finite"),

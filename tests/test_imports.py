@@ -32,3 +32,35 @@ def test_no_unused_imports():
         if names:
             found[str(path.relative_to(ROOT))] = names
     assert found == {}
+
+
+def unread_private_names(trees):
+    """(file, line, name) of each module-level private name that a module of
+    `trees` ({file: tree}) defines and none of them reads.  A read is a
+    loaded name or an attribute; an import is not one (an import that no
+    module reads is found by test_no_unused_imports)."""
+    read = set()
+    defined = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(path, node.lineno, name) for name in names
+                        if name.startswith("_") and not name.endswith("__")]
+    return sorted(entry for entry in defined if entry[2] not in read)
+
+
+def test_every_private_name_in_src_is_read_in_src():
+    trees = {str(path.relative_to(ROOT)): ast.parse(path.read_text(), filename=str(path))
+             for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert unread_private_names(trees) == []

@@ -6,9 +6,10 @@ import pytest
 
 from tunneltimes import (BarrierConfig, GaussianSpectrum, PacketField,
                          QuadratureSpec, collision_sync_time,
-                         collision_timing_report, ensure_converged,
-                         synthesize_collision, synthesize_incident,
-                         synthesize_transmitted, transmission_timing_report)
+                         collision_timing_report, cutoff_packet_profile,
+                         ensure_converged, synthesize_collision,
+                         synthesize_incident, synthesize_transmitted,
+                         transmission_timing_report)
 from tunneltimes.barrier import _collision_amplitudes, interior_field
 from tunneltimes.packets import (_X_CHUNK, ConvergenceError, _degree,
                                  _offset_block, _phase_matvec)
@@ -44,11 +45,31 @@ class TestPacketField:
         with pytest.raises(ValueError):
             PacketField(x=x, t=0.0, psi=np.exp(-(x - 0.4) ** 2).astype(complex))
         with pytest.raises(ValueError):
-            synthesize_incident(spectrum(k0=2.0), 2.0 * x, 1.0)
+            synthesize_incident(spectrum(k0=2.0), 2.0 * x, [1.0])
         with pytest.raises(ValueError):
-            synthesize_transmitted(spectrum(), b, b.half_width + 5.0 + x, 1.0)
+            synthesize_transmitted(spectrum(), b, b.half_width + 5.0 + x, [1.0])
         with pytest.raises(ValueError):
-            synthesize_collision(spectrum(k0=2.0), b, x, 1.0)
+            synthesize_collision(spectrum(k0=2.0), b, x, [1.0])
+
+    @pytest.mark.parametrize("x", [
+        np.array([0.0, 0.5, 1.0, math.inf]),
+        np.array([-math.inf, 0.5, 1.0, 1.5]),
+        # an interior inf made max |x|, the scale of the tolerance, infinite
+        np.array([0.0, math.inf, 1.0, 1.5]),
+    ], ids=["inf-end", "minus-inf-end", "inf-inside"])
+    def test_non_finite_grid_rejected_without_warnings(self, x):
+        # no step may be formed from an infinite end: arange(n) * inf would
+        # warn before the ValueError
+        spec, b = spectrum(k0=2.0), barrier(4.0, 0.0)
+        for make in (lambda: PacketField(x=x, t=0.0, psi=np.ones(len(x))),
+                     lambda: synthesize_incident(spec, x, [0.0]),
+                     lambda: synthesize_transmitted(spec, b, x, [0.0]),
+                     lambda: synthesize_collision(spec, b, x, [0.0]),
+                     lambda: cutoff_packet_profile(spec, x, 3.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError):
+                    make()
 
     def test_peak_and_centroid(self):
         x = np.linspace(-5, 5, 1001)
@@ -80,17 +101,30 @@ class TestQuadrature:
                        (math.nan, 1.0)]:
             with pytest.raises(ValueError):
                 QuadratureSpec().nodes(lo, hi)
-        with pytest.raises(ValueError):
-            QuadratureSpec(panels=0)
+        for field, value in (("panels", 0), ("panels", 2.5), ("panels", math.nan),
+                             ("panels", 4.0), ("order", 2.5), ("order", 1)):
+            with pytest.raises(ValueError, match=field):
+                QuadratureSpec(**{field: value})
+        assert QuadratureSpec(panels=np.int64(4)).nodes(0.0, 1.0)[0].size == 4 * 48
         with pytest.raises(ValueError):
             QuadratureSpec(tol=math.inf)
+
+    def test_gate_needs_a_whole_number_of_doublings(self):
+        # checked before anything is synthesized; 0 doublings compared nothing
+        # and reported a change of inf
+        def synth(q):
+            raise AssertionError("synthesized")
+
+        for bad in (0, -1, 1.5, math.nan):
+            with pytest.raises(ValueError, match="max_doublings"):
+                ensure_converged(synth, QuadratureSpec(), max_doublings=bad)
 
     def test_convergence_at_default_resolution(self):
         spec, b = spectrum(), barrier()
         xs = np.linspace(b.half_width, b.half_width + 8.0, 257)
         quad = QuadratureSpec(panels=8, order=32)
-        fld, change, _ = ensure_converged(
-            lambda q: synthesize_transmitted(spec, b, xs, 0.4, quad=q), quad)
+        _, change, _ = ensure_converged(
+            lambda q: synthesize_transmitted(spec, b, xs, [0.4], quad=q), quad)
         assert change < quad.tol
 
     def test_convergence_error_is_diagnosable(self):
@@ -100,7 +134,7 @@ class TestQuadrature:
         quad = QuadratureSpec(panels=1, order=2, tol=1e-16)
         with pytest.raises(ConvergenceError):
             ensure_converged(
-                lambda q: synthesize_transmitted(spec, b, xs, 0.4, quad=q),
+                lambda q: synthesize_transmitted(spec, b, xs, [0.4], quad=q),
                 quad, max_doublings=1)
 
     def test_every_snapshot_is_gated(self):
@@ -125,10 +159,10 @@ class TestQuadrature:
     def test_gate_returns_the_rule_it_evaluated(self):
         spec, b = spectrum(), barrier()
         xs = np.linspace(b.half_width, b.half_width + 8.0, 257)
-        fld, change, rule = ensure_converged(
-            lambda q: synthesize_transmitted(spec, b, xs, 0.4, quad=q),
+        [fld], change, rule = ensure_converged(
+            lambda q: synthesize_transmitted(spec, b, xs, [0.4], quad=q),
             QuadratureSpec())
-        raw = synthesize_transmitted(spec, b, xs, 0.4, quad=rule)
+        [raw] = synthesize_transmitted(spec, b, xs, [0.4], quad=rule)
         np.testing.assert_array_equal(fld.psi, raw.psi)
         assert rule.order == QuadratureSpec().order
         assert change < rule.tol
@@ -151,12 +185,29 @@ class TestQuadrature:
     def test_gate_does_not_pass_falsely_on_wide_incident_grid(self, t):
         spec = spectrum(k0=1.0)
         xs = np.linspace(-40.0, 50.0, 4501)
-        fld, change, rule = ensure_converged(
-            lambda q: synthesize_incident(spec, xs, t, quad=q), QuadratureSpec())
+        [fld], change, rule = ensure_converged(
+            lambda q: synthesize_incident(spec, xs, [t], quad=q), QuadratureSpec())
         assert rule.panels > QuadratureSpec().panels
-        fixed = synthesize_incident(spec, xs, t, quad=QuadratureSpec(panels=96))
+        [fixed] = synthesize_incident(spec, xs, [t], quad=QuadratureSpec(panels=96))
         ref = np.abs(fixed.psi)
         assert np.abs(np.abs(fld.psi) - ref).max() < rule.tol * ref.max()
+
+
+def _assert_rejected_before_any_phase_sum(monkeypatch, x):
+    """Every synthesis raises ValueError on the grid x with _phase_matvec
+    patched to fail, while the uniform grid on the same ends reaches it."""
+    def phase_sum(*args):
+        raise AssertionError("phase sum reached")
+
+    monkeypatch.setattr("tunneltimes.packets._phase_matvec", phase_sum)
+    spec, b = spectrum(k0=2.0), barrier(4.0, 0.0)
+    for grid, error in ((x, ValueError),
+                        (np.linspace(x[0], x[-1], len(x)), AssertionError)):
+        for synth in (synthesize_incident, synthesize_transmitted,
+                      synthesize_collision):
+            args = (spec, grid) if synth is synthesize_incident else (spec, b, grid)
+            with pytest.raises(error):
+                synth(*args, [1.0])
 
 
 def _assert_matches_naive_product(x, rng, k_max=6.0, ks=None):
@@ -178,13 +229,13 @@ def _assert_matches_naive_product(x, rng, k_max=6.0, ks=None):
 class TestBatchedSynthesis:
     @pytest.mark.parametrize("n_x", [_X_CHUNK - 1, _X_CHUNK, _X_CHUNK + 1,
                                      2 * _X_CHUNK + 1])
-    def test_phase_matvec_matches_unchunked_product(self, n_x):
-        # a non-uniform grid has no factored evaluation and must raise;
-        # chunk boundaries are covered by test_phase_matvec_factors_uniform_grids
+    def test_phase_matvec_matches_unchunked_product(self, n_x, monkeypatch):
+        # a non-uniform grid has no factored evaluation: every synthesis
+        # rejects it before _phase_matvec; chunk boundaries are covered by
+        # test_phase_matvec_factors_uniform_grids
         rng = np.random.default_rng(n_x)
-        x = np.sort(rng.uniform(-20.0, 20.0, n_x))
-        with pytest.raises(ValueError):
-            _phase_matvec(x, rng.uniform(0.0, 6.0, 97), rng.normal(size=97))
+        x = np.sort(rng.uniform(0.0, 40.0, n_x))
+        _assert_rejected_before_any_phase_sum(monkeypatch, x)
 
     @pytest.mark.parametrize("n_x", [1, 2, _X_CHUNK - 1, _X_CHUNK, _X_CHUNK + 1,
                                      2 * _X_CHUNK + 1])
@@ -273,13 +324,26 @@ class TestBatchedSynthesis:
         want = np.cos(kappa * s) + 1j * np.sin(kappa * s)
         assert np.abs(got - want).max() <= 1e-15
 
-    def test_phase_matvec_uniformity_check_is_tight(self):
+    def test_phase_matvec_uniformity_check_is_tight(self, monkeypatch):
         # a factored evaluation of this grid would miss by about k * 1e-6 dx
-        x = np.linspace(-20.0, 20.0, 2 * _X_CHUNK + 1)
+        x = np.linspace(0.0, 40.0, 2 * _X_CHUNK + 1)
         x[700] += 1e-6 * (x[1] - x[0])
-        rng = np.random.default_rng(7)
-        with pytest.raises(ValueError):
-            _phase_matvec(x, rng.uniform(0.0, 6.0, 97), rng.normal(size=97))
+        _assert_rejected_before_any_phase_sum(monkeypatch, x)
+
+    def test_every_synthesis_returns_one_field_per_time(self):
+        spec, b = spectrum(k0=2.0), barrier()
+        xs = np.linspace(b.half_width, b.half_width + 6.0, 61)
+        for synth in (lambda t: synthesize_incident(spec, xs, t),
+                      lambda t: synthesize_transmitted(spec, b, xs, t),
+                      lambda t: synthesize_collision(spec, b, xs, t)):
+            for ts in ([0.3], (0.3, 0.9), np.array([0.3, 0.9, 1.5])):
+                fields = synth(ts)
+                assert isinstance(fields, list)
+                assert all(isinstance(f, PacketField) for f in fields)
+                assert [f.t for f in fields] == list(ts)
+            for t in (0.3, np.float64(0.3), np.array(0.3)):
+                with pytest.raises(ValueError):
+                    synth(t)
 
     def test_time_batch_matches_one_call_per_time(self):
         spec, b = spectrum(), barrier()
@@ -287,7 +351,7 @@ class TestBatchedSynthesis:
         ts = [0.0, 0.7, 1.9, 4.0]
         batch = synthesize_transmitted(spec, b, xs, ts)
         assert isinstance(batch, list) and len(batch) == len(ts)
-        single = [synthesize_transmitted(spec, b, xs, float(t)) for t in ts]
+        single = [f for t in ts for f in synthesize_transmitted(spec, b, xs, [t])]
         assert all(isinstance(f, PacketField) for f in single)
         peak = max(np.abs(f.psi).max() for f in single)
         for f, g in zip(batch, single):
@@ -298,7 +362,7 @@ class TestBatchedSynthesis:
         xs2 = np.linspace(-12.0, 12.0, 1201)
         ts2 = collision_sync_time(spec2, b2) + np.array([0.0, 0.5, 1.5])
         batch = synthesize_collision(spec2, b2, xs2, ts2)
-        single = [synthesize_collision(spec2, b2, xs2, float(t)) for t in ts2]
+        single = [f for t in ts2 for f in synthesize_collision(spec2, b2, xs2, [t])]
         peak = max(np.abs(f.psi).max() for f in single)
         for f, g in zip(batch, single):
             assert f.t == g.t
@@ -315,7 +379,7 @@ class TestBatchedSynthesis:
 
     def test_incident_rejects_non_finite_time(self):
         xs = np.linspace(-5.0, 5.0, 11)
-        for t in (math.nan, math.inf, [0.0, 1.0]):
+        for t in ([math.nan], [math.inf], [0.0, -math.inf]):
             with pytest.raises(ValueError):
                 synthesize_incident(spectrum(k0=2.0), xs, t)
 
@@ -352,8 +416,7 @@ class TestIncident:
     def test_ballistic_peak_motion(self):
         spec = spectrum(k0=2.0)
         xs = np.linspace(-10, 20, 3001)
-        f0 = synthesize_incident(spec, xs, 0.0)
-        f1 = synthesize_incident(spec, xs, 2.0)
+        f0, f1 = synthesize_incident(spec, xs, [0.0, 2.0])
         assert f0.peak_position == pytest.approx(0.0, abs=2 * (xs[1] - xs[0]))
         assert f1.peak_position - f0.peak_position == pytest.approx(
             4.0, abs=2 * (xs[1] - xs[0]))
@@ -362,7 +425,7 @@ class TestIncident:
         # Ehrenfest: the centroid velocity is exactly k0/m even while spreading
         spec = spectrum(k0=1.0)
         xs = np.linspace(-30, 40, 7001)
-        c = [synthesize_incident(spec, xs, t).centroid for t in (0.0, 4.0)]
+        c = [f.centroid for f in synthesize_incident(spec, xs, [0.0, 4.0])]
         assert (c[1] - c[0]) / 4.0 == pytest.approx(1.0, rel=1e-3)
 
     def test_width_grows(self):
@@ -371,8 +434,8 @@ class TestIncident:
 
         def width(t):
             # 4 panels alias on this 90-wide grid: size the rule by the gate
-            f, _, _ = ensure_converged(
-                lambda q: synthesize_incident(spec, xs, t, quad=q), QuadratureSpec())
+            [f], _, _ = ensure_converged(
+                lambda q: synthesize_incident(spec, xs, [t], quad=q), QuadratureSpec())
             dens = f.density
             mu = np.trapezoid(xs * dens, xs) / np.trapezoid(dens, xs)
             var = np.trapezoid((xs - mu) ** 2 * dens, xs) / np.trapezoid(dens, xs)
@@ -387,9 +450,9 @@ class TestTransmitted:
         spec = spectrum(k0=1.0)
         b = barrier(4.0, 0.0)
         xs = np.linspace(0.0, 6.0, 601)
-        f = synthesize_transmitted(spec, b, xs, 0.0)
+        [f] = synthesize_transmitted(spec, b, xs, [0.0])
         # |T| = 1, Theta = 0: same integral as the window-truncated free packet
-        g = synthesize_incident(spec, xs, 0.0, k_interval=(1e-9 * b.w, b.w))
+        [g] = synthesize_incident(spec, xs, [0.0], k_interval=(1e-9 * b.w, b.w))
         np.testing.assert_allclose(np.abs(f.psi), np.abs(g.psi), atol=1e-12)
         assert f.peak_position == pytest.approx(0.0, abs=0.05)
 
@@ -398,14 +461,14 @@ class TestTransmitted:
         xs = np.linspace(b.half_width, b.half_width + 40.0, 4001)
         xs_free = np.linspace(-40.0, 40.0, 8001)
         t = 6.0
-        trans = synthesize_transmitted(spec, b, xs, t)
-        free = synthesize_incident(spec, xs_free, t, k_interval=(1e-9 * b.w, b.w))
+        [trans] = synthesize_transmitted(spec, b, xs, [t])
+        [free] = synthesize_incident(spec, xs_free, [t], k_interval=(1e-9 * b.w, b.w))
         assert trans.norm < free.norm
 
     def test_rejects_grid_inside_barrier(self):
         with pytest.raises(ValueError):
             synthesize_transmitted(spectrum(), barrier(4.0, 0.5),
-                                   np.linspace(0.0, 5.0, 100), 0.1)
+                                   np.linspace(0.0, 5.0, 100), [0.1])
 
 
 class TestCollision:
@@ -413,8 +476,8 @@ class TestCollision:
         spec = spectrum(k0=2.0)
         b = BarrierConfig(w=4.0, width=0.4)
         xs = np.linspace(-12.0, 12.0, 1201)
-        for t in (collision_sync_time(spec, b), 0.4, 1.5):
-            f = synthesize_collision(spec, b, xs, t)
+        for f in synthesize_collision(spec, b, xs,
+                                      [collision_sync_time(spec, b), 0.4, 1.5]):
             mag = np.abs(f.psi)
             assert np.abs(mag - mag[::-1]).max() < 1e-10 * mag.max()
 
@@ -426,7 +489,7 @@ class TestCollision:
         b = BarrierConfig(w=16.0, width=100.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            f = synthesize_collision(spec, b, np.linspace(-16.0, 16.0, 401), 0.0)
+            [f] = synthesize_collision(spec, b, np.linspace(-16.0, 16.0, 401), [0.0])
         assert np.isfinite(f.psi).all()
         assert 0.0 < np.abs(f.psi).max() < 1e-10
 
@@ -435,7 +498,7 @@ class TestCollision:
         b = BarrierConfig(w=4.0, width=0.4)
         with pytest.raises(ValueError):
             synthesize_collision(spec, b, np.linspace(-5, 5, 101),
-                                 collision_sync_time(spec, b) - 0.01)
+                                 [collision_sync_time(spec, b) - 0.01])
 
     def test_outgoing_spectral_modulus_is_incident_gaussian(self):
         spec = spectrum(k0=2.0)

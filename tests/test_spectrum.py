@@ -134,6 +134,13 @@ class TestFindKmax:
         with pytest.raises(TypeError):
             find_kmax(s, b)
 
+    def test_scan_points_must_be_an_integer(self):
+        s, b = GaussianSpectrum(k0=8.0), BarrierConfig(w=16.0, width=0.1)
+        for points in (3.5, 4096.0, math.nan, 2):
+            with pytest.raises(ValueError, match="scan_points"):
+                find_kmax(s, [b], scan_points=points)
+        assert find_kmax(s, [b], scan_points=np.int64(4096)) == find_kmax(s, [b])
+
     def test_one_containment_warning_per_leaky_barrier(self):
         # at k0 = 8: w = 9 and w = 10 leak (0.16, 0.023), w = 12 and 16 do not
         leaky = [BarrierConfig(w=9.0, width=0.1), BarrierConfig(w=10.0, width=0.2)]
@@ -316,9 +323,10 @@ class TestCutoffProfile:
         k_cut = 0.9 * 4.0
         fld, change = cutoff_packet_profile(s, xs, k_cut)
         got = np.abs(fld.psi)
-        ref = np.abs(synthesize_incident(s, xs, 0.0, quad=QuadratureSpec(panels=96),
-                                         k_interval=(1e-12, k_cut)).psi)
-        raw = np.abs(synthesize_incident(s, xs, 0.0, k_interval=(1e-12, k_cut)).psi)
+        [ref] = synthesize_incident(s, xs, [0.0], quad=QuadratureSpec(panels=96),
+                                    k_interval=(1e-12, k_cut))
+        [raw] = synthesize_incident(s, xs, [0.0], k_interval=(1e-12, k_cut))
+        ref, raw = np.abs(ref.psi), np.abs(raw.psi)
         assert np.abs(raw - ref).max() > 1e-3 * ref.max()
         assert np.abs(got - ref).max() < QuadratureSpec().tol * ref.max()
         assert 0.0 <= change < QuadratureSpec().tol
