@@ -11,8 +11,8 @@ from tunneltimes import (BarrierConfig, GaussianSpectrum, PacketField,
                          synthesize_incident, synthesize_transmitted,
                          transmission_timing_report)
 from tunneltimes.barrier import _collision_amplitudes, interior_field
-from tunneltimes.packets import (_X_CHUNK, ConvergenceError, _degree,
-                                 _offset_block, _phase_matvec)
+from tunneltimes.packets import (_CHUNK_ROWS, _SPAN_ROWS, ConvergenceError,
+                                 _degree, _offset_block, _phase_matvec)
 
 
 def barrier(w=4.0, L=0.2):
@@ -195,40 +195,43 @@ class TestQuadrature:
 
 def _assert_rejected_before_any_phase_sum(monkeypatch, x):
     """Every synthesis raises ValueError on the grid x with _phase_matvec
-    patched to fail, while the uniform grid on the same ends reaches it."""
+    patched to fail, while the uniform grid on the same ends reaches it:
+    the collision too, with or without exterior rows."""
     def phase_sum(*args):
         raise AssertionError("phase sum reached")
 
     monkeypatch.setattr("tunneltimes.packets._phase_matvec", phase_sum)
     spec, b = spectrum(k0=2.0), barrier(4.0, 0.0)
+    inside = barrier(4.0, 4.0 * (abs(x[0]) + abs(x[-1])))  # no exterior rows
     for grid, error in ((x, ValueError),
                         (np.linspace(x[0], x[-1], len(x)), AssertionError)):
-        for synth in (synthesize_incident, synthesize_transmitted,
-                      synthesize_collision):
-            args = (spec, grid) if synth is synthesize_incident else (spec, b, grid)
+        for synth in (lambda g: synthesize_incident(spec, g, [1.0]),
+                      lambda g: synthesize_transmitted(spec, b, g, [1.0]),
+                      lambda g: synthesize_collision(spec, b, g, [1.0]),
+                      lambda g: synthesize_collision(spec, inside, g, [1.0])):
             with pytest.raises(error):
-                synth(*args, [1.0])
+                synth(grid)
 
 
 def _assert_matches_naive_product(x, rng, k_max=6.0, ks=None):
-    """_phase_matvec against exp(i outer(x, k)) @ amp, for 2-D and 1-D amp;
-    ks defaults to 97 uniform draws from [0, k_max)."""
+    """_phase_matvec against exp(i outer(x, k)) @ amp, for two parts on one
+    setup: all rows of x, and its rows from len(x) // 3 on with other
+    amplitudes; ks defaults to 97 uniform draws from [0, k_max)."""
     if ks is None:
         ks = rng.uniform(0.0, k_max, 97)
     amp = rng.normal(size=(len(ks), 3)) + 1j * rng.normal(size=(len(ks), 3))
     naive = np.exp(1j * np.outer(x, ks))
     scale = np.abs(amp).sum(axis=0)
-    got = _phase_matvec(x, ks, amp)
-    assert got.shape == (len(x), 3)
+    lo = len(x) // 3
+    got, tail = _phase_matvec(x, ks, [(0, len(x), amp), (lo, len(x), amp[:, 1:])])
+    assert got.shape == (len(x), 3) and tail.shape == (len(x) - lo, 2)
     assert np.abs(got - naive @ amp).max() < 1e-13 * scale.max()
-    col = _phase_matvec(x, ks, amp[:, 1])
-    assert col.shape == (len(x),)
-    assert np.abs(col - naive @ amp[:, 1]).max() < 1e-13 * scale[1]
+    assert np.abs(tail - naive[lo:] @ amp[:, 1:]).max() < 1e-13 * scale.max()
 
 
 class TestBatchedSynthesis:
-    @pytest.mark.parametrize("n_x", [_X_CHUNK - 1, _X_CHUNK, _X_CHUNK + 1,
-                                     2 * _X_CHUNK + 1])
+    @pytest.mark.parametrize("n_x", [_SPAN_ROWS - 1, _SPAN_ROWS, _SPAN_ROWS + 1,
+                                     2 * _SPAN_ROWS + 1])
     def test_phase_matvec_matches_unchunked_product(self, n_x, monkeypatch):
         # a non-uniform grid has no factored evaluation: every synthesis
         # rejects it before _phase_matvec; chunk boundaries are covered by
@@ -237,11 +240,11 @@ class TestBatchedSynthesis:
         x = np.sort(rng.uniform(0.0, 40.0, n_x))
         _assert_rejected_before_any_phase_sum(monkeypatch, x)
 
-    @pytest.mark.parametrize("n_x", [1, 2, _X_CHUNK - 1, _X_CHUNK, _X_CHUNK + 1,
-                                     2 * _X_CHUNK + 1])
+    @pytest.mark.parametrize("n_x", [1, 2, _SPAN_ROWS - 1, _SPAN_ROWS,
+                                     _SPAN_ROWS + 1, 2 * _SPAN_ROWS + 1])
     def test_phase_matvec_factors_uniform_grids(self, n_x):
         # linspace, arange, |x| up to 1e3, and a contiguous slice of a
-        # linspace as synthesize_collision passes x[region].  On the 1e3
+        # linspace, uniform only to the rounding of the whole grid.  On the 1e3
         # grid k stays below 1: at k x ~ 6e3 the naive product's own phase
         # rounding (~5e-13 rad per term) reaches the bound.
         grids = [(np.linspace(-20.0, 20.0, n_x), 6.0),
@@ -255,8 +258,8 @@ class TestBatchedSynthesis:
     @pytest.mark.parametrize("x, ks", [
         # one k node: zero k width, which the interpolation matrix would
         # divide by; repeated, every k lies on every Chebyshev node
-        (np.linspace(-20.0, 20.0, 2 * _X_CHUNK + 1), np.array([2.5])),
-        (np.linspace(-20.0, 20.0, 2 * _X_CHUNK + 1), np.full(8, 2.5)),
+        (np.linspace(-20.0, 20.0, 2 * _SPAN_ROWS + 1), np.array([2.5])),
+        (np.linspace(-20.0, 20.0, 2 * _SPAN_ROWS + 1), np.full(8, 2.5)),
         # descending nodes, as the exit-plane signal passes -k^2/2
         (np.arange(-6.0, 14.0, 0.002),
          -QuadratureSpec().nodes(4e-9, 4.0)[0] ** 2 / 2.0),
@@ -284,28 +287,40 @@ class TestBatchedSynthesis:
                                                            interpolated):
         # the entries that _phase_matvec multiplies into amp, built as it
         # builds them (block rows times interpolation matrix times the chunk
-        # factor e^{i k x_c} e^{i k hw}), against e^{i k x} at the float x:
-        # k x is formed and reduced mod 2 pi in long double, then cos and
-        # sin are taken in double.  The bound is the direct block's own
-        # error on these grids.
+        # factor e^{i k x_s} e^{i k ((c - s) dx + hw)}, x_s the start of the
+        # span that holds the chunk start c) at every row count the chunk
+        # rule can pick, against e^{i k x} at the float x: k x is formed and
+        # reduced mod 2 pi in long double, then cos and sin are taken in
+        # double.  The bound is the direct block's own error on these
+        # grids; `interpolated` is whether the longest chunk interpolates.
         ks, _ = QuadratureSpec(*rule).nodes(0.0, 24.0)
-        offs, interp, hw = _offset_block(x, ks)
-        assert (interp is not None) == interpolated
-        if interpolated:
-            assert interp.shape == (offs.shape[1], len(ks)) and interp.dtype == float
-            offs = offs @ interp
-        assert offs.shape == (min(len(x), _X_CHUNK), len(ks))
+        dx = (x[-1] - x[0]) / (len(x) - 1)
+        blocks = {}
+        for rows in _CHUNK_ROWS:
+            assert rows % 32 == 0  # every 32-row block below lies in one chunk
+            offs, interp, hw = _offset_block(dx, min(rows, len(x)), ks)
+            n_cols = len(ks) if interp is None else len(interp)
+            assert offs.shape == (min(rows, len(x)), n_cols)
+            if rows == max(_CHUNK_ROWS):
+                assert (interp is not None) == interpolated
+            if interp is not None:
+                assert interp.shape == (offs.shape[1], len(ks)) and interp.dtype == float
+                offs = offs @ interp
+            blocks[rows] = offs, hw
         kl = ks.astype(np.longdouble)
         # 2 pi to long double precision: float(2 pi) plus its rounding error
         two_pi = np.longdouble(2.0 * np.pi) + np.longdouble(2.4492935982947064e-16)
-        for lo in range(0, len(x), _X_CHUNK):
-            xc = x[lo:lo + _X_CHUNK]
-            got = offs[:len(xc)] * (np.exp(xc[0] * 1j * ks) * np.exp(hw * 1j * ks))
-            for j in range(0, len(xc), 32):  # reference rows in cache-sized blocks
-                kx = np.outer(xc[j:j + 32].astype(np.longdouble), kl)
-                r = (kx - two_pi * np.rint(kx / two_pi)).astype(float)
-                want = np.cos(r) + 1j * np.sin(r)
-                assert np.abs(got[j:j + 32] - want).max() <= bound
+        for j in range(0, len(x), 32):  # reference rows in cache-sized blocks
+            kx = np.outer(x[j:j + 32].astype(np.longdouble), kl)
+            r = (kx - two_pi * np.rint(kx / two_pi)).astype(float)
+            want = np.cos(r) + 1j * np.sin(r)
+            span = j - j % _SPAN_ROWS  # the exp of e^{i k x} before row j
+            at = np.exp(x[span] * 1j * ks)
+            for rows, (offs, hw) in blocks.items():
+                c = j - j % rows  # the start of the chunk that holds row j
+                shift = np.exp(((c - span) * dx + hw) * 1j * ks)
+                got = offs[j - c:j - c + len(kx)] * (at * shift)
+                assert np.abs(got - want).max() <= bound
 
     @pytest.mark.parametrize("kappa", [0.0, 1e-3, 1.0, 12.0, 41.0, 100.0, 300.0])
     def test_degree_interpolates_to_round_off(self, kappa):
@@ -324,9 +339,21 @@ class TestBatchedSynthesis:
         want = np.cos(kappa * s) + 1j * np.sin(kappa * s)
         assert np.abs(got - want).max() <= 1e-15
 
+    def test_degree_matches_its_defining_search(self):
+        # _degree bisects for the r that this loop finds by counting up
+        def by_loop(kappa):
+            r = 1
+            while kappa > 0.0 and (r * math.log(kappa / 2.0) - math.lgamma(r + 1.0)
+                                   >= -60.0 * math.log(2.0) - math.log(2.0 * r + 2.0)):
+                r += 1
+            return r + 2
+
+        for kappa in [0.0, *np.geomspace(1e-20, 1e3, 3001)]:
+            assert _degree(kappa) == by_loop(kappa), kappa
+
     def test_phase_matvec_uniformity_check_is_tight(self, monkeypatch):
         # a factored evaluation of this grid would miss by about k * 1e-6 dx
-        x = np.linspace(0.0, 40.0, 2 * _X_CHUNK + 1)
+        x = np.linspace(0.0, 40.0, 2 * _SPAN_ROWS + 1)
         x[700] += 1e-6 * (x[1] - x[0])
         _assert_rejected_before_any_phase_sum(monkeypatch, x)
 
@@ -396,7 +423,11 @@ class TestBatchedSynthesis:
         quad = QuadratureSpec(panels=8, order=32)
         ks, wts = quad.nodes(1e-9 * spec.k0, spec.k0 + 8.0)
         refl, trans = _collision_amplitudes(ks, b)
-        for xs in (np.linspace(-6.0, 6.0, 241), np.linspace(-16.0, 1.0, 201)):
+        # then a grid of several chunks, and grids with no left and no
+        # right exterior region
+        for xs in (np.linspace(-6.0, 6.0, 241), np.linspace(-16.0, 1.0, 201),
+                   np.linspace(-30.0, 30.0, 3001), np.linspace(-0.3, 8.0, 301),
+                   np.linspace(-8.0, 0.3, 301)):
             assert np.count_nonzero(np.abs(xs) < h) > 10
             fields = synthesize_collision(spec, b, xs, ts, quad=quad)
             xc = xs[:, None]
@@ -556,6 +587,19 @@ class TestTransmissionTimingReport:
         rep = transmission_timing_report(GaussianSpectrum(k0=8.0),
                                          BarrierConfig(w=32.0, width=0.025))
         assert abs(rep.discrepancy) < 0.10 * rep.tau
+
+    def test_rejects_bad_time_step_before_any_work(self, monkeypatch):
+        # dt = 0 made np.arange divide by zero, and a negative or infinite
+        # dt failed later with a message about x
+        def no_kmax(*args, **kwargs):
+            raise AssertionError("find_kmax reached")
+
+        monkeypatch.setattr("tunneltimes.packets.find_kmax", no_kmax)
+        for dt in (0.0, -0.002, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="dt"):
+                transmission_timing_report(spectrum(), barrier(), dt=dt)
+        with pytest.raises(AssertionError, match="find_kmax"):
+            transmission_timing_report(spectrum(), barrier(), dt=0.002)
 
 
 class TestReportsOnGatedRule:
