@@ -19,7 +19,7 @@ Two families of amplitudes appear:
 Each quantity is one function of scalar or array k: |T| is
 `transmission_modulus`, Theta `transmission_phase`, phi
 `collision_phase`, and the pair (R_B, T_B) `_collision_amplitudes`,
-which `packets` calls for the collision field.
+which serves every packet channel in `packets` (T_B is T itself).
 
 Every closed form derives from one private kernel, `_scaled_solution`,
 which evaluates the interior solution once as (c, sh, r) with

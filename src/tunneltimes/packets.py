@@ -5,10 +5,11 @@ spectrum; there is no PDE time stepping anywhere.  Three configurations:
 
  * free (incident) packets, among them the t = 0 profile of a spectrum
    cut off at k_cut (cutoff_packet_profile),
- * the transmitted packet behind the barrier, synthesized from the
-   modulated amplitude g |T| and the transmission phase,
+ * the transmitted packet behind the barrier, the channel T_B e^{ikL},
  * the symmetric two-packet collision, assembled region by region from
-   the explicit left- and right-incident solutions.
+   the explicit left- and right-incident solutions; its outgoing
+   amplitude is S = R_B + T_B.
+Each channel combines the pair (R_B, T_B) that _columns returns.
 
 Every synthesis takes a 1-D sequence of times t (a scalar raises
 ValueError) and returns a list of PacketField, one per time; the times
@@ -52,8 +53,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .barrier import (BarrierConfig, _collision_amplitudes, interior_field,
-                      transmission_modulus, transmission_phase)
+from .barrier import BarrierConfig, _collision_amplitudes, interior_field
 from .numerics import check_count, gauss_legendre_panels, parabolic_refine
 from .phase_times import scattering_delay, standard_transit_time
 from .spectrum import _CONTAINMENT_LIMIT, GaussianSpectrum, find_kmax
@@ -63,6 +63,7 @@ _CHUNK_ROWS = (64, 128, 256, _SPAN_ROWS)  # rows per phase-sum chunk; each divid
 _CHUNK_COST = 4000.0  # fixed cost of one phase-sum chunk, in products per column
 _INTERIOR_ROWS = 512  # rows of the collision's interior basis built at a time
 _MODE_THRESHOLD = 0.25  # local maxima below this fraction of the peak are ignored
+_MAX_TIME_POINTS = 2 ** 20  # longest exit-face time axis of a transmission report
 
 
 class ConvergenceError(RuntimeError):
@@ -334,12 +335,11 @@ def _fields(x: np.ndarray, ts: np.ndarray, psi: np.ndarray) -> list[PacketField]
     return fields
 
 
-def _plane_wave_fields(x: np.ndarray, t, ks: np.ndarray, amp: np.ndarray,
-                       phase: np.ndarray) -> list[PacketField]:
-    """sum_i amp_i e^{i (phase_i + k_i x - k_i^2 t / 2)} on the checked grid
-    x, one PacketField per time of t, each time one column of a phase sum."""
+def _plane_wave_fields(x: np.ndarray, t, ks: np.ndarray, amp: np.ndarray) -> list[PacketField]:
+    """sum_i amp_i e^{i (k_i x - k_i^2 t / 2)} on the checked grid x, one
+    PacketField per time of t, each time one column of a phase sum."""
     ts = _times(t)
-    cols = amp[:, None] * np.exp(1j * (phase[:, None] - np.outer(ks * ks, ts) / 2.0))
+    cols = amp[:, None] * np.exp(-0.5j * np.outer(ks * ks, ts))
     [psi] = _phase_matvec(x, ks, [(0, len(x), cols)])
     return _fields(x, ts, psi)
 
@@ -367,16 +367,18 @@ def synthesize_incident(spectrum: GaussianSpectrum, x_grid, t,
     if not (lo * lo < math.inf and hi * hi < math.inf):  # false for nan too
         raise ValueError("the k window's ends must have finite squares")
     ks, wts = quad.nodes(lo, hi)
-    return _plane_wave_fields(x, t, ks, spectrum.amplitude(ks) * wts / (2.0 * math.pi),
-                              np.zeros_like(ks))
+    return _plane_wave_fields(x, t, ks, spectrum.amplitude(ks) * wts / (2.0 * math.pi))
 
 
-def _transmitted_nodes(spectrum: GaussianSpectrum, barrier: BarrierConfig,
-                       quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes of `quad` on (0, w] and the weighted amplitudes g |T| wts / 2pi."""
-    ks, wts = quad.nodes(1e-9 * barrier.w, barrier.w)
-    return ks, (spectrum.amplitude(ks) * transmission_modulus(ks, barrier)
-                * wts / (2.0 * math.pi))
+def _columns(spectrum: GaussianSpectrum, barrier: BarrierConfig, quad: QuadratureSpec,
+             lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The nodes ks of `quad` on (lo, hi], g wts there and the pair
+    (R_B, T_B) at ks from one amplitude-kernel call: (ks, g wts, pair).
+    Each channel is a one-line combination: the transmitted column
+    g T_B e^{ikL} wts / 2pi on (1e-9 w, w], and the collision's g wts
+    with S = R_B + T_B on (1e-9 k0, k0 + 8]."""
+    ks, wts = quad.nodes(lo, hi)
+    return ks, spectrum.amplitude(ks) * wts, _collision_amplitudes(ks, barrier)
 
 
 def synthesize_transmitted(spectrum: GaussianSpectrum, barrier: BarrierConfig,
@@ -385,7 +387,8 @@ def synthesize_transmitted(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     """Transmitted packet behind the barrier (defined for x >= L/2 only): a
     list of PacketField, one per time of t.
 
-    (1/2pi) int_0^w dk g(k - k0) |T| e^{i [k (x - L/2) - k^2 t / 2 + Theta]}.
+    (1/2pi) int_0^w dk g(k - k0) T_B e^{ikL} e^{i [k (x - L/2) - k^2 t / 2]},
+    with T_B e^{ikL} = |T| e^{i Theta}.
 
     x_grid must be uniform and t a 1-D sequence of finite times (ValueError
     otherwise).  A raw evaluation of `quad`; ensure_converged sizes the rule.
@@ -394,19 +397,14 @@ def synthesize_transmitted(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     h = barrier.half_width
     if x[0] < h - 1e-12:
         raise ValueError("transmitted field is defined for x >= L/2 only")
-    ks, base = _transmitted_nodes(spectrum, barrier, quad)
-    return _plane_wave_fields(x, t, ks, base, transmission_phase(ks, barrier) - ks * h)
+    ks, gw, (_, trans) = _columns(spectrum, barrier, quad, 1e-9 * barrier.w, barrier.w)
+    column = gw * trans * np.exp(1j * ks * barrier.width) / (2.0 * math.pi)
+    return _plane_wave_fields(x, t, ks, column * np.exp(-1j * ks * h))
 
 
 def collision_sync_time(spectrum: GaussianSpectrum, barrier: BarrierConfig) -> float:
     """Instant -L / (2 k0) at which both incident peaks reach the barrier faces."""
     return -barrier.width / (2.0 * spectrum.k0)
-
-
-def _collision_nodes(spectrum: GaussianSpectrum,
-                     quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of `quad` on (0, k0 + 8]."""
-    return quad.nodes(1e-9 * spectrum.k0, spectrum.k0 + 8.0)
 
 
 def synthesize_collision(spectrum: GaussianSpectrum, barrier: BarrierConfig,
@@ -439,10 +437,9 @@ def synthesize_collision(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     if np.any(ts < t_sync - 1e-12):
         raise ValueError(f"collision field is defined for t >= {t_sync} "
                          "(simultaneous arrival of the incident peaks)")
-    ks, wts = _collision_nodes(spectrum, quad)
-    refl, trans = _collision_amplitudes(ks, barrier)
-    weight = ((spectrum.amplitude(ks) * wts)[:, None]
-              * np.exp(-1j * np.outer(ks * ks, ts) / 2.0))
+    ks, gw, (refl, trans) = _columns(spectrum, barrier, quad,
+                                     1e-9 * spectrum.k0, spectrum.k0 + 8.0)
+    weight = gw[:, None] * np.exp(-1j * np.outer(ks * ks, ts) / 2.0)
     s_weight = (refl + trans)[:, None] * weight
     h = barrier.half_width
     n_t = len(ts)
@@ -516,11 +513,12 @@ def cutoff_packet_profile(spectrum: GaussianSpectrum, x_grid, k_cut: float):
     QuadratureSpec (ConvergenceError if it fails); change is the largest
     peak-relative change of |psi| when that rule is doubled.
     """
-    if not 1e-9 * spectrum.k0 < k_cut < math.inf:
-        raise ValueError("k_cut must be finite and above 1e-9 k0 "
-                         "(a lower cut removes the whole support)")
+    k_lo = 1e-12  # the window's lower end
+    if not max(1e-9 * spectrum.k0, k_lo) < k_cut < math.inf:
+        raise ValueError(f"k_cut must be finite and above 1e-9 k0 and {k_lo}, the "
+                         "window's lower end (a lower cut removes the whole support)")
     [fld], change, _ = ensure_converged(lambda q: synthesize_incident(
-        spectrum, x_grid, t=[0.0], quad=q, k_interval=(1e-12, k_cut)), QuadratureSpec())
+        spectrum, x_grid, t=[0.0], quad=q, k_interval=(k_lo, k_cut)), QuadratureSpec())
     if not np.any(fld.psi):
         raise ValueError("the spectrum has no weight below the cutoff; "
                          "the profile is identically zero")
@@ -536,11 +534,12 @@ class TransmissionTimingReport:
     same for a reference packet with identical modulated amplitude but no
     phase shift, which isolates the phase-induced delay from envelope
     reshaping.  t_spm is the transit-time closed form evaluated at the
-    modulated-spectrum maximum; band is the fixed 5 % of tau.  The flags
-    record the two breakdown symptoms: a multimodal emergence profile
-    (a second local maximum of |psi|^2 above 0.25 of the peak in any of 24
-    snapshots) and a filter-effect shift of the spectral maximum by more
-    than one standard deviation of the intensity.  quadrature_change is
+    modulated-spectrum maximum (k = w when boundary_dominated); band is
+    the fixed 5 % of tau.  The flags record the two breakdown symptoms: a
+    multimodal emergence profile (a second local maximum of |psi|^2 above
+    0.25 of the peak in any of 24 snapshots) and a filter-effect shift of
+    the spectral maximum by more than one standard deviation of the
+    intensity.  quadrature_change is
     the gate's error estimate: the largest peak-relative change of the
     exit-face signals and the snapshots when the rule that gave them is
     doubled.
@@ -580,40 +579,42 @@ def transmission_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfi
     1e-3 in the result (from find_kmax) marks a point outside the
     validity window and clears spm_reliable.
     The exit-face signals and the snapshots share one ensure_converged
-    call that starts from `quad` (ConvergenceError if it fails).
+    call that starts from `quad` (ConvergenceError if it fails).  Their
+    time axis, -6/k0 to 6/k0 + 2 |t_T(k0)| in steps of dt, must hold 3 to
+    2^20 points (else ValueError naming dt).
     """
     if not 0.0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
-    [kr] = find_kmax(spectrum, [barrier])
     k0 = spectrum.k0
     h = barrier.half_width
-
-    if kr.boundary_dominated:
-        t_spm = tau = band = math.nan
-    else:
-        t_spm = standard_transit_time(kr.k_max, barrier)
-        tau = barrier.width / kr.k_max
-        band = 0.05 * tau
-
     # generous scan window: the reference peaks at t = 0, the transmitted
     # delay is bounded by the transit time at k0
-    t_k0 = standard_transit_time(k0, barrier)
-    upper = 6.0 / k0 + 2.0 * abs(t_k0)
-    ts = _uniform_grid(np.arange(-6.0 / k0, upper, dt))
+    t_lo, t_hi = -6.0 / k0, 6.0 / k0 + 2.0 * abs(standard_transit_time(k0, barrier))
+    steps = (t_hi - t_lo) / dt  # np.arange takes ceil(steps) points
+    if not 2.0 < steps <= _MAX_TIME_POINTS:
+        raise ValueError(f"dt = {dt} puts {steps:.4g} steps on the time window "
+                         f"[{t_lo:.6g}, {t_hi:.6g}); it needs 3 to {_MAX_TIME_POINTS} points")
+    ts = _uniform_grid(np.arange(t_lo, t_hi, dt))
+    [kr] = find_kmax(spectrum, [barrier])
+    t_spm = standard_transit_time(kr.k_max, barrier)
+    tau = barrier.width / kr.k_max
+    band = 0.05 * tau
+
     # multimodality scan over the emergence window
-    t0_scale = (t_spm if math.isfinite(t_spm) else 0.0) + 1.0 / k0
-    xs = np.linspace(h, h + 12.0, 2401)
+    t0_scale = t_spm + 1.0 / k0
+    xs = _uniform_grid(np.linspace(h, h + 12.0, 2401))
     t_snap = np.linspace(0.05 * t0_scale, 3.0 * t0_scale, 24)
 
     def synth(q):
-        # the exit-face signals of the packet and of its phase-free
-        # reference, as fields whose grid is the time axis, then the snapshots
-        ks, base = _transmitted_nodes(spectrum, barrier, q)
-        shifted = base * np.exp(1j * transmission_phase(ks, barrier))
+        # one transmitted column per rule: the exit-face signals of the
+        # packet and of its phase-free reference |column|, as fields whose
+        # grid is the time axis, then the snapshots
+        ks, gw, (_, trans) = _columns(spectrum, barrier, q, 1e-9 * barrier.w, barrier.w)
+        column = gw * trans * np.exp(1j * ks * barrier.width) / (2.0 * math.pi)
         [signals] = _phase_matvec(ts, -ks * ks / 2.0,
-                                  [(0, len(ts), np.stack([shifted, base], axis=1))])
+                                  [(0, len(ts), np.stack([column, np.abs(column)], axis=1))])
         return (_fields(ts, np.zeros(2), signals)
-                + synthesize_transmitted(spectrum, barrier, xs, t_snap, quad=q))
+                + _plane_wave_fields(xs, t_snap, ks, column * np.exp(-1j * ks * h)))
 
     (signal, ref_signal, *snapshots), change, _ = ensure_converged(synth, quad)
     arrival = signal.peak_position
@@ -624,7 +625,7 @@ def transmission_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfi
     shift_sigmas = kr.k_max - k0
     filter_effect = shift_sigmas > 1.0
     discrepancy = delay - t_spm
-    within = bool(math.isfinite(discrepancy) and abs(discrepancy) <= band)
+    within = bool(abs(discrepancy) <= band)
     return TransmissionTimingReport(
         k_max=kr.k_max, boundary_dominated=kr.boundary_dominated,
         containment_outside=kr.containment_outside,
@@ -699,13 +700,11 @@ def collision_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfig,
         mag = np.abs(f.psi)
         sym = max(sym, float(np.abs(mag - mag[::-1]).max() / mag.max()))
 
-    ks, wts = _collision_nodes(spectrum, rule)
+    ks, gw, (refl, trans) = _columns(spectrum, barrier, rule, 1e-9 * k0, k0 + 8.0)
     g = spectrum.amplitude(ks)
-    refl, trans = _collision_amplitudes(ks, barrier)
     s_abs = np.abs(refl + trans)
     res_max = float(np.abs(s_abs - 1.0).max())
-    res_int = float(abs(np.sum(wts * g * g * (s_abs**2 - 1.0))
-                        / np.sum(wts * g * g)))
+    res_int = float(abs(np.sum(gw * g * (s_abs**2 - 1.0)) / np.sum(gw * g)))
 
     return CollisionTimingReport(
         t_sync=t_sync, delay_predicted=pred, delay_measured=float(delay),

@@ -329,6 +329,24 @@ class TestPacketCmd:
                          ("--tolerance", "inf")):
             assert run(["packet", f"{opt}={val}", "--out", tmp_path]) == 2
 
+    def test_boundary_dominated_run_writes_strict_json(self, tmp_path):
+        # L = 1.5: no interior maximum beats k = w, and t_spm, tau, band and
+        # discrepancy come from k_max = w instead of being written as NaN
+        assert run(["packet", "--l-a", 1.5, "--out", tmp_path]) == 0
+
+        def no_constant(name):
+            raise ValueError(f"{name} in manifest.json")
+
+        manifest = json.loads((tmp_path / "manifest.json").read_text(),
+                              parse_constant=no_constant)
+        timing = manifest["diagnostics"]["timing"]
+        assert timing["boundary_dominated"] == "True"
+        assert timing["k_max"] == 4.0
+        assert timing["spm_reliable"] == "False"
+        for path in tmp_path.glob("*.csv"):
+            _, rows, _ = read_csv(path)
+            assert not any(cell.lower() == "nan" for row in rows for cell in row)
+
     def test_unreachable_tolerance_exits_3(self, tmp_path):
         assert run(["packet", "--tolerance", 1e-30, "--x-points", 101,
                     "--x-max", 4.0, "--t-steps", 2, "--out", tmp_path]) == 3

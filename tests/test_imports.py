@@ -64,3 +64,13 @@ def test_every_private_name_in_src_is_read_in_src():
     trees = {str(path.relative_to(ROOT)): ast.parse(path.read_text(), filename=str(path))
              for path in sorted((ROOT / "src").rglob("*.py"))}
     assert unread_private_names(trees) == []
+
+
+def test_packets_takes_only_the_amplitude_pair_from_barrier():
+    # every packet channel is built from the pair (R_B, T_B): packets reads
+    # no other amplitude kernel of barrier
+    tree = ast.parse((ROOT / "src" / "tunneltimes" / "packets.py").read_text())
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "barrier"
+             for alias in node.names}
+    assert names == {"BarrierConfig", "_collision_amplitudes", "interior_field"}

@@ -9,6 +9,7 @@ from tunneltimes import (BarrierConfig, GaussianSpectrum, PacketField,
                          collision_timing_report, cutoff_packet_profile,
                          ensure_converged, synthesize_collision,
                          synthesize_incident, synthesize_transmitted,
+                         transmission_modulus, transmission_phase,
                          transmission_timing_report)
 from tunneltimes.barrier import _collision_amplitudes, interior_field
 from tunneltimes.packets import (_CHUNK_ROWS, _SPAN_ROWS, ConvergenceError,
@@ -588,14 +589,30 @@ class TestTransmissionTimingReport:
                                          BarrierConfig(w=32.0, width=0.025))
         assert abs(rep.discrepancy) < 0.10 * rep.tau
 
+    @pytest.mark.parametrize("L", [0.2, 1.0])
+    def test_exit_face_signal_is_the_field_at_the_exit_face(self, L):
+        # the report's exit-face time signal, _phase_matvec over t of the
+        # column g |T| e^{i Theta} wts / 2pi, is row 0 of the transmitted
+        # field on a grid that starts at L/2
+        spec, b, quad = spectrum(), barrier(4.0, L), QuadratureSpec()
+        ks, wts = quad.nodes(1e-9 * b.w, b.w)
+        column = (spec.amplitude(ks) * transmission_modulus(ks, b)
+                  * np.exp(1j * transmission_phase(ks, b)) * wts / (2.0 * math.pi))
+        ts = np.arange(-6.0, 7.0, 0.02)
+        [signal] = _phase_matvec(ts, -ks * ks / 2.0, [(0, len(ts), column[:, None])])
+        xs = np.linspace(b.half_width, b.half_width + 1.0, 5)
+        row = np.array([f.psi[0] for f in synthesize_transmitted(spec, b, xs, ts, quad)])
+        assert np.abs(signal[:, 0] - row).max() <= 1e-13 * np.abs(row).max()
+
     def test_rejects_bad_time_step_before_any_work(self, monkeypatch):
-        # dt = 0 made np.arange divide by zero, and a negative or infinite
-        # dt failed later with a message about x
+        # dt = 0 made np.arange divide by zero, a negative or infinite dt
+        # failed later with a message about x, and so did dt = 100 (fewer
+        # than 3 points); dt = 1e-9 would ask for about 1.3e10 points
         def no_kmax(*args, **kwargs):
             raise AssertionError("find_kmax reached")
 
         monkeypatch.setattr("tunneltimes.packets.find_kmax", no_kmax)
-        for dt in (0.0, -0.002, math.inf, -math.inf, math.nan):
+        for dt in (0.0, -0.002, math.inf, -math.inf, math.nan, 100.0, 1e-9):
             with pytest.raises(ValueError, match="dt"):
                 transmission_timing_report(spectrum(), barrier(), dt=dt)
         with pytest.raises(AssertionError, match="find_kmax"):

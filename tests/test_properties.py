@@ -18,7 +18,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from tunneltimes import (BarrierConfig, interior_field,  # noqa: E402
                          scattering_delay, standard_transit_time,
-                         transfer_matrix_amplitudes)
+                         transfer_matrix_amplitudes, transmission_modulus,
+                         transmission_phase)
 from tunneltimes.barrier import _collision_amplitudes  # noqa: E402
 
 # k / w below the top, within 1e-8 of it, and above it
@@ -50,6 +51,25 @@ def test_collision_faces_and_unimodularity(w, ratio, width):
     assert abs(abs(refl) ** 2 + abs(trans) ** 2 - 1.0) < 1e-14
     want = s * np.exp(1j * k * h) + np.exp(-1j * k * h)
     assert abs(faces - want) < 1e-13
+
+
+@_DRAWS
+@_BARRIERS
+@example(w=16.0, ratio=0.5, width=100.0)  # rho L = 1386: |T| underflows to 0
+@example(w=4.0, ratio=0.5, width=100.0)  # rho L = 346
+@example(w=4.0, ratio=1.0 + 5e-9, width=3.0)
+@example(w=4.0, ratio=1.0 - 5e-9, width=3.0)
+@example(w=4.0, ratio=2.5, width=3.0)
+def test_transmitted_channel_is_modulus_and_phase(w, ratio, width):
+    # the transmitted packet's column T_B e^{ikL} is |T| e^{i Theta}
+    b = BarrierConfig(w=w, width=width)
+    k = ratio * w
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, trans = _collision_amplitudes(k, b)
+        modulus = transmission_modulus(k, b)
+        want = modulus * np.exp(1j * transmission_phase(k, b))
+    assert abs(trans * np.exp(1j * k * width) - want) <= 1e-14 * modulus
 
 
 @_DRAWS

@@ -356,9 +356,12 @@ class TestCutoffProfile:
 
     def test_empty_support_rejected(self):
         xs = np.linspace(-1, 1, 11)
-        for k_cut in (0.01 * 1e-9, 0.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                cutoff_packet_profile(GaussianSpectrum(k0=2.0), xs, k_cut)
+        for k0, k_cut in ((2.0, 0.01 * 1e-9), (2.0, 0.0), (2.0, math.nan),
+                          (2.0, math.inf),
+                          # above 1e-9 k0, below the window's lower end 1e-12
+                          (1e-6, 5e-13)):
+            with pytest.raises(ValueError, match="k_cut"):
+                cutoff_packet_profile(GaussianSpectrum(k0=k0), xs, k_cut)
         # a window the gaussian does not reach: the profile underflows to 0
         with pytest.raises(ValueError, match="identically zero"):
             cutoff_packet_profile(GaussianSpectrum(k0=100.0), xs, 0.9 * 4.0)
