@@ -311,7 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
     t1.add_argument("--k0-a", type=float, default=1.0)
     t1.add_argument("--w-a", type=float, action="append")
     t1.add_argument("--l-a", type=float, action="append")
-    t1.add_argument("--scan-points", type=int, default=4096)
+    t1.add_argument("--scan-points", type=int, default=4096,
+                    help="points of the grid on [1e-9 w, w] whose maximum of g |T| "
+                         "brackets k_max (at least 3); a maximum on the first "
+                         "point leaves k_max unresolved and exits 2")
     t1.add_argument("--out", default="out")
     t1.set_defaults(func=cmd_table1)
 

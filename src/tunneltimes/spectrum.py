@@ -29,6 +29,10 @@ from .numerics import _golden_lanes, check_count
 # spectra whose intensity leaks more than this fraction outside [0, w]
 # are formally outside the validity window; reported, not rejected
 _CONTAINMENT_LIMIT = 1e-3
+# k points per amplitude-kernel call in find_kmax's scan: the fixed cost
+# of a call is small beside 4096 points' work, and the memory it holds
+# stays below that of the dense scan's one 4096-point call per barrier
+_SCAN_CALL = 4096
 
 
 @dataclass(frozen=True)
@@ -76,12 +80,16 @@ class KmaxResult:
     containment_outside: float
 
 
-def _log_modulated(sq, modulus):
-    """log(g |T|) up to a constant, -(k - k0)^2/4 + log|T|, from sq = (k - k0)^2.
+def _log_modulus(k, w, L):
+    """log|T| at k, one barrier (w, L) per lane; -inf where |T| underflows
+    to 0, a divide that callers silence."""
+    return np.log(_modulus(_scaled_solution(k, w, L)))
 
-    log|T| = -inf where |T| underflows to 0; callers silence that divide.
-    """
-    return -sq / 4.0 + np.log(modulus)
+
+def _log_modulated(sq, log_t):
+    """log(g |T|) up to a constant, -(k - k0)^2/4 + log|T|, from
+    sq = (k - k0)^2 and log_t = log|T|."""
+    return -sq / 4.0 + log_t
 
 
 def _interior_maxima(k0: float, barriers: list[BarrierConfig], lo, hi, top):
@@ -97,11 +105,84 @@ def _interior_maxima(k0: float, barriers: list[BarrierConfig], lo, hi, top):
         # about 1 value in 1300, and on the flat top of the objective that
         # is enough to steer the search to another k_max digit.
         sq = np.array([x ** 2 for x in (k - k0).tolist()])
-        return _log_modulated(sq, _modulus(_scaled_solution(k, w, L)))
+        return _log_modulated(sq, _log_modulus(k, w, L))
 
     peak = _golden_lanes(objective, lo, hi, tol=1e-10)
     beats_top = ~(objective(peak) <= np.array(top))
     return [p if ok else None for p, ok in zip(peak.tolist(), beats_top.tolist())]
+
+
+def _coarse_pass(k0: float, k, w, L, top_log, top, coarse, n: int):
+    """For barriers in rows (w and L columns, k their coarse points): the
+    best value on the coarse points and k = w, the first index holding
+    it, and the (row, interval) pairs whose bound reaches it less the
+    margin.  Interval j runs from coarse point j to the next, or to w."""
+    log_c = _log_modulus(k, w, L)
+    # numpy's exact array square, as the dense scan took it (the golden-
+    # section objective squares by float pow instead)
+    vals = _log_modulated((k - k0) ** 2, log_c)
+    most = vals.max(axis=1)
+    first = np.where(top > most, n - 1, coarse[vals.argmax(axis=1)])
+    best = np.maximum(most, top)
+    # each interval [a, b] bounds log(g |T|) by the gaussian term at
+    # clip(k0, a, b) plus log|T(b)|
+    right = np.concatenate([k[:, 1:], w], axis=1)
+    log_right = np.concatenate([log_c[:, 1:], top_log[:, None]], axis=1)
+    bound = _log_modulated((np.minimum(np.maximum(k, k0), right) - k0) ** 2, log_right)
+    return best, first, np.nonzero(bound >= (best - 1e-9 * (1.0 + np.abs(best)))[:, None])
+
+
+def _scan_maxima(k0: float, w, L, n: int):
+    """(first, top, bracket) for the barriers of the 1-D arrays w and L:
+    the index that np.argmax gives for log(g |T|) on linspace(1e-9 w, w, n),
+    the value at k = w, and the grid points at first - 1 and first + 1
+    (meaningful where 0 < first < n - 1).  See `find_kmax` for the bound
+    that lets the refine pass skip points."""
+    # linspace's own arithmetic: point i < n - 1 is i * step + start and
+    # the last is w.  (linspace divides i by n - 1 first where the step
+    # underflows to 0, but for n below 2e9 that happens only where start
+    # does too, and k = 0 fails in the kernel as in the dense scan.)
+    start = w * 1e-9
+    step = (w - start) / (n - 1)
+    # k = w, where z = 0, outside the kernel calls: in one it would send
+    # every point down sinhc_cosh's masked path.  There (c, sh, r) is
+    # sinhc_cosh(0) = (1, 1, 0) exactly.
+    top_log = np.log(_modulus((w, w, L, 1.0, 1.0, 0.0)))
+    top = _log_modulated((w - k0) ** 2, top_log)
+    m = max(math.isqrt(n) // 4, 1)
+    coarse = np.arange(0, n - 1, m)  # every m-th index; n - 1 is k = w
+    offsets = np.arange(1, m)
+
+    per_call = max(_SCAN_CALL // m, 1)  # refined intervals per kernel call
+
+    def block(w, L, start, step, top_log, top):
+        best, first, (rows, cells) = _coarse_pass(
+            k0, coarse * step[:, None] + start[:, None], w[:, None], L[:, None],
+            top_log, top, coarse, n)
+        for at in range(0, rows.size if m > 1 else 0, per_call):  # m = 1: all coarse
+            row = rows[at:at + per_call]
+            # the inner points of each interval, one interval per row; the
+            # last interval, which may be shorter, repeats its last point
+            idx = np.minimum(coarse[cells[at:at + per_call], None] + offsets, n - 2)
+            k = idx * step[row, None] + start[row, None]
+            v = _log_modulated((k - k0) ** 2, _log_modulus(k, w[row, None], L[row, None]))
+            # fold each row's first maximum into its barrier's (best, first)
+            row_best, row_first = v.max(axis=1), idx[np.arange(len(v)), v.argmax(axis=1)]
+            most = best.copy()
+            np.maximum.at(most, row, row_best)
+            first[most > best] = n
+            hit = row_best == most[row]
+            np.minimum.at(first, row[hit], row_first[hit])
+            best = most
+        return first
+
+    per_block = max(_SCAN_CALL // coarse.size, 1)  # barriers per coarse call
+    first = np.concatenate([block(*(a[at:at + per_block] for a in (w, L, start, step, top_log, top)))
+                            for at in range(0, w.size, per_block)])
+    bracket = (first[:, None] + [-1, 1]) * step[:, None] + start[:, None]
+    last = first + 1 == n - 1
+    bracket[last, 1] = w[last]
+    return first, top, bracket
 
 
 def find_kmax(spectrum: GaussianSpectrum, barriers: Sequence[BarrierConfig],
@@ -109,17 +190,37 @@ def find_kmax(spectrum: GaussianSpectrum, barriers: Sequence[BarrierConfig],
     """Global maximizer of the modulated spectrum on (0, w], one result per
     barrier, each equal to a call with that barrier alone.
 
-    Dense scan of `scan_points` (an integer, at least 3) followed by golden-section
-    refinement, to a bracket of 1e-10, of the bracketed interior maximum
-    (the product can be bimodal near the distortion onset, so a local
-    method alone would be unsafe).  When no interior maximum beats the
-    value at k = w the result is flagged boundary-dominated and k_max = w
-    is returned.  Needs k0 < w; leakage outside [0, w] is reported in
-    each result's containment_outside, not rejected.
+    A scan of log(g |T|) on linspace(1e-9 w, w, scan_points) (an integer,
+    at least 3) brackets the grid maximum, which golden section refines to
+    1e-10 (the product can be bimodal near the distortion onset, so a
+    local method alone would be unsafe).  When no interior maximum beats
+    the value at k = w the result is flagged boundary-dominated and
+    k_max = w is returned.  Needs k0 < w; leakage outside [0, w] is
+    reported in each result's containment_outside, not rejected.  A grid
+    maximum on the first point, 1e-9 w, puts the maximum somewhere below
+    the second point (below the whole scan once 1e-9 w passes the
+    spectrum, at w of about 1e9 k0), so k_max cannot be resolved:
+    ValueError.
 
-    The scan is one `transmission_modulus` call per barrier; the
-    refinements of all barriers then run in lock step, one
-    amplitude-kernel call per golden-section step for every bracket.
+    The scan reaches the grid maximum of the dense scan of every point,
+    the first in index order, from a fraction of the points.  A coarse
+    pass takes every m-th point, m = isqrt(scan_points) // 4 (16 at the
+    default), and the last.  |T|^-2 = 1 + w^4 sinh^2(rho L)/(4 k^2 rho^2)
+    falls strictly in k on (0, w], and the gaussian factor peaks at k0, so
+    on a coarse interval [a, b] log(g |T|) is at most
+    -(clip(k0, a, b) - k0)^2/4 + log|T(b)|.  A refine pass evaluates the
+    inner points of only those intervals whose bound reaches the best
+    coarse value less 1e-9 (1 + |best|).  That margin covers rounding:
+    each step that forms k, z = (w^2 - k^2) L^2 and k - k0 rounds
+    monotonically, so the computed values keep the bound to within a few
+    ulps of the two terms (-(k - k0)^2/4 and log|T|, both at most 0), and
+    for any point that could compete each term is at most |best| plus the
+    margin in size, which is some 10^6 such ulps.  The points of all
+    barriers go through the amplitude kernel in calls of at most 4096
+    points (save the coarse pass of a scan of more than 4096^2 / 16
+    points), with k = w outside them; the golden-section refinements of
+    all barriers then run in lock step, one kernel call per step for every
+    bracket.
     """
     check_count(scan_points, 3, "scan_points")
     barriers = list(barriers)  # TypeError for a bare BarrierConfig
@@ -131,21 +232,26 @@ def find_kmax(spectrum: GaussianSpectrum, barriers: Sequence[BarrierConfig],
     # k = w until an interior maximum beats it
     km = [k0 if b.width == 0.0 else b.w for b in barriers]
     boundary = [b.width > 0.0 for b in barriers]
-    lanes = {}  # barrier index -> (bracket lo, bracket hi, scan value at k = w)
-    with np.errstate(divide="ignore"):  # log|T| = -inf where |T| underflows
-        for j, b in enumerate(barriers):
-            if b.width > 0.0:
-                ks = np.linspace(b.w * 1e-9, b.w, scan_points)
-                vals = _log_modulated((ks - k0) ** 2, transmission_modulus(ks, b))
-                i = int(np.argmax(vals))
-                if i < scan_points - 1:
-                    lanes[j] = (ks[max(i - 1, 0)], ks[i + 1], vals[-1])
-        if lanes:
-            peaks = _interior_maxima(k0, [barriers[j] for j in lanes],
-                                     *zip(*lanes.values()))
-            for j, peak in zip(lanes, peaks):
-                if peak is not None:
-                    km[j], boundary[j] = peak, False
+    scanned = [j for j, b in enumerate(barriers) if b.width > 0.0]
+    if scanned:
+        w = np.array([barriers[j].w for j in scanned])
+        L = np.array([barriers[j].width for j in scanned])
+        with np.errstate(divide="ignore"):  # log|T| = -inf where |T| underflows
+            first, top, bracket = _scan_maxima(k0, w, L, scan_points)
+            if (first == 0).any():
+                j = int(np.argmax(first == 0))
+                raise ValueError(f"k_max cannot be resolved: g |T| at w = {w[j]:g}, "
+                                 f"L = {L[j]:g} is largest at the scan's first point, "
+                                 f"1e-9 w, so its maximum lies below the second, "
+                                 f"{bracket[j, 1]:.6g}")
+            inner = first < scan_points - 1
+            lanes = [j for j, ok in zip(scanned, inner.tolist()) if ok]
+            if lanes:
+                peaks = _interior_maxima(k0, [barriers[j] for j in lanes],
+                                         *bracket[inner].T, top[inner])
+                for j, peak in zip(lanes, peaks):
+                    if peak is not None:
+                        km[j], boundary[j] = peak, False
 
     return [KmaxResult(float(k), flag, containment_outside(spectrum, b))
             for k, flag, b in zip(km, boundary, barriers)]

@@ -267,6 +267,17 @@ def test_bad_grid_flag_is_named(tmp_path, capsys, args, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["table1", "packet"])
+def test_spectrum_below_the_scan_window_exits_2(tmp_path, capsys, command):
+    # at w a = 1e10 the k_max scan starts at 1e-9 w = 10, above the whole
+    # spectrum (k0 a = 1): table1 once wrote k_max = 10, and packet all-zero
+    # snapshots with a delay of 0
+    out = tmp_path / "out"
+    assert run([command, "--w-a", "1e10", "--l-a", "1e-12", "--out", out]) == 2
+    assert "k_max cannot be resolved" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, report", [
     ("packet", "transmission_timing_report"),
     ("collide", "collision_timing_report"),

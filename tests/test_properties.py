@@ -3,7 +3,8 @@
 Derandomized, so every run draws the same cases.  The draws cover the
 opaque regime (rho L up to about 1e4, far beyond the float range of
 cosh), wavenumbers within 1e-8 w of the barrier top, and the
-trigonometric continuation above it.
+trigonometric continuation above it.  `find_kmax` is checked against the
+dense scan of every grid point that its bounded scan replaced.
 """
 
 import math
@@ -16,11 +17,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from tunneltimes import (BarrierConfig, interior_field,  # noqa: E402
+from tunneltimes import (BarrierConfig, GaussianSpectrum,  # noqa: E402
+                         containment_outside, find_kmax, interior_field,
                          scattering_delay, standard_transit_time,
                          transfer_matrix_amplitudes, transmission_modulus,
                          transmission_phase)
 from tunneltimes.barrier import _collision_amplitudes  # noqa: E402
+from tunneltimes.spectrum import KmaxResult, _interior_maxima  # noqa: E402
 
 # k / w below the top, within 1e-8 of it, and above it
 _RATIO = st.one_of(st.floats(1e-3, 0.999),
@@ -116,3 +119,59 @@ def test_phase_times_positive(w, ratio, width):
         assert math.isfinite(t)
         # tau = L / k is 0 at L = 0, and also when a subnormal L underflows
         assert t > 0.0 if width / k else t == 0.0
+
+
+def dense_kmax(spectrum, barrier, scan_points):
+    """One barrier's find_kmax by the dense scan: log(g |T|) at every point
+    of linspace(1e-9 w, w, scan_points), then golden section on the
+    bracket of its first maximum.  None where that maximum is the first
+    point, which find_kmax rejects."""
+    k0 = spectrum.k0
+    k_max, flag = (k0, False) if barrier.width == 0.0 else (barrier.w, True)
+    if barrier.width > 0.0:
+        ks = np.linspace(barrier.w * 1e-9, barrier.w, scan_points)
+        with np.errstate(divide="ignore"):
+            vals = -(ks - k0) ** 2 / 4.0 + np.log(transmission_modulus(ks, barrier))
+            i = int(np.argmax(vals))
+            if i == 0:
+                return None
+            if i < scan_points - 1:
+                [peak] = _interior_maxima(k0, [barrier], [ks[i - 1]], [ks[i + 1]], [vals[-1]])
+                if peak is not None:
+                    k_max, flag = peak, False
+    return KmaxResult(k_max, flag, containment_outside(spectrum, barrier))
+
+
+# (w / k0, w L): w L log-uniform from 1e-6 to 300, from 300 to 2e3 (rho L
+# > 300 over most of the scan), or 0, each about a third of the cells
+_CELLS = st.lists(st.tuples(st.floats(1.001, 50.0),
+                            st.one_of(st.floats(-6.0, 2.48).map(lambda e: 10.0 ** e),
+                                      st.floats(2.48, 3.3).map(lambda e: 10.0 ** e),
+                                      st.just(0.0))),
+                  min_size=1, max_size=4)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(k0=st.floats(0.05, 20.0), cells=_CELLS,
+       scan_points=st.sampled_from([3, 4, 5, 17, 4096, 20001]))
+@example(k0=1.0, cells=[(1.5, 1.2), (4.0, 0.0), (20.0, 800.0), (4.0, 2.0)],
+         scan_points=4096)  # boundary-dominated, L = 0, rho L = 800 and a scaled tail
+@example(k0=1.0, cells=[(50.0, 0.5)], scan_points=5)  # maximum on the first point
+@example(k0=1.0, cells=[(1e10, 0.01)], scan_points=4096)  # spectrum below the scan
+def test_find_kmax_matches_dense_scan(k0, cells, scan_points):
+    s = GaussianSpectrum(k0=k0)
+    barriers = [BarrierConfig(w=ratio * k0, width=wl / (ratio * k0)) for ratio, wl in cells]
+    want = [dense_kmax(s, b, scan_points) for b in barriers]
+    apart = []
+    for b, one in zip(barriers, want):
+        if one is None:
+            with pytest.raises(ValueError, match="k_max cannot be resolved"):
+                find_kmax(s, [b], scan_points)
+        else:
+            apart += find_kmax(s, [b], scan_points)
+    if None in want:
+        with pytest.raises(ValueError, match="k_max cannot be resolved"):
+            find_kmax(s, barriers, scan_points)
+    else:
+        assert apart == want
+        assert find_kmax(s, barriers, scan_points) == want

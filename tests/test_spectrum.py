@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -11,8 +12,35 @@ from tunneltimes import (BarrierConfig, GaussianSpectrum, QuadratureSpec,
                          cutoff_time_estimate, distortion_onset, find_kmax,
                          synthesize_incident, transmission_modulus)
 from tunneltimes.cli import _TABLE1_LA, _TABLE1_WA
+from tunneltimes import spectrum as spectrum_module
 from tunneltimes.numerics import ridders_derivative
 from tunneltimes.spectrum import _CONTAINMENT_LIMIT, KmaxResult, modulated_spectrum
+
+
+# the default table1 k_max by w a (rows L/a = 0, 0.1, ..., 1), recorded from
+# the dense scan of all 4096 points per barrier
+_DEFAULT_KMAX = {
+    1.5: [1.0, 1.0235010200334431, 1.0794362716289063, 1.1478431153670177, 1.219627447568043,
+          1.2921242420970267, 1.3649474369899195, 1.4382702290772806, 1.5, 1.5, 1.5],
+    2.0: [1.0, 1.0648369397872968, 1.1824555522321183, 1.300085478462215, 1.4115982832142975,
+          1.519367919710391, 1.6266175772384677, 1.735994590772179, 1.8488956810528547,
+          1.9645615868264923, 2.0],
+    4.0: [1.0, 1.3798940282557757, 1.6571235688710613, 1.843015709562672, 1.987435381080171,
+          2.1155297252301235, 2.2428778275832086, 2.3818557251241734, 2.5466332540144316,
+          2.7626788240195417, 3.113663158447245],
+    6.0: [1.0, 1.6769416636140786, 1.9178368545355649, 2.0288550518075743, 2.102483990644117,
+          2.166814772413347, 2.2314456670601146, 2.3001810780179053, 2.37507527018279,
+          2.4578370826697027, 2.5504281974643312],
+    8.0: [1.0, 1.8546891418737181, 1.9999869786933506, 2.056254525754901, 2.098614026288617,
+          2.1399043446885626, 2.1828215449014836, 2.22810881218476, 2.276137321268875,
+          2.3272360061070847, 2.381769058757242],
+    10.0: [1.0, 1.9396686187539955, 2.0204041366960026, 2.055062871609764, 2.085739237341139,
+           2.11699796797965, 2.1494908179464325, 2.183385956146271, 2.2187979974381213,
+           2.255845328302197, 2.2946586414217203],
+    20.0: [1.0, 2.0051293555365612, 2.020320923427743, 2.034237040874939, 2.048393394033181,
+           2.0628168898057835, 2.077516203831161, 2.092499664333883, 2.107776454313024,
+           2.12335574763278, 2.139247301497865],
+}
 
 
 def barrier(w=4.0, L=0.5):
@@ -124,6 +152,69 @@ class TestFindKmax:
                           [BarrierConfig(w=3.93541, width=0.8)])
         assert res.containment_outside > _CONTAINMENT_LIMIT
         assert res.k_max == 2.4917002839056845
+        # the default table, every cell to the last bit, as the dense scan
+        # of all 4096 points per barrier gave it
+        results = find_kmax(spectrum(), [BarrierConfig(w=wa, width=la)
+                                         for wa in _TABLE1_WA for la in _TABLE1_LA])
+        assert [r.k_max for r in results] == [k for wa in _TABLE1_WA for k in _DEFAULT_KMAX[wa]]
+        assert [r.boundary_dominated for r in results].count(True) == 4
+
+    def test_default_table_scan_work(self, monkeypatch):
+        # The dense scan evaluated 70 x 4096 = 286,720 points.  The scan
+        # now evaluates 70 x 256 coarse points and the 15 inner points of
+        # each interval whose bound reaches the best coarse value (the
+        # last, 14 long, repeats one); golden section adds 2,772.
+        counts = {}
+        kernel, golden = spectrum_module._scaled_solution, spectrum_module._interior_maxima
+
+        def count(k, w, L):
+            counts[stage] = counts.get(stage, 0) + np.size(k)
+            return kernel(k, w, L)
+
+        def refine(*args):
+            nonlocal stage
+            stage = "golden"
+            return golden(*args)
+
+        monkeypatch.setattr(spectrum_module, "_scaled_solution", count)
+        monkeypatch.setattr(spectrum_module, "_interior_maxima", refine)
+        barriers = [BarrierConfig(w=wa, width=la) for wa in _TABLE1_WA for la in _TABLE1_LA]
+        for _ in range(2):  # the count repeats exactly
+            counts.clear()
+            stage = "scan"
+            find_kmax(spectrum(), barriers)
+            assert counts == {"scan": 33_490, "golden": 2_772}
+        assert counts["scan"] < 50_000
+
+    def test_default_table_scan_memory(self):
+        # the scan goes through the kernel in blocks of at most 4096
+        # points; the dense scan, one 4096-point call per barrier, peaked
+        # at 311 KB
+        barriers = [BarrierConfig(w=wa, width=la) for wa in _TABLE1_WA for la in _TABLE1_LA]
+        find_kmax(spectrum(), barriers)
+        tracemalloc.start()
+        try:
+            find_kmax(spectrum(), barriers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 311 * 1024
+
+    def test_maximum_below_the_scan_window_is_rejected(self):
+        # At w = 1e10 the scan starts at 1e-9 w = 10, above the whole
+        # spectrum (k0 = 1, true maximum near 2.00003): the grid maximum
+        # sits on the first point, which once came back as k_max = 10.
+        s, low = spectrum(), BarrierConfig(w=1e10, width=1e-12)
+        for barriers in ([low], [barrier(4.0, 0.5), low], [low, barrier(4.0, 0.0)]):
+            with pytest.raises(ValueError, match="k_max cannot be resolved.*w = 1e[+]10"):
+                find_kmax(s, barriers)
+        # a scan whose second point, 12.5, lies far above the maximum near
+        # 1.985 that a finer one brackets
+        b = BarrierConfig(w=50.0, width=0.01)
+        with pytest.raises(ValueError, match="below the second, 12.5$"):
+            find_kmax(s, [b], scan_points=5)
+        [res] = find_kmax(s, [b], scan_points=9)
+        assert res.k_max == pytest.approx(1.98488104, abs=1e-8)
 
     def test_result_shape_follows_argument(self):
         s, b = GaussianSpectrum(k0=8.0), BarrierConfig(w=16.0, width=0.1)
