@@ -40,6 +40,19 @@ _NONCOMMUTING_NOTE = ("limit of the standard rate at n=1 as alpha->0 is 4/3; "
 
 _TABLE1_WA = [1.5, 2.0, 4.0, 6.0, 8.0, 10.0, 20.0]
 _TABLE1_LA = [round(0.1 * i, 1) for i in range(11)]
+# the flags of packet and collide in order, each with its (packet, collide) defaults
+_PACKET_FLAGS = {
+    "w_a": (4.0, 16.0),
+    "k0_a": (1.0, 8.0),
+    "l_a": (0.2, 0.1),
+    "x_min": (0.0, -16.0),
+    "x_max": (12.0, 16.0),
+    "x_points": (1201, 1601),
+    "t_min": (0.0, -1.0),
+    "t_max": (2.0, 1.5),
+    "t_steps": (5, 5),
+    "tolerance": (1e-8, 1e-8),
+}
 # rows per write in _write_csv: one write call per row (fh.writelines) was
 # measured slower, and the whole file in one write holds every row's text
 _CSV_BLOCK = 1024
@@ -119,12 +132,6 @@ def _x_grid(args, lo: float, lower: str = "x-min") -> np.ndarray:
     return np.linspace(lo, args.x_max, args.x_points)
 
 
-def _t_grid(args, lo: float, lower: str = "t-min") -> np.ndarray:
-    if not lo <= args.t_max:
-        raise ValueError(f"t-max = {_fmt(args.t_max)} must not precede {lower} = {_fmt(lo)}")
-    return np.linspace(lo, args.t_max, args.t_steps)
-
-
 def cmd_table1(args) -> tuple:
     wa = args.w_a or _TABLE1_WA
     la = args.l_a or _TABLE1_LA
@@ -134,6 +141,8 @@ def cmd_table1(args) -> tuple:
         raise ValueError("k0-a must be positive")
     if args.k0_a >= min(wa):
         raise ValueError("k0-a must lie below every barrier top w-a")
+    if args.scan_points < 3:
+        raise ValueError(f"scan-points = {args.scan_points} must be at least 3")
     cells = [(wv, lv) for wv in wa for lv in la]  # w-major
     results = find_kmax(GaussianSpectrum(k0=args.k0_a),
                         [BarrierConfig(w=wv, width=lv) for wv, lv in cells],
@@ -177,17 +186,10 @@ def cmd_rates(args) -> tuple:
 def cmd_distortion(args) -> tuple:
     if not (args.k0_a > 0 and args.w_a > args.k0_a):
         raise ValueError("need 0 < k0-a < w-a")
-    rep = distortion_onset(GaussianSpectrum(k0=args.k0_a), args.w_a)
-    cols = ["w_a", "k0_a", "onset_numeric", "onset_linear_candidate",
-            "onset_sqrt_candidate", "onset_quadratic_limit",
-            "gaussian_logderiv", "t_logderiv_numeric",
-            "t_logderiv_quadratic", "t_logderiv_linear_variant"]
-    row = (rep.w, rep.k0, rep.onset_numeric, rep.onset_linear_candidate,
-           rep.onset_sqrt_candidate, rep.onset_quadratic_limit,
-           rep.gaussian_logderiv, rep.t_logderiv_numeric,
-           rep.t_logderiv_quadratic, rep.t_logderiv_linear_variant)
+    rep = dataclasses.asdict(distortion_onset(GaussianSpectrum(k0=args.k0_a), args.w_a))
+    cols = [f"{name}_a" if name in ("w", "k0") else name for name in rep]
     return ({"w_a": args.w_a, "k0_a": args.k0_a},
-            [("distortion.csv", None, cols, [row])], dataclasses.asdict(rep),
+            [("distortion.csv", None, cols, [tuple(rep.values())])], rep,
             ["onset candidates disagree; onset_numeric is authoritative"])
 
 
@@ -231,17 +233,6 @@ def cmd_cutoff(args) -> tuple:
         "quadrature_change_by_delta": changes}, []
 
 
-def _parse_common_packet(args) -> tuple[GaussianSpectrum, BarrierConfig]:
-    if not (args.k0_a > 0 and args.w_a > args.k0_a):
-        raise ValueError("need 0 < k0-a < w-a (tunneling regime)")
-    if args.l_a is None or args.l_a < 0:
-        raise ValueError("l-a must be nonnegative")
-    if args.t_steps < 1:
-        raise ValueError(f"t-steps = {args.t_steps} must be at least 1")
-    return (GaussianSpectrum(k0=args.k0_a),
-            BarrierConfig(w=args.w_a, width=args.l_a))
-
-
 def _snapshot_rows(x_text: list[str], fld) -> Iterable[tuple]:
     yield from zip(x_text, fld.psi.real.tolist(), fld.psi.imag.tolist(),
                    fld.density.tolist())
@@ -256,21 +247,45 @@ def _snapshot_files(prefix: str, label: str, fields) -> list[tuple]:
             for i, fld in enumerate(fields)]
 
 
-def cmd_packet(args) -> tuple:
-    spec, barrier = _parse_common_packet(args)
+def _packet_snapshots(args, synthesize, floor: tuple) -> tuple:
+    """Check the flags that packet and collide share, then synthesise the
+    snapshots on the x grid at t-steps times under ensure_converged:
+    (spectrum, barrier, rule, parameters, snapshots, change).  `floor` is
+    (key, name, f): the grid end `key`, "x_min" or "t_min", is raised to
+    f(spectrum, barrier), called `name` in messages, and the parameters
+    echo it as raised."""
+    if not (args.k0_a > 0 and args.w_a > args.k0_a):
+        raise ValueError("need 0 < k0-a < w-a (tunneling regime)")
+    if args.l_a < 0:
+        raise ValueError("l-a must be nonnegative")
+    if args.t_steps < 1:
+        raise ValueError(f"t-steps = {args.t_steps} must be at least 1")
+    if not args.tolerance > 0:
+        raise ValueError(f"tolerance = {_fmt(args.tolerance)} must be positive")
+    spec = GaussianSpectrum(k0=args.k0_a)
+    barrier = BarrierConfig(w=args.w_a, width=args.l_a)
+    params = {name: getattr(args, name) for name in _PACKET_FLAGS}
+    key, name, f = floor
+    params[key] = max(params[key], f(spec, barrier))
+    lower = {"x_min": "x-min", "t_min": "t-min", key: name}
+    xs = _x_grid(args, params["x_min"], lower["x_min"])
+    if not params["t_min"] <= args.t_max:
+        raise ValueError(f"t-max = {_fmt(args.t_max)} must not precede "
+                         f"{lower['t_min']} = {_fmt(params['t_min'])}")
+    ts = np.linspace(params["t_min"], args.t_max, args.t_steps)
     quad = QuadratureSpec(tol=args.tolerance)
-    x_min = max(args.x_min, barrier.half_width)
-    xs = _x_grid(args, x_min, "max(x-min, L/2)")
-    ts = _t_grid(args, args.t_min)
-    snapshots, achieved, _ = ensure_converged(
-        lambda q: synthesize_transmitted(spec, barrier, xs, ts, quad=q), quad)
+    snapshots, change, _ = ensure_converged(
+        lambda q: synthesize(spec, barrier, xs, ts, quad=q), quad)
+    return spec, barrier, quad, params, snapshots, change
+
+
+def cmd_packet(args) -> tuple:
+    spec, barrier, quad, params, snapshots, achieved = _packet_snapshots(
+        args, synthesize_transmitted,
+        ("x_min", "max(x-min, L/2)", lambda _, barrier: barrier.half_width))
     rep = transmission_timing_report(spec, barrier, quad=quad)
     timing = {k: (str(v) if isinstance(v, bool) else v)
               for k, v in dataclasses.asdict(rep).items()}
-    params = {"w_a": args.w_a, "k0_a": args.k0_a, "l_a": args.l_a,
-              "x_min": x_min, "x_max": args.x_max, "x_points": args.x_points,
-              "t_min": args.t_min, "t_max": args.t_max, "t_steps": args.t_steps,
-              "tolerance": args.tolerance}
     files = _snapshot_files("packet", "packet snapshot", snapshots)
     files.append(("packet_timing.csv", None, list(timing), [tuple(timing.values())]))
     return params, files, {"quadrature_change_on_doubling": achieved,
@@ -278,21 +293,11 @@ def cmd_packet(args) -> tuple:
 
 
 def cmd_collide(args) -> tuple:
-    spec, barrier = _parse_common_packet(args)
-    quad = QuadratureSpec(tol=args.tolerance)
-    xs = _x_grid(args, args.x_min)
-    t_lo = max(args.t_min, collision_sync_time(spec, barrier))
-    ts = _t_grid(args, t_lo, "max(t-min, t_sync)")
-    snapshots, achieved, _ = ensure_converged(
-        lambda q: synthesize_collision(spec, barrier, xs, ts, quad=q), quad)
+    spec, barrier, quad, params, snapshots, achieved = _packet_snapshots(
+        args, synthesize_collision, ("t_min", "max(t-min, t_sync)", collision_sync_time))
     rep = collision_timing_report(spec, barrier, quad=quad)
-    params = {"w_a": args.w_a, "k0_a": args.k0_a, "l_a": args.l_a,
-              "x_min": args.x_min, "x_max": args.x_max, "x_points": args.x_points,
-              "t_min": t_lo, "t_max": args.t_max, "t_steps": args.t_steps,
-              "tolerance": args.tolerance}
     return (params, _snapshot_files("collide", "collision snapshot", snapshots),
-            {"quadrature_change_on_doubling": achieved,
-             **dataclasses.asdict(rep)}, [])
+            {"quadrature_change_on_doubling": achieved, **dataclasses.asdict(rep)}, [])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="points of the grid on [1e-9 w, w] whose maximum of g |T| "
                          "brackets k_max (at least 3); a maximum on the first "
                          "point leaves k_max unresolved and exits 2")
-    t1.add_argument("--out", default="out")
     t1.set_defaults(func=cmd_table1)
 
     rt = sub.add_parser("rates", help="transit- and scattering-time rates vs alpha")
@@ -323,14 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
     rt.add_argument("--alpha-min", type=float, default=1e-4)
     rt.add_argument("--alpha-max", type=float, default=1e3)
     rt.add_argument("--alpha-steps", type=int, default=241)
-    rt.add_argument("--out", default="out")
     rt.set_defaults(func=cmd_rates)
 
     ds = sub.add_parser("distortion", help="onset width for a boundary local "
                                            "maximum of the modulated spectrum")
     ds.add_argument("--w-a", type=float, default=1.5)
     ds.add_argument("--k0-a", type=float, default=1.0)
-    ds.add_argument("--out", default="out")
     ds.set_defaults(func=cmd_distortion)
 
     co = sub.add_parser("cutoff", help="packet shapes for cut-off spectra")
@@ -342,37 +344,20 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--x-min", type=float, default=-10.0)
     co.add_argument("--x-max", type=float, default=10.0)
     co.add_argument("--x-points", type=int, default=2001)
-    co.add_argument("--out", default="out")
     co.set_defaults(func=cmd_cutoff)
 
-    pk = sub.add_parser("packet", help="transmitted-packet snapshots and "
-                                       "arrival-vs-prediction report")
-    pk.add_argument("--w-a", type=float, default=4.0)
-    pk.add_argument("--k0-a", type=float, default=1.0)
-    pk.add_argument("--l-a", type=float, default=0.2)
-    pk.add_argument("--x-min", type=float, default=0.0)
-    pk.add_argument("--x-max", type=float, default=12.0)
-    pk.add_argument("--x-points", type=int, default=1201)
-    pk.add_argument("--t-min", type=float, default=0.0)
-    pk.add_argument("--t-max", type=float, default=2.0)
-    pk.add_argument("--t-steps", type=int, default=5)
-    pk.add_argument("--tolerance", type=float, default=1e-8)
-    pk.add_argument("--out", default="out")
-    pk.set_defaults(func=cmd_packet)
+    for i, (command, func, text) in enumerate((
+            ("packet", cmd_packet, "transmitted-packet snapshots and "
+                                   "arrival-vs-prediction report"),
+            ("collide", cmd_collide, "symmetric two-packet collision snapshots"))):
+        pc = sub.add_parser(command, help=text)
+        for name, defaults in _PACKET_FLAGS.items():
+            pc.add_argument("--" + name.replace("_", "-"), type=type(defaults[i]),
+                            default=defaults[i])
+        pc.set_defaults(func=func)
 
-    cl = sub.add_parser("collide", help="symmetric two-packet collision snapshots")
-    cl.add_argument("--w-a", type=float, default=16.0)
-    cl.add_argument("--k0-a", type=float, default=8.0)
-    cl.add_argument("--l-a", type=float, default=0.1)
-    cl.add_argument("--x-min", type=float, default=-16.0)
-    cl.add_argument("--x-max", type=float, default=16.0)
-    cl.add_argument("--x-points", type=int, default=1601)
-    cl.add_argument("--t-min", type=float, default=-1.0)
-    cl.add_argument("--t-max", type=float, default=1.5)
-    cl.add_argument("--t-steps", type=int, default=5)
-    cl.add_argument("--tolerance", type=float, default=1e-8)
-    cl.add_argument("--out", default="out")
-    cl.set_defaults(func=cmd_collide)
+    for each in sub.choices.values():
+        each.add_argument("--out", default="out")
     return parser
 
 

@@ -9,7 +9,8 @@ spectrum; there is no PDE time stepping anywhere.  Three configurations:
  * the symmetric two-packet collision, assembled region by region from
    the explicit left- and right-incident solutions; its outgoing
    amplitude is S = R_B + T_B.
-Each channel combines the pair (R_B, T_B) that _columns returns.
+Each channel, _transmitted_channel or _collision_channel, lays a rule
+over its k window and combines (R_B, T_B) from one amplitude-kernel call.
 
 Every synthesis takes a 1-D sequence of times t (a scalar raises
 ValueError) and returns a list of PacketField, one per time; the times
@@ -370,15 +371,16 @@ def synthesize_incident(spectrum: GaussianSpectrum, x_grid, t,
     return _plane_wave_fields(x, t, ks, spectrum.amplitude(ks) * wts / (2.0 * math.pi))
 
 
-def _columns(spectrum: GaussianSpectrum, barrier: BarrierConfig, quad: QuadratureSpec,
-             lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """The nodes ks of `quad` on (lo, hi], g wts there and the pair
-    (R_B, T_B) at ks from one amplitude-kernel call: (ks, g wts, pair).
-    Each channel is a one-line combination: the transmitted column
-    g T_B e^{ikL} wts / 2pi on (1e-9 w, w], and the collision's g wts
-    with S = R_B + T_B on (1e-9 k0, k0 + 8]."""
-    ks, wts = quad.nodes(lo, hi)
-    return ks, spectrum.amplitude(ks) * wts, _collision_amplitudes(ks, barrier)
+def _transmitted_channel(spectrum: GaussianSpectrum, barrier: BarrierConfig,
+                         quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes ks of `quad` on (1e-9 w, w], the column g T_B e^{ikL} wts
+    / 2pi of the exit-face signal there (T_B e^{ikL} = |T| e^{i Theta}) and
+    that column times e^{-ikL/2}, of the sum over x: (ks, column, shifted)."""
+    ks, wts = quad.nodes(1e-9 * barrier.w, barrier.w)
+    _, trans = _collision_amplitudes(ks, barrier)
+    column = (spectrum.amplitude(ks) * wts * trans * np.exp(1j * ks * barrier.width)
+              / (2.0 * math.pi))
+    return ks, column, column * np.exp(-1j * ks * barrier.half_width)
 
 
 def synthesize_transmitted(spectrum: GaussianSpectrum, barrier: BarrierConfig,
@@ -394,17 +396,24 @@ def synthesize_transmitted(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     otherwise).  A raw evaluation of `quad`; ensure_converged sizes the rule.
     """
     x = _uniform_grid(x_grid)
-    h = barrier.half_width
-    if x[0] < h - 1e-12:
+    if x[0] < barrier.half_width - 1e-12:
         raise ValueError("transmitted field is defined for x >= L/2 only")
-    ks, gw, (_, trans) = _columns(spectrum, barrier, quad, 1e-9 * barrier.w, barrier.w)
-    column = gw * trans * np.exp(1j * ks * barrier.width) / (2.0 * math.pi)
-    return _plane_wave_fields(x, t, ks, column * np.exp(-1j * ks * h))
+    ks, _, shifted = _transmitted_channel(spectrum, barrier, quad)
+    return _plane_wave_fields(x, t, ks, shifted)
 
 
 def collision_sync_time(spectrum: GaussianSpectrum, barrier: BarrierConfig) -> float:
     """Instant -L / (2 k0) at which both incident peaks reach the barrier faces."""
     return -barrier.width / (2.0 * spectrum.k0)
+
+
+def _collision_channel(spectrum: GaussianSpectrum, barrier: BarrierConfig,
+                       quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes ks of `quad` on (1e-9 k0, k0 + 8], g wts there and the
+    outgoing amplitude S = R_B + T_B of the symmetric collision: (ks, g wts, S)."""
+    ks, wts = quad.nodes(1e-9 * spectrum.k0, spectrum.k0 + 8.0)
+    refl, trans = _collision_amplitudes(ks, barrier)
+    return ks, spectrum.amplitude(ks) * wts, refl + trans
 
 
 def synthesize_collision(spectrum: GaussianSpectrum, barrier: BarrierConfig,
@@ -437,10 +446,9 @@ def synthesize_collision(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     if np.any(ts < t_sync - 1e-12):
         raise ValueError(f"collision field is defined for t >= {t_sync} "
                          "(simultaneous arrival of the incident peaks)")
-    ks, gw, (refl, trans) = _columns(spectrum, barrier, quad,
-                                     1e-9 * spectrum.k0, spectrum.k0 + 8.0)
+    ks, gw, s = _collision_channel(spectrum, barrier, quad)
     weight = gw[:, None] * np.exp(-1j * np.outer(ks * ks, ts) / 2.0)
-    s_weight = (refl + trans)[:, None] * weight
+    s_weight = s[:, None] * weight
     h = barrier.half_width
     n_t = len(ts)
 
@@ -581,7 +589,7 @@ def transmission_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfi
     The exit-face signals and the snapshots share one ensure_converged
     call that starts from `quad` (ConvergenceError if it fails).  Their
     time axis, -6/k0 to 6/k0 + 2 |t_T(k0)| in steps of dt, must hold 3 to
-    2^20 points (else ValueError naming dt).
+    2^20 points (else ValueError naming k0 and dt).
     """
     if not 0.0 < dt < math.inf:
         raise ValueError("dt must be positive and finite")
@@ -592,8 +600,9 @@ def transmission_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfi
     t_lo, t_hi = -6.0 / k0, 6.0 / k0 + 2.0 * abs(standard_transit_time(k0, barrier))
     steps = (t_hi - t_lo) / dt  # np.arange takes ceil(steps) points
     if not 2.0 < steps <= _MAX_TIME_POINTS:
-        raise ValueError(f"dt = {dt} puts {steps:.4g} steps on the time window "
-                         f"[{t_lo:.6g}, {t_hi:.6g}); it needs 3 to {_MAX_TIME_POINTS} points")
+        raise ValueError(f"the time window [-6/k0, 6/k0 + 2 |t_T(k0)|) = [{t_lo:.6g}, "
+                         f"{t_hi:.6g}) at k0 = {k0} holds {steps:.4g} steps of dt = {dt}; "
+                         f"it needs 3 to {_MAX_TIME_POINTS} points")
     ts = _uniform_grid(np.arange(t_lo, t_hi, dt))
     [kr] = find_kmax(spectrum, [barrier])
     t_spm = standard_transit_time(kr.k_max, barrier)
@@ -609,12 +618,10 @@ def transmission_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfi
         # one transmitted column per rule: the exit-face signals of the
         # packet and of its phase-free reference |column|, as fields whose
         # grid is the time axis, then the snapshots
-        ks, gw, (_, trans) = _columns(spectrum, barrier, q, 1e-9 * barrier.w, barrier.w)
-        column = gw * trans * np.exp(1j * ks * barrier.width) / (2.0 * math.pi)
+        ks, column, shifted = _transmitted_channel(spectrum, barrier, q)
         [signals] = _phase_matvec(ts, -ks * ks / 2.0,
                                   [(0, len(ts), np.stack([column, np.abs(column)], axis=1))])
-        return (_fields(ts, np.zeros(2), signals)
-                + _plane_wave_fields(xs, t_snap, ks, column * np.exp(-1j * ks * h)))
+        return _fields(ts, np.zeros(2), signals) + _plane_wave_fields(xs, t_snap, ks, shifted)
 
     (signal, ref_signal, *snapshots), change, _ = ensure_converged(synth, quad)
     arrival = signal.peak_position
@@ -671,7 +678,8 @@ def collision_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfig,
 
     The fit and symmetry snapshots share one ensure_converged call that
     starts from `quad` (ConvergenceError if it fails), and the spectral
-    residuals are taken on the rule that passed.
+    residuals are taken on the rule that passed.  ValueError naming k0
+    if the phases k^2 t / 2 of its times, of order 1/k0, overflow.
     """
     k0 = spectrum.k0
     h = barrier.half_width
@@ -679,6 +687,11 @@ def collision_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfig,
         raise ValueError("collision timing needs the tunneling regime k0 < w")
     t_sync = collision_sync_time(spectrum, barrier)
     pred = scattering_delay(k0, barrier)
+    # every time below lies in [-span, span]: t_sync <= 0 <= the last fit time
+    span = pred + (14.0 + h) / k0
+    if not math.isfinite((k0 + 8.0) * (k0 + 8.0) * span):
+        raise ValueError(f"k0 = {k0} is too small: the report's times reach |t| = delay + "
+                         f"(14 + L/2)/k0 = {span:.6g}, where the phases k^2 t / 2 overflow")
 
     # ballistic fit of the outgoing peak at 12 times, 4..14 past the exit face
     t_fit = t_sync + pred + (np.linspace(4.0, 14.0, 12) + h) / k0
@@ -700,9 +713,9 @@ def collision_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfig,
         mag = np.abs(f.psi)
         sym = max(sym, float(np.abs(mag - mag[::-1]).max() / mag.max()))
 
-    ks, gw, (refl, trans) = _columns(spectrum, barrier, rule, 1e-9 * k0, k0 + 8.0)
+    ks, gw, s = _collision_channel(spectrum, barrier, rule)
     g = spectrum.amplitude(ks)
-    s_abs = np.abs(refl + trans)
+    s_abs = np.abs(s)
     res_max = float(np.abs(s_abs - 1.0).max())
     res_int = float(abs(np.sum(gw * g * (s_abs**2 - 1.0)) / np.sum(gw * g)))
 

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 from pathlib import Path
@@ -167,6 +168,11 @@ class TestDistortion:
     def test_default_run(self, tmp_path):
         assert run(["distortion", "--out", tmp_path]) == 0
         header, rows, _ = read_csv(tmp_path / "distortion.csv")
+        # bench/check.py reads these columns by name
+        assert header == ["w_a", "k0_a", "onset_numeric", "onset_linear_candidate",
+                          "onset_sqrt_candidate", "onset_quadratic_limit",
+                          "gaussian_logderiv", "t_logderiv_numeric",
+                          "t_logderiv_quadratic", "t_logderiv_linear_variant"]
         row = dict(zip(header, rows[0]))
         assert float(row["onset_linear_candidate"]) == pytest.approx(0.4082, abs=1e-3)
         assert float(row["onset_sqrt_candidate"]) == pytest.approx(0.7071, abs=1e-3)
@@ -259,12 +265,46 @@ def test_reversed_t_window_is_named(tmp_path, capsys, args, message):
     (["table1", "--w-a", 2.0, "--w-a", "nan"], "w-a must be finite"),
     (["packet", "--l-a", "inf"], "l-a must be finite"),
     (["cutoff", "--k0-a", "inf"], "k0-a must be finite"),
+    # named by the CLI before the library's "tol" and "scan_points" checks
+    (["packet", "--tolerance", 0], "tolerance = 0 must be positive"),
+    (["collide", "--tolerance", -1], "tolerance = -1 must be positive"),
+    (["table1", "--scan-points", 2], "scan-points = 2 must be at least 3"),
+    # each timing report's times are of order 1/k0: the collision report's
+    # overflowed in numpy, and the transmission report's window of dt = 0.002
+    # steps, which no flag sets, was blamed on dt
+    (["collide", "--k0-a", "1e-320"], "k0 = 1e-320 is too small"),
+    (["packet", "--k0-a", 0.005], "at k0 = 0.005 holds 1.351e+06 steps"),
+    (["packet", "--k0-a", "1e-305"], "at k0 = 1e-305 holds inf steps"),
 ])
 def test_bad_grid_flag_is_named(tmp_path, capsys, args, message):
     out = tmp_path / "out"
     assert run(args + ["--out", out]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_packet_and_collide_share_one_flag_set_and_out_comes_last():
+    [sub] = [a for a in cli.build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+
+    def flags(command):
+        return [(a.option_strings, a.type) for a in sub.choices[command]._actions]
+
+    assert flags("packet") == flags("collide")
+    assert [names for names, _ in flags("packet")] == [
+        ["-h", "--help"], ["--w-a"], ["--k0-a"], ["--l-a"], ["--x-min"], ["--x-max"],
+        ["--x-points"], ["--t-min"], ["--t-max"], ["--t-steps"], ["--tolerance"], ["--out"]]
+    for command, parser in sub.choices.items():
+        assert parser._actions[-1].option_strings == ["--out"], command
+    # each command keeps its own defaults
+    defaults = {command: {k: v for k, v in vars(sub.choices[command].parse_args([])).items()
+                          if k != "func"}
+                for command in ("packet", "collide")}
+    assert defaults == {
+        "packet": dict(w_a=4.0, k0_a=1.0, l_a=0.2, x_min=0.0, x_max=12.0, x_points=1201,
+                       t_min=0.0, t_max=2.0, t_steps=5, tolerance=1e-8, out="out"),
+        "collide": dict(w_a=16.0, k0_a=8.0, l_a=0.1, x_min=-16.0, x_max=16.0, x_points=1601,
+                        t_min=-1.0, t_max=1.5, t_steps=5, tolerance=1e-8, out="out")}
 
 
 @pytest.mark.parametrize("command", ["table1", "packet"])

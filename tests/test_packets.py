@@ -604,6 +604,19 @@ class TestTransmissionTimingReport:
         row = np.array([f.psi[0] for f in synthesize_transmitted(spec, b, xs, ts, quad)])
         assert np.abs(signal[:, 0] - row).max() <= 1e-13 * np.abs(row).max()
 
+    def test_one_amplitude_kernel_call_per_rule(self, monkeypatch):
+        # the exit-face signals and the snapshots share one transmitted
+        # column per rule; the gate passes on 4 -> 8 panels of 48 nodes
+        calls = []
+
+        def counted(ks, b):
+            calls.append(len(ks))
+            return _collision_amplitudes(ks, b)
+
+        monkeypatch.setattr("tunneltimes.packets._collision_amplitudes", counted)
+        transmission_timing_report(spectrum(), barrier(4.0, 0.2))
+        assert calls == [192, 384]
+
     def test_rejects_bad_time_step_before_any_work(self, monkeypatch):
         # dt = 0 made np.arange divide by zero, a negative or infinite dt
         # failed later with a message about x, and so did dt = 100 (fewer
