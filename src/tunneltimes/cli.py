@@ -248,12 +248,13 @@ def _snapshot_files(prefix: str, label: str, fields) -> list[tuple]:
 
 
 def _packet_snapshots(args, synthesize, floor: tuple) -> tuple:
-    """Check the flags that packet and collide share, then synthesise the
-    snapshots on the x grid at t-steps times under ensure_converged:
-    (spectrum, barrier, rule, parameters, snapshots, change).  `floor` is
-    (key, name, f): the grid end `key`, "x_min" or "t_min", is raised to
-    f(spectrum, barrier), called `name` in messages, and the parameters
-    echo it as raised."""
+    """Check the flags that packet and collide share and build both grids:
+    (spectrum, barrier, rule, parameters, gate), where gate() synthesises
+    the snapshots on the x grid at t-steps times under ensure_converged
+    and returns (fields, change).  `floor` is (key, name,
+    f): the grid end `key`, "x_min" or "t_min", is raised to f(spectrum,
+    barrier), called `name` in messages, and the parameters echo it as
+    raised."""
     if not (args.k0_a > 0 and args.w_a > args.k0_a):
         raise ValueError("need 0 < k0-a < w-a (tunneling regime)")
     if args.l_a < 0:
@@ -274,16 +275,24 @@ def _packet_snapshots(args, synthesize, floor: tuple) -> tuple:
                          f"{lower['t_min']} = {_fmt(params['t_min'])}")
     ts = np.linspace(params["t_min"], args.t_max, args.t_steps)
     quad = QuadratureSpec(tol=args.tolerance)
-    snapshots, change, _ = ensure_converged(
-        lambda q: synthesize(spec, barrier, xs, ts, quad=q), quad)
-    return spec, barrier, quad, params, snapshots, change
+
+    def gate():
+        fields, change, _ = ensure_converged(
+            lambda q: synthesize(spec, barrier, xs, ts, quad=q), quad)
+        return fields, change
+
+    return spec, barrier, quad, params, gate
 
 
 def cmd_packet(args) -> tuple:
-    spec, barrier, quad, params, snapshots, achieved = _packet_snapshots(
+    spec, barrier, quad, params, gate = _packet_snapshots(
         args, synthesize_transmitted,
         ("x_min", "max(x-min, L/2)", lambda _, barrier: barrier.half_width))
+    # the report first: where the spectrum lies below the transmitted
+    # window, its find_kmax names k_max before the snapshots' synthesis
+    # rejects the all-zero column
     rep = transmission_timing_report(spec, barrier, quad=quad)
+    snapshots, achieved = gate()
     timing = {k: (str(v) if isinstance(v, bool) else v)
               for k, v in dataclasses.asdict(rep).items()}
     files = _snapshot_files("packet", "packet snapshot", snapshots)
@@ -293,8 +302,9 @@ def cmd_packet(args) -> tuple:
 
 
 def cmd_collide(args) -> tuple:
-    spec, barrier, quad, params, snapshots, achieved = _packet_snapshots(
+    spec, barrier, quad, params, gate = _packet_snapshots(
         args, synthesize_collision, ("t_min", "max(t-min, t_sync)", collision_sync_time))
+    snapshots, achieved = gate()
     rep = collision_timing_report(spec, barrier, quad=quad)
     return (params, _snapshot_files("collide", "collision snapshot", snapshots),
             {"quadrature_change_on_doubling": achieved, **dataclasses.asdict(rep)}, [])

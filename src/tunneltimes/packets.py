@@ -37,7 +37,14 @@ given, with no error estimate.  Every number that reaches a CLI artifact
 or a report field is sized by ensure_converged instead: it starts from the
 default rule (4 panels x order 48), doubles the panel count until one
 doubling changes |psi| by less than the tolerance, and returns the
-evaluation whose doubling passed, that change and the rule.
+evaluation whose doubling passed, that change and the rule.  The
+collision report evaluates the doubled rule first and probes the
+starting rule on the last 64 rows of its fit grid at the last fit time,
+where it aliases first; where the probe alone changes by more than the
+tolerance plus 1e-12 of the peak (room for the probe's round-off), the
+starting rule fails the first comparison, and the gate starts from the
+doubled rule.  The result, change, rule and any error message are
+those of the gate run from the starting rule.
 
 Arrival analysis works on |psi|^2: per-snapshot peak positions with
 parabolic sub-grid refinement, and two report objects that compare
@@ -65,6 +72,9 @@ _CHUNK_COST = 4000.0  # fixed cost of one phase-sum chunk, in products per colum
 _INTERIOR_ROWS = 512  # rows of the collision's interior basis built at a time
 _MODE_THRESHOLD = 0.25  # local maxima below this fraction of the peak are ignored
 _MAX_TIME_POINTS = 2 ** 20  # longest exit-face time axis of a transmission report
+_MAX_DOUBLINGS = 6  # ensure_converged's default: from 4 panels to 256
+_PROBE_ROWS = 64  # far-end rows of the collision report's starting-rule probe
+_PROBE_ROUNDOFF = 1e-12  # peak-relative bound on a probe's round-off against the full grid
 
 
 class ConvergenceError(RuntimeError):
@@ -375,11 +385,15 @@ def _transmitted_channel(spectrum: GaussianSpectrum, barrier: BarrierConfig,
                          quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The nodes ks of `quad` on (1e-9 w, w], the column g T_B e^{ikL} wts
     / 2pi of the exit-face signal there (T_B e^{ikL} = |T| e^{i Theta}) and
-    that column times e^{-ikL/2}, of the sum over x: (ks, column, shifted)."""
+    that column times e^{-ikL/2}, of the sum over x: (ks, column, shifted).
+    ValueError if the column is identically zero."""
     ks, wts = quad.nodes(1e-9 * barrier.w, barrier.w)
     _, trans = _collision_amplitudes(ks, barrier)
     column = (spectrum.amplitude(ks) * wts * trans * np.exp(1j * ks * barrier.width)
               / (2.0 * math.pi))
+    if not np.any(column):
+        raise ValueError("the spectrum has no weight at the rule's nodes on the transmitted "
+                         "window (1e-9 w, w]; the transmitted packet is identically zero")
     return ks, column, column * np.exp(-1j * ks * barrier.half_width)
 
 
@@ -392,8 +406,9 @@ def synthesize_transmitted(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     (1/2pi) int_0^w dk g(k - k0) T_B e^{ikL} e^{i [k (x - L/2) - k^2 t / 2]},
     with T_B e^{ikL} = |T| e^{i Theta}.
 
-    x_grid must be uniform and t a 1-D sequence of finite times (ValueError
-    otherwise).  A raw evaluation of `quad`; ensure_converged sizes the rule.
+    x_grid must be uniform, t a 1-D sequence of finite times, and g |T|
+    nonzero at some node of `quad` on (1e-9 w, w] (ValueError otherwise).
+    A raw evaluation of `quad`; ensure_converged sizes the rule.
     """
     x = _uniform_grid(x_grid)
     if x[0] < barrier.half_width - 1e-12:
@@ -481,7 +496,7 @@ def _change(coarse: PacketField, fine: PacketField) -> float:
     return float(np.abs(np.abs(fine.psi) - np.abs(coarse.psi)).max() / scale)
 
 
-def ensure_converged(synth, quad: QuadratureSpec, max_doublings: int = 6
+def ensure_converged(synth, quad: QuadratureSpec, max_doublings: int = _MAX_DOUBLINGS
                      ) -> tuple[list[PacketField], float, QuadratureSpec]:
     """Evaluate `synth` on `quad`, doubling the panel count until one
     doubling changes no |psi| by more than quad.tol (relative to the
@@ -676,10 +691,17 @@ def collision_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     """Measure the collision delay and the two exactness properties
     (mirror symmetry, unimodular outgoing spectrum).
 
-    The fit and symmetry snapshots share one ensure_converged call that
-    starts from `quad` (ConvergenceError if it fails), and the spectral
-    residuals are taken on the rule that passed.  ValueError naming k0
-    if the phases k^2 t / 2 of its times, of order 1/k0, overflow.
+    The fit and symmetry snapshots share one ensure_converged call
+    (ConvergenceError if it fails), and the spectral residuals are taken
+    on the rule that passed.  The doubled rule is evaluated first, and a
+    probe of `quad` on the fit grid's last 64 rows at the last fit time
+    is compared with it there: where the probe's change exceeds quad.tol
+    plus 1e-12 of the doubled field's peak, `quad` fails the gate's first
+    comparison, so the gate starts from the doubled rule with one
+    doubling fewer; otherwise it starts from `quad`.  Both reuse the
+    doubled evaluation, and both give what the gate from `quad` gives,
+    error message included.  ValueError naming k0 if the phases k^2 t / 2
+    of its times, of order 1/k0, overflow.
     """
     k0 = spectrum.k0
     h = barrier.half_width
@@ -700,10 +722,23 @@ def collision_timing_report(spectrum: GaussianSpectrum, barrier: BarrierConfig,
     xs = np.linspace(h, x_hi, n_x)
     xs_sym = np.linspace(-x_hi, x_hi, 2401)
     t_sym = np.array([t_sync, t_sync + 0.5 * (t_fit[0] - t_sync), t_fit[-1]])
-    fields, change, rule = ensure_converged(
-        lambda q: (synthesize_collision(spectrum, barrier, xs, t_fit, quad=q)
-                   + synthesize_collision(spectrum, barrier, xs_sym, t_sym, quad=q)),
-        quad)
+
+    def synth(q):
+        return (synthesize_collision(spectrum, barrier, xs, t_fit, quad=q)
+                + synthesize_collision(spectrum, barrier, xs_sym, t_sym, quad=q))
+
+    # the probe of the docstring; a zero peak, whose change _change takes
+    # as 0, never skips the starting rule, and a float peak makes a huge
+    # tol overflow to inf without a warning
+    doubled = replace(quad, panels=2 * quad.panels)
+    fine = synth(doubled)
+    [probe] = synthesize_collision(spectrum, barrier, xs[-_PROBE_ROWS:], t_fit[-1:], quad=quad)
+    last = np.abs(fine[len(t_fit) - 1].psi)
+    miss = np.abs(last[-_PROBE_ROWS:] - np.abs(probe.psi)).max()
+    fails = miss > (quad.tol + _PROBE_ROUNDOFF) * float(last.max()) > 0.0
+    start, doublings = (doubled, _MAX_DOUBLINGS - 1) if fails else (quad, _MAX_DOUBLINGS)
+    fields, change, rule = ensure_converged(lambda q: fine if q == doubled else synth(q),
+                                            start, doublings)
 
     v, b = np.polyfit(t_fit, [f.peak_position for f in fields[:len(t_fit)]], 1)
     delay = (h - b) / v - t_sync

@@ -48,10 +48,13 @@ class GaussianSpectrum:
     def __post_init__(self):
         if not 0.0 < self.k0 < math.inf:
             raise ValueError("k0 must be positive and finite")
+        # a Python float, so that every 1/k0 downstream is a float division
+        object.__setattr__(self, "k0", float(self.k0))
 
     def amplitude(self, k):
-        """g(k - k0); scalar or array."""
-        return (1.0 / (2.0 * math.pi)) ** 0.25 * np.exp(-(np.asarray(k, float) - self.k0) ** 2 / 4.0)
+        """g(k - k0); scalar or array, the same bits for a float k as in an array."""
+        d = np.asarray(k, float) - self.k0
+        return (1.0 / (2.0 * math.pi)) ** 0.25 * np.exp(-(d * d) / 4.0)
 
 
 def containment_outside(spectrum: GaussianSpectrum, barrier: BarrierConfig) -> float:

@@ -323,7 +323,7 @@ def test_spectrum_below_the_scan_window_exits_2(tmp_path, capsys, command):
     ("collide", "collision_timing_report"),
 ])
 def test_convergence_failure_leaves_no_output(tmp_path, monkeypatch, command, report):
-    # the report runs after the snapshots have been synthesised
+    # collide runs its report after its snapshots, packet before them
     def fail(*args, **kwargs):
         raise ConvergenceError("forced")
     monkeypatch.setattr(cli, report, fail)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,17 @@ def barrier(w=4.0, L=0.2):
 
 def spectrum(k0=1.0):
     return GaussianSpectrum(k0=k0)
+
+
+def report_on_plain_gate(spec, b, quad=QuadratureSpec()):
+    """collision_timing_report with its gate call replaced by the plain
+    ensure_converged from `quad` over the same synth: the report as it
+    was before the starting-rule probe, whatever rule the probe picks."""
+    def plain(synth, start, doublings):
+        return ensure_converged(synth, quad)
+
+    with mock.patch("tunneltimes.packets.ensure_converged", plain):
+        return collision_timing_report(spec, b, quad)
 
 
 class TestPacketField:
@@ -502,6 +514,13 @@ class TestTransmitted:
             synthesize_transmitted(spectrum(), barrier(4.0, 0.5),
                                    np.linspace(0.0, 5.0, 100), [0.1])
 
+    def test_rejects_an_all_zero_column(self):
+        # 1e-9 w = 10 lies above the spectrum of k0 = 1: every node of the
+        # rule on (1e-9 w, w] once gave g = 0, and the fields were all zero
+        with pytest.raises(ValueError, match="identically zero"):
+            synthesize_transmitted(spectrum(), BarrierConfig(w=1e10, width=1e-12),
+                                   np.linspace(0.0, 12.0, 101), [1.0])
+
 
 class TestCollision:
     def test_mirror_symmetry(self):
@@ -657,3 +676,70 @@ class TestReportsOnGatedRule:
         assert gated.symmetry_residual < 1e-10
         assert gated.spectral_residual_max < 1e-8
         assert 0.0 <= gated.quadrature_change < QuadratureSpec().tol
+
+
+@pytest.mark.parametrize("report", [transmission_timing_report, collision_timing_report])
+def test_reports_name_a_tiny_numpy_k0(report):
+    # a numpy k0 was kept as given, so 1/k0 overflowed in numpy with a
+    # RuntimeWarning before the report's own check named k0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="k0"):
+            report(GaussianSpectrum(k0=np.float64(1e-320)), barrier())
+
+
+class TestCollisionReportProbe:
+    """The collision report evaluates the doubled rule first and skips the
+    starting rule where a 64-row probe at the far end of its fit grid
+    shows that it fails the gate's first comparison; its result, change,
+    rule and error message are those of the plain gate from the start."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """(len(x), len(t), panels) of every synthesize_collision call the report makes."""
+        made = []
+
+        def recorded(spec, b, x, t, quad):
+            made.append((len(x), len(t), quad.panels))
+            return synthesize_collision(spec, b, x, t, quad=quad)
+
+        monkeypatch.setattr("tunneltimes.packets.synthesize_collision", recorded)
+        return made
+
+    def test_default_report_skips_the_starting_rule(self, monkeypatch):
+        # the CLI's collide default: 4 panels alias at the far end of the
+        # 2001-row fit grid, which one 64-row probe at the last fit time
+        # shows; the gate then passes from 8 to 16 panels
+        made = self.record(monkeypatch)
+        collision_timing_report(GaussianSpectrum(k0=8.0), BarrierConfig(w=16.0, width=0.1))
+        assert made == [(2001, 12, 8), (2401, 3, 8), (64, 1, 4),
+                        (2001, 12, 16), (2401, 3, 16)]
+
+    @pytest.mark.parametrize("k0, w, L, tol, skips", [
+        (8.0, 16.0, 0.1, 1e-8, True),
+        (8.5, 15.0, 0.12, 1e-8, True),
+        (8.0, 16.0, 0.1, 1e-12, True),
+        (8.0, 16.0, 0.1, 1e-3, False),  # 4 panels pass, so the probe cannot fail them
+    ])
+    def test_equals_the_plain_gate(self, monkeypatch, k0, w, L, tol, skips):
+        spec, b = GaussianSpectrum(k0=k0), BarrierConfig(w=w, width=L)
+        quad = QuadratureSpec(tol=tol)
+        want = report_on_plain_gate(spec, b, quad)
+        made = self.record(monkeypatch)
+        assert collision_timing_report(spec, b, quad) == want
+        full_grid_rules = {panels for n_x, _, panels in made if n_x > 64}
+        assert (quad.panels not in full_grid_rules) == skips
+
+    def test_failing_gate_raises_the_plain_gates_message(self, monkeypatch):
+        # an unreachable tolerance from 1 panel: the probe skips the
+        # starting rule, and both gates give up at 64 panels
+        spec, b = GaussianSpectrum(k0=8.0), BarrierConfig(w=16.0, width=0.1)
+        quad = QuadratureSpec(panels=1, tol=1e-16)
+        with pytest.raises(ConvergenceError) as want:
+            report_on_plain_gate(spec, b, quad)
+        made = self.record(monkeypatch)
+        with pytest.raises(ConvergenceError) as got:
+            collision_timing_report(spec, b, quad)
+        assert str(got.value) == str(want.value)
+        assert "at 64 panels" in str(want.value)
+        assert (64, 1, 1) in made and (2001, 12, 1) not in made

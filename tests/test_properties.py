@@ -4,7 +4,8 @@ Derandomized, so every run draws the same cases.  The draws cover the
 opaque regime (rho L up to about 1e4, far beyond the float range of
 cosh), wavenumbers within 1e-8 w of the barrier top, and the
 trigonometric continuation above it.  `find_kmax` is checked against the
-dense scan of every grid point that its bounded scan replaced.
+dense scan of every grid point that its bounded scan replaced, and the
+collision report against its plain gate (test_packets.report_on_plain_gate).
 """
 
 import math
@@ -17,7 +18,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from test_packets import report_on_plain_gate  # noqa: E402
 from tunneltimes import (BarrierConfig, GaussianSpectrum,  # noqa: E402
+                         QuadratureSpec, collision_timing_report,
                          containment_outside, find_kmax, interior_field,
                          scattering_delay, standard_transit_time,
                          transfer_matrix_amplitudes, transmission_modulus,
@@ -175,3 +178,24 @@ def test_find_kmax_matches_dense_scan(k0, cells, scan_points):
     else:
         assert apart == want
         assert find_kmax(s, barriers, scan_points) == want
+
+
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(k0=st.floats(2.0, 20.0), ratio=st.floats(1.1, 4.0), wl=st.floats(0.02, 3.0),
+       tol=st.sampled_from([1e-3, 1e-8, 1e-12]))
+@example(k0=8.0, ratio=2.0, wl=1.6, tol=1e-8)  # the CLI's collide default
+def test_collision_report_equals_the_plain_gate(k0, ratio, wl, tol):
+    # beyond the benchmark's draws (k0 7.2-8.8, w/k0 1.6-2.4, w L 1.2-2.1):
+    # whichever rule the far-end probe starts the gate from, the report,
+    # or the error it raises, is that of the plain gate
+    spec = GaussianSpectrum(k0=k0)
+    b = BarrierConfig(w=ratio * k0, width=wl / (ratio * k0))
+    quad = QuadratureSpec(tol=tol)
+    try:
+        want = report_on_plain_gate(spec, b, quad)
+    except (ArithmeticError, RuntimeError, ValueError) as err:
+        with pytest.raises(type(err)) as got:
+            collision_timing_report(spec, b, quad)
+        assert str(got.value) == str(err)
+    else:
+        assert collision_timing_report(spec, b, quad) == want

@@ -62,6 +62,17 @@ class TestGaussianSpectrum:
         with pytest.raises(ValueError):
             GaussianSpectrum(k0=-1.0)
 
+    def test_float_k_has_the_bits_of_an_array_k(self):
+        # a 0-d square went through C pow, an array square is exact: 14 of
+        # these 20,000 k differed in the last bit, among them the two named
+        s = spectrum()
+        ks = np.concatenate([[8.152155927547579, 3.213235898488402],
+                             np.random.default_rng(5).uniform(0.0, 10.0, 20000)])
+        assert [s.amplitude(k) for k in ks.tolist()] == s.amplitude(ks).tolist()
+
+    def test_numpy_k0_is_stored_as_a_float(self):
+        assert type(GaussianSpectrum(k0=np.float64(2.5)).k0) is float
+
     def test_containment_closed_form(self):
         s = spectrum()
         b = barrier(w=4.0)
