@@ -1,10 +1,10 @@
 """Rectangular-barrier tunneling phase times.
 
-Exact scattering amplitudes and phases as functions of scalar or array
-wavenumber, stationary-phase transit and scattering times with their
-dimensionless rates, the modulated momentum spectrum and the location of
-its maximum, distortion/filter diagnostics, and direct spectral synthesis
-of time-dependent packets.
+Exact scattering amplitudes and phases, and the stationary-phase transit
+and scattering times with their dimensionless rates, each a function of
+scalar or array arguments; the modulated momentum spectrum and the
+location of its maximum, distortion/filter diagnostics, and direct
+spectral synthesis of time-dependent packets.
 Units: hbar = 1; public interfaces work in the dimensionless groups
 w*a, k0*a, L/a with m = a = 1.
 """

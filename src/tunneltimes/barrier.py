@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import sinhc_cosh
+from .numerics import _float_if_scalar, sinhc_cosh
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -103,10 +103,6 @@ def _scaled_solution(k, w, L):
         z = (w * w - karr * karr) * L * L
     sh, c, r = sinhc_cosh(z)
     return karr, w, L, c, sh, r
-
-
-def _float_if_scalar(out):
-    return out if out.ndim else float(out)
 
 
 # Derivations from one kernel evaluation, sol = _scaled_solution(k, w, L).

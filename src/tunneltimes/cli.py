@@ -173,6 +173,9 @@ def cmd_rates(args) -> tuple:
         raise ValueError("every n must lie in (0, 1]")
     if not 0 < args.alpha_min < args.alpha_max:
         raise ValueError("need 0 < alpha-min < alpha-max")
+    if not args.alpha_max <= math.sqrt(sys.float_info.max):  # alpha^2 finite
+        raise ValueError(f"alpha-max = {_fmt(args.alpha_max)} must not exceed "
+                         f"sqrt(max float) = {_fmt(math.sqrt(sys.float_info.max))}")
     if args.alpha_steps < 2:
         raise ValueError("alpha-steps must be at least 2")
     alphas = np.geomspace(args.alpha_min, args.alpha_max, args.alpha_steps)

@@ -24,6 +24,11 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
+def _float_if_scalar(out):
+    """The package's return rule: a float for a 0-d result, else the array."""
+    return out if np.ndim(out) else float(out)
+
+
 def _series(z):
     """(sinhc, cosh) of the signed square z by their Taylor series through z^3."""
     return (1.0 + z / 6.0 + z * z / 120.0 + z**3 / 5040.0,

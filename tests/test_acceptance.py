@@ -285,7 +285,7 @@ def _spectral_group_delays(k0a: float) -> tuple[float, float]:
     """
     spec, b = _criterion_9_case(k0a)
     ks, wts = QuadratureSpec(panels=24, order=48).nodes(1e-9 * b.w, b.w)
-    t_k = np.array([standard_transit_time(float(q), b) for q in ks])
+    t_k = standard_transit_time(ks, b)
     weight = wts * (spec.amplitude(ks) * transmission_modulus(ks, b)) ** 2
     return (float(np.sum(weight * t_k) / np.sum(weight)),
             float(np.sum(weight * ks * t_k) / np.sum(weight * ks)))

@@ -275,6 +275,9 @@ def test_reversed_t_window_is_named(tmp_path, capsys, args, message):
     (["collide", "--k0-a", "1e-320"], "k0 = 1e-320 is too small"),
     (["packet", "--k0-a", 0.005], "at k0 = 0.005 holds 1.351e+06 steps"),
     (["packet", "--k0-a", "1e-305"], "at k0 = 1e-305 holds inf steps"),
+    # the rates once named only alpha, with alpha^2 finite
+    (["rates", "--alpha-max", "1e200"],
+     "alpha-max = 1e+200 must not exceed sqrt(max float) = 1.34078079299e+154"),
 ])
 def test_bad_grid_flag_is_named(tmp_path, capsys, args, message):
     out = tmp_path / "out"

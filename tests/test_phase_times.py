@@ -254,6 +254,46 @@ class TestStandardTransitTime:
             assert scattering_delay(k, b) == pytest.approx(delay_want, rel=1e-12)
 
 
+# repr of (standard_transit_time, scattering_delay) at (w, L, k) as they were
+# before both took arrays (array elements have these bits too, as
+# test_properties shows): below, at, within 5e-9 w of and above the top,
+# rho L = 305, the series window |z| < 0.01 on both sides of the top, L = 0
+# and rho L = 2598
+PINNED_TIMES = [
+    ((4.0, 0.5, 1.0), "0.5322541177624365", "0.6814992117984607"),
+    ((4.0, 0.5, 4.0), "0.17708333333333331", "0.25"),
+    ((4.0, 0.5, 3.99999998), "0.17708333396527773", "0.2500000008333333"),
+    ((4.0, 0.5, 4.00000002), "0.17708333270138887", "0.24999999916666665"),
+    ((4.0, 0.5, 10.0), "0.054333530648597195", "0.05306355143306152"),
+    ((16.0, 20.0, 4.8), "0.027299084289633298", "0.02729908428963329"),
+    ((4.0, 0.02, 1.0), "0.17616464458496292", "0.33233994837561864"),
+    ((4.0, 0.02, 4.004), "0.007486200723192561", "0.009980056193344092"),
+    ((4.0, 0.0, 1.0), "0.0", "0.0"),
+    ((1.0, 3000.0, 0.5), "4.618802153517007", "4.618802153517007"),
+]
+
+
+@pytest.mark.parametrize("point, transit, delay", PINNED_TIMES)
+def test_times_keep_their_pinned_bits(point, transit, delay):
+    w, L, k = point
+    b = barrier(w, L)
+    assert repr(standard_transit_time(k, b)) == transit
+    assert repr(scattering_delay(k, b)) == delay
+
+
+@pytest.mark.parametrize("time", [standard_transit_time, scattering_delay, opaque_limit_time,
+                                  scattering_time_coshsq_variant])
+def test_numpy_scalar_k_acts_as_a_float(time):
+    # each time divides by k and overflows at k = 1e-320; numpy's scalar
+    # divide warned there (an error under the suite's -W error), where a
+    # float gives inf
+    b = barrier()
+    assert time(1e-320, b) == math.inf
+    got = time(np.float64(1e-320), b)
+    assert type(got) is float and got == math.inf
+    assert time(np.float64(1.0), b) == time(1.0, b)
+
+
 class TestOpaqueLimitTime:
     def test_symmetric_point(self):
         b = barrier(w=2.0, L=1.0)

@@ -5,7 +5,8 @@ opaque regime (rho L up to about 1e4, far beyond the float range of
 cosh), wavenumbers within 1e-8 w of the barrier top, and the
 trigonometric continuation above it.  `find_kmax` is checked against the
 dense scan of every grid point that its bounded scan replaced, and the
-collision report against its plain gate (test_packets.report_on_plain_gate).
+collision report against its plain gate (test_packets.report_on_plain_gate),
+and the phase times and rates of an array against lone scalar calls.
 """
 
 import math
@@ -22,7 +23,8 @@ from test_packets import report_on_plain_gate  # noqa: E402
 from tunneltimes import (BarrierConfig, GaussianSpectrum,  # noqa: E402
                          QuadratureSpec, collision_timing_report,
                          containment_outside, find_kmax, interior_field,
-                         scattering_delay, standard_transit_time,
+                         rate_scattering, rate_standard, scattering_delay,
+                         standard_transit_time,
                          transfer_matrix_amplitudes, transmission_modulus,
                          transmission_phase)
 from tunneltimes.barrier import _collision_amplitudes  # noqa: E402
@@ -147,6 +149,57 @@ def dense_kmax(spectrum, barrier, scan_points):
 
 # (w / k0, w L): w L log-uniform from 1e-6 to 300, from 300 to 2e3 (rho L
 # > 300 over most of the scan), or 0, each about a third of the cells
+def assert_same_bits(got, want):
+    got = np.asarray(got)
+    assert got.dtype == np.float64 and got.shape == np.shape(want)
+    assert got.tobytes() == np.array(want, dtype=float).tobytes()
+
+
+# k / w exactly at the top too, where z = 0; a width below 0.002 puts
+# |z| = |1 - (k/w)^2| (w L)^2 within R_T's series window |z| < 0.01 for k <= w
+_RATIOS = st.lists(st.one_of(_RATIO, st.just(1.0)), min_size=1, max_size=24)
+
+
+@_DRAWS
+@given(w=st.floats(0.1, 50.0), ratios=_RATIOS,
+       width=st.one_of(st.just(0.0), st.floats(0.0, 0.002), st.floats(0.0, 200.0)))
+@example(w=4.0, ratios=[0.25, 1.0, 1.0 - 5e-9, 1.0 + 5e-9, 2.5], width=0.5)
+@example(w=4.0, ratios=[0.25, 0.999, 1.0, 1.001, 1.5], width=0.02)  # |z| < 0.01
+@example(w=16.0, ratios=[0.3, 0.5, 0.9, 1.0, 3.0], width=20.0)  # rho L = 305 at 0.3
+@example(w=4.0, ratios=[1e-3, 0.5, 1.0, 2.0], width=0.0)
+def test_phase_times_of_an_array_have_the_bits_of_scalar_calls(w, ratios, width):
+    # one call over an array of k, in any shape, is the lone float calls
+    b = BarrierConfig(w=w, width=width)
+    ks = np.array(ratios) * w
+    for time in (standard_transit_time, scattering_delay):
+        want = [time(float(k), b) for k in ks]
+        assert all(type(t) is float for t in want)
+        assert_same_bits(time(ks, b), want)
+        assert_same_bits(time(ks[::-1].reshape(1, -1), b), [want[::-1]])
+
+
+_ALPHAS = st.one_of(st.floats(0.0, 2e3), st.just(0.0), st.floats(1e-200, 1e-160),
+                    st.floats(1e4, 1e154))  # alpha^2 underflows below about 2e-162
+_NS = st.one_of(st.floats(1e-12, 1.0), st.just(1.0))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(pairs=st.lists(st.tuples(_ALPHAS, _NS), min_size=1, max_size=24))
+@example(pairs=[(0.0, 1.0), (1e-170, 1.0), (1e-170, 0.5), (0.05, 1.0), (0.05, 1e-12),
+                (1.0, 1.0), (300.1, 0.3), (1e154, 1.0)])
+def test_rates_of_arrays_have_the_bits_of_scalar_calls(pairs):
+    # alpha and n broadcast; n = 1 and an underflowing alpha^2 take the
+    # alpha -> 0 pair of the series in each element
+    alphas, ns = (np.array(v) for v in zip(*pairs))
+    for rate in (rate_standard, rate_scattering):
+        want = [rate(float(a), float(n)) for a, n in pairs]
+        assert all(type(r) is float for r in want)
+        assert_same_bits(rate(alphas, ns), want)
+        # n-major over alpha, as rate_table calls them
+        a, n = alphas[:6], ns[:6]
+        assert_same_bits(rate(a, n[:, None]), [[rate(float(x), float(y)) for x in a] for y in n])
+
+
 _CELLS = st.lists(st.tuples(st.floats(1.001, 50.0),
                             st.one_of(st.floats(-6.0, 2.48).map(lambda e: 10.0 ** e),
                                       st.floats(2.48, 3.3).map(lambda e: 10.0 ** e),
