@@ -120,6 +120,16 @@ def _write_run(subcommand: str, out: str, run: tuple) -> None:
         fh.write("\n")
 
 
+def _named(flags: str, make):
+    """make(), with `flags`, the CLI flags it was built from, put before the
+    message of any ValueError: the library's messages name its own
+    parameters (w, width, k_cut)."""
+    try:
+        return make()
+    except ValueError as exc:
+        raise ValueError(f"{flags}: {exc}") from None
+
+
 def _x_grid(args, lo: float, lower: str = "x-min") -> np.ndarray:
     """x-points points on [lo, x-max]: the one x check of cutoff, packet and
     collide.  ValueError naming the flag at fault: fewer than 3 x-points (a
@@ -145,7 +155,8 @@ def cmd_table1(args) -> tuple:
         raise ValueError(f"scan-points = {args.scan_points} must be at least 3")
     cells = [(wv, lv) for wv in wa for lv in la]  # w-major
     results = find_kmax(GaussianSpectrum(k0=args.k0_a),
-                        [BarrierConfig(w=wv, width=lv) for wv, lv in cells],
+                        [_named(f"w-a = {_fmt(wv)}, l-a = {_fmt(lv)}",
+                                lambda: BarrierConfig(w=wv, width=lv)) for wv, lv in cells],
                         scan_points=args.scan_points)
     params = {"k0_a": args.k0_a, "w_a": list(wa), "l_a": list(la),
               "scan_points": args.scan_points}
@@ -189,7 +200,9 @@ def cmd_rates(args) -> tuple:
 def cmd_distortion(args) -> tuple:
     if not (args.k0_a > 0 and args.w_a > args.k0_a):
         raise ValueError("need 0 < k0-a < w-a")
-    rep = dataclasses.asdict(distortion_onset(GaussianSpectrum(k0=args.k0_a), args.w_a))
+    rep = dataclasses.asdict(_named(
+        f"w-a = {_fmt(args.w_a)}, k0-a = {_fmt(args.k0_a)}",
+        lambda: distortion_onset(GaussianSpectrum(k0=args.k0_a), args.w_a)))
     cols = [f"{name}_a" if name in ("w", "k0") else name for name in rep]
     return ({"w_a": args.w_a, "k0_a": args.k0_a},
             [("distortion.csv", None, cols, [tuple(rep.values())])], rep,
@@ -214,10 +227,12 @@ def cmd_cutoff(args) -> tuple:
     # always include the untruncated reference profile
     for delta in [None] + list(deltas):
         k_cut = k0_a + 8.0 if delta is None else (1.0 - delta) * w_a
-        fld, change = cutoff_packet_profile(spec, xs, k_cut)
+        label = "none" if delta is None else _fmt(delta)
+        fld, change = _named(
+            f"delta = {label}, w-a = {_fmt(w_a)}, k0-a = {_fmt(k0_a)} (k_cut = {_fmt(k_cut)})",
+            lambda: cutoff_packet_profile(spec, xs, k_cut))
         mag = np.abs(fld.psi)
         peak = mag.max()
-        label = "none" if delta is None else _fmt(delta)
         changes[label] = change
         blocks.append(zip(repeat(label), repeat(_fmt(k_cut)), x_text,
                           mag.tolist(), (mag / peak).tolist()))
@@ -267,7 +282,8 @@ def _packet_snapshots(args, synthesize, floor: tuple) -> tuple:
     if not args.tolerance > 0:
         raise ValueError(f"tolerance = {_fmt(args.tolerance)} must be positive")
     spec = GaussianSpectrum(k0=args.k0_a)
-    barrier = BarrierConfig(w=args.w_a, width=args.l_a)
+    barrier = _named(f"w-a = {_fmt(args.w_a)}, l-a = {_fmt(args.l_a)}",
+                     lambda: BarrierConfig(w=args.w_a, width=args.l_a))
     params = {name: getattr(args, name) for name in _PACKET_FLAGS}
     key, name, f = floor
     params[key] = max(params[key], f(spec, barrier))

@@ -42,9 +42,9 @@ def sinhc_cosh(z):
     sqrt(-z), and a series covers |z| < _SERIES_CUT.  Above _Z_SCALED
     r = sqrt(z) and (s, c) = ((1 - e^{-2r})/(2r), (1 + e^{-2r})/2), and
     the switch is made here and nowhere else; below it r is 0 (the float
-    0.0 when no element is scaled).  All z in (_SERIES_CUT, _Z_SCALED], or
-    all in the series window, take no masks.  z must be finite
-    (ValueError).  Scalars in, floats out; arrays in, arrays out.
+    0.0 when no element is scaled).  All z in (_SERIES_CUT, _Z_SCALED]
+    take no masks.  z must be finite (ValueError).  Scalars in, floats
+    out; arrays in, arrays out.
     """
     z = np.asarray(z, dtype=float)
     lo, hi = z.min(initial=np.inf), z.max(initial=-np.inf)
@@ -54,9 +54,6 @@ def sinhc_cosh(z):
         return (s, c, 0.0) if z.ndim else (float(s), float(c), 0.0)
     if not (-np.inf < lo and hi < np.inf):  # false for nan too
         raise ValueError("sinhc_cosh needs a finite signed square z")
-    if -_SERIES_CUT <= lo and hi <= _SERIES_CUT:  # k = w or L = 0
-        s, c = _series(z)
-        return (s, c, 0.0) if z.ndim else (float(s), float(c), 0.0)
     s, c = np.empty_like(z), np.empty_like(z)
     pos = z > _SERIES_CUT
     neg = z < -_SERIES_CUT

@@ -147,10 +147,9 @@ def _scan_maxima(k0: float, w, L, n: int):
     # does too, and k = 0 fails in the kernel as in the dense scan.)
     start = w * 1e-9
     step = (w - start) / (n - 1)
-    # k = w, where z = 0, outside the kernel calls: in one it would send
-    # every point down sinhc_cosh's masked path.  There (c, sh, r) is
-    # sinhc_cosh(0) = (1, 1, 0) exactly.
-    top_log = np.log(_modulus((w, w, L, 1.0, 1.0, 0.0)))
+    # k = w, where z = 0, in a call of its own: among the scan points it
+    # would send every point down sinhc_cosh's masked path
+    top_log = _log_modulus(w, w, L)
     top = _log_modulated((w - k0) ** 2, top_log)
     m = max(math.isqrt(n) // 4, 1)
     coarse = np.arange(0, n - 1, m)  # every m-th index; n - 1 is k = w

@@ -278,6 +278,21 @@ def test_reversed_t_window_is_named(tmp_path, capsys, args, message):
     # the rates once named only alpha, with alpha^2 finite
     (["rates", "--alpha-max", "1e200"],
      "alpha-max = 1e+200 must not exceed sqrt(max float) = 1.34078079299e+154"),
+    # the library's barrier and cutoff checks name w, width and k_cut; the
+    # CLI puts the flags they came from before the message
+    (["table1", "--w-a", "1e200"], "w-a = 1e+200, l-a = 0: w must be positive, with w^2 finite"),
+    (["packet", "--w-a", "1e200"],
+     "w-a = 1e+200, l-a = 0.2: w must be positive, with w^2 finite"),
+    (["collide", "--w-a", "1e200"],
+     "w-a = 1e+200, l-a = 0.1: w must be positive, with w^2 finite"),
+    (["distortion", "--w-a", "1e200"],
+     "w-a = 1e+200, k0-a = 1: w must be positive, with w^2 finite"),
+    (["packet", "--l-a", "1e160"], "w-a = 4, l-a = 1e+160: (w * width)^2 must be finite"),
+    (["table1", "--l-a", "1e200"], "w-a = 1.5, l-a = 1e+200: (w * width)^2 must be finite"),
+    (["cutoff", "--delta", "0.999999999999"],
+     "delta = 0.999999999999, w-a = 4, k0-a = 2 (k_cut = 3.99991151312e-12): k_cut must be"),
+    (["cutoff", "--k0-a", "1e-300", "--w-a", "1e-299"],
+     "delta = 0.1, w-a = 1e-299, k0-a = 1e-300 (k_cut = 9e-300): k_cut must be"),
 ])
 def test_bad_grid_flag_is_named(tmp_path, capsys, args, message):
     out = tmp_path / "out"

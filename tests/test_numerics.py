@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from tunneltimes.numerics import (_INVPHI, _INVPHI2, _golden_lanes, _legendre,
-                                  gauss_legendre_panels, golden_section_max,
-                                  parabolic_refine, ridders_derivative,
-                                  sinhc_cosh)
+                                  _series, gauss_legendre_panels,
+                                  golden_section_max, parabolic_refine,
+                                  ridders_derivative, sinhc_cosh)
 
 mp.mp.dps = 40
 
@@ -44,6 +44,21 @@ def test_sinhc_vectorized_matches_scalar():
     for zs in (np.array([1.0, 4.0]), np.array([0.0, 1e-8]), np.array([-1.0, 0.0, 4.0])):
         r = sinhc_cosh(zs)[2]
         assert type(r) is float and r == 0.0
+    # all of z in the series window, +-0 and subnormals included: the
+    # masked path gives _series's bits, as 0-d, 1-D and 2-D inputs
+    tiny = np.concatenate([np.linspace(-1e-6, 1e-6, 100001),
+                           [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308]])
+    for zs in (tiny, tiny.reshape(97, 1031)):
+        s, c, r = sinhc_cosh(zs)
+        assert type(s) is type(c) is np.ndarray and s.shape == c.shape == zs.shape
+        assert type(r) is float and r == 0.0
+        for got, want in zip((s, c), _series(zs)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for z in tiny[::499].tolist() + [-0.0, 5e-324]:
+        for zd in (z, np.array(z)):
+            got = sinhc_cosh(zd)
+            assert all(type(v) is float for v in got)
+            assert got == (*map(float, _series(np.array(z))), 0.0)
 
 
 def test_sinhc_cosh_rejects_non_finite():

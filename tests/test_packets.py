@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -13,8 +14,9 @@ from tunneltimes import (BarrierConfig, GaussianSpectrum, PacketField,
                          transmission_modulus, transmission_phase,
                          transmission_timing_report)
 from tunneltimes.barrier import _collision_amplitudes, interior_field
-from tunneltimes.packets import (_CHUNK_ROWS, _SPAN_ROWS, ConvergenceError,
-                                 _degree, _offset_block, _phase_matvec)
+from tunneltimes.packets import (_CHUNK_ROWS, _MAX_DOUBLINGS, _SPAN_ROWS,
+                                 ConvergenceError, _degree, _offset_block,
+                                 _phase_matvec)
 
 
 def barrier(w=4.0, L=0.2):
@@ -27,10 +29,12 @@ def spectrum(k0=1.0):
 
 def report_on_plain_gate(spec, b, quad=QuadratureSpec()):
     """collision_timing_report with its gate call replaced by the plain
-    ensure_converged from `quad` over the same synth: the report as it
-    was before the starting-rule probe, whatever rule the probe picks."""
+    ensure_converged over the same synth, from `quad` with its panels
+    doubled and one doubling fewer than the default, whatever start and
+    doublings the report passes."""
     def plain(synth, start, doublings):
-        return ensure_converged(synth, quad)
+        return ensure_converged(synth, replace(quad, panels=2 * quad.panels),
+                                _MAX_DOUBLINGS - 1)
 
     with mock.patch("tunneltimes.packets.ensure_converged", plain):
         return collision_timing_report(spec, b, quad)
@@ -89,13 +93,9 @@ class TestPacketField:
         psi = np.exp(-(x - 0.4) ** 2)
         f = PacketField(x=x, t=0.0, psi=psi.astype(complex))
         assert f.peak_position == pytest.approx(0.4, abs=1e-10)
-        assert f.centroid == pytest.approx(0.4, abs=1e-10)
-        assert f.norm == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-8)
-
-    def test_centroid_of_zero_field_rejected(self):
-        x = np.linspace(-5, 5, 101)
-        with pytest.raises(ValueError, match="norm is zero"):
-            PacketField(x=x, t=0.0, psi=np.zeros_like(x, dtype=complex)).centroid
+        norm = np.trapezoid(f.density, x)
+        assert np.trapezoid(x * f.density, x) / norm == pytest.approx(0.4, abs=1e-10)
+        assert norm == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-8)
 
     def test_multimodality_detection(self):
         x = np.linspace(-6, 6, 1201)
@@ -469,7 +469,8 @@ class TestIncident:
         # Ehrenfest: the centroid velocity is exactly k0/m even while spreading
         spec = spectrum(k0=1.0)
         xs = np.linspace(-30, 40, 7001)
-        c = [f.centroid for f in synthesize_incident(spec, xs, [0.0, 4.0])]
+        c = [np.trapezoid(xs * f.density, xs) / np.trapezoid(f.density, xs)
+             for f in synthesize_incident(spec, xs, [0.0, 4.0])]
         assert (c[1] - c[0]) / 4.0 == pytest.approx(1.0, rel=1e-3)
 
     def test_width_grows(self):
@@ -507,7 +508,7 @@ class TestTransmitted:
         t = 6.0
         [trans] = synthesize_transmitted(spec, b, xs, [t])
         [free] = synthesize_incident(spec, xs_free, [t], k_interval=(1e-9 * b.w, b.w))
-        assert trans.norm < free.norm
+        assert np.trapezoid(trans.density, xs) < np.trapezoid(free.density, xs_free)
 
     def test_rejects_grid_inside_barrier(self):
         with pytest.raises(ValueError):
@@ -688,11 +689,9 @@ def test_reports_name_a_tiny_numpy_k0(report):
             report(GaussianSpectrum(k0=np.float64(1e-320)), barrier())
 
 
-class TestCollisionReportProbe:
-    """The collision report evaluates the doubled rule first and skips the
-    starting rule where a 64-row probe at the far end of its fit grid
-    shows that it fails the gate's first comparison; its result, change,
-    rule and error message are those of the plain gate from the start."""
+class TestCollisionReportGate:
+    """The collision report's gate starts from the doubled rule with one
+    doubling fewer, so it ends at the finest rule of the default gate."""
 
     @staticmethod
     def record(monkeypatch):
@@ -706,33 +705,30 @@ class TestCollisionReportProbe:
         monkeypatch.setattr("tunneltimes.packets.synthesize_collision", recorded)
         return made
 
-    def test_default_report_skips_the_starting_rule(self, monkeypatch):
-        # the CLI's collide default: 4 panels alias at the far end of the
-        # 2001-row fit grid, which one 64-row probe at the last fit time
-        # shows; the gate then passes from 8 to 16 panels
+    def test_default_report_makes_four_full_grid_calls(self, monkeypatch):
+        # the CLI's collide default: the 2001-row fit grid and the 2401-row
+        # symmetry grid at 8 panels, then at 16, where the gate passes
         made = self.record(monkeypatch)
         collision_timing_report(GaussianSpectrum(k0=8.0), BarrierConfig(w=16.0, width=0.1))
-        assert made == [(2001, 12, 8), (2401, 3, 8), (64, 1, 4),
-                        (2001, 12, 16), (2401, 3, 16)]
+        assert made == [(2001, 12, 8), (2401, 3, 8), (2001, 12, 16), (2401, 3, 16)]
 
-    @pytest.mark.parametrize("k0, w, L, tol, skips", [
-        (8.0, 16.0, 0.1, 1e-8, True),
-        (8.5, 15.0, 0.12, 1e-8, True),
-        (8.0, 16.0, 0.1, 1e-12, True),
-        (8.0, 16.0, 0.1, 1e-3, False),  # 4 panels pass, so the probe cannot fail them
+    @pytest.mark.parametrize("k0, w, L, tol", [
+        (8.0, 16.0, 0.1, 1e-8),
+        (8.5, 15.0, 0.12, 1e-8),
+        (8.0, 16.0, 0.1, 1e-12),
+        (8.0, 16.0, 0.1, 1e-3),  # 4 panels would pass; the 8-panel evaluation is returned
     ])
-    def test_equals_the_plain_gate(self, monkeypatch, k0, w, L, tol, skips):
+    def test_equals_the_gate_from_the_doubled_rule(self, monkeypatch, k0, w, L, tol):
         spec, b = GaussianSpectrum(k0=k0), BarrierConfig(w=w, width=L)
         quad = QuadratureSpec(tol=tol)
         want = report_on_plain_gate(spec, b, quad)
         made = self.record(monkeypatch)
         assert collision_timing_report(spec, b, quad) == want
-        full_grid_rules = {panels for n_x, _, panels in made if n_x > 64}
-        assert (quad.panels not in full_grid_rules) == skips
+        assert min(panels for *_, panels in made) == 2 * quad.panels
 
-    def test_failing_gate_raises_the_plain_gates_message(self, monkeypatch):
-        # an unreachable tolerance from 1 panel: the probe skips the
-        # starting rule, and both gates give up at 64 panels
+    def test_failing_gate_names_the_finest_rule(self, monkeypatch):
+        # an unreachable tolerance from 1 panel: the gate runs from 2 panels
+        # and gives up at 64, the rule a gate from 1 panel would name
         spec, b = GaussianSpectrum(k0=8.0), BarrierConfig(w=16.0, width=0.1)
         quad = QuadratureSpec(panels=1, tol=1e-16)
         with pytest.raises(ConvergenceError) as want:
@@ -742,4 +738,4 @@ class TestCollisionReportProbe:
             collision_timing_report(spec, b, quad)
         assert str(got.value) == str(want.value)
         assert "at 64 panels" in str(want.value)
-        assert (64, 1, 1) in made and (2001, 12, 1) not in made
+        assert {panels for *_, panels in made} == {2, 4, 8, 16, 32, 64}

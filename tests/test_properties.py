@@ -4,9 +4,10 @@ Derandomized, so every run draws the same cases.  The draws cover the
 opaque regime (rho L up to about 1e4, far beyond the float range of
 cosh), wavenumbers within 1e-8 w of the barrier top, and the
 trigonometric continuation above it.  `find_kmax` is checked against the
-dense scan of every grid point that its bounded scan replaced, and the
-collision report against its plain gate (test_packets.report_on_plain_gate),
-and the phase times and rates of an array against lone scalar calls.
+dense scan of every grid point that its bounded scan replaced, the
+collision report against the plain gate from the doubled rule
+(test_packets.report_on_plain_gate), and the phase times and rates of an
+array against lone scalar calls.
 """
 
 import math
@@ -239,8 +240,8 @@ def test_find_kmax_matches_dense_scan(k0, cells, scan_points):
 @example(k0=8.0, ratio=2.0, wl=1.6, tol=1e-8)  # the CLI's collide default
 def test_collision_report_equals_the_plain_gate(k0, ratio, wl, tol):
     # beyond the benchmark's draws (k0 7.2-8.8, w/k0 1.6-2.4, w L 1.2-2.1):
-    # whichever rule the far-end probe starts the gate from, the report,
-    # or the error it raises, is that of the plain gate
+    # the report, or the error it raises, is that of the plain gate from
+    # the doubled rule
     spec = GaussianSpectrum(k0=k0)
     b = BarrierConfig(w=ratio * k0, width=wl / (ratio * k0))
     quad = QuadratureSpec(tol=tol)

@@ -172,9 +172,10 @@ class TestFindKmax:
 
     def test_default_table_scan_work(self, monkeypatch):
         # The dense scan evaluated 70 x 4096 = 286,720 points.  The scan
-        # now evaluates 70 x 256 coarse points and the 15 inner points of
+        # now evaluates 70 x 256 coarse points, the 15 inner points of
         # each interval whose bound reaches the best coarse value (the
-        # last, 14 long, repeats one); golden section adds 2,772.
+        # last, 14 long, repeats one) and the 70 points k = w, 33,560 in
+        # all; golden section adds 2,772.
         counts = {}
         kernel, golden = spectrum_module._scaled_solution, spectrum_module._interior_maxima
 
@@ -194,7 +195,7 @@ class TestFindKmax:
             counts.clear()
             stage = "scan"
             find_kmax(spectrum(), barriers)
-            assert counts == {"scan": 33_490, "golden": 2_772}
+            assert counts == {"scan": 33_560, "golden": 2_772}
         assert counts["scan"] < 50_000
 
     def test_default_table_scan_memory(self):
