@@ -712,20 +712,6 @@ class TestCollisionReportGate:
         collision_timing_report(GaussianSpectrum(k0=8.0), BarrierConfig(w=16.0, width=0.1))
         assert made == [(2001, 12, 8), (2401, 3, 8), (2001, 12, 16), (2401, 3, 16)]
 
-    @pytest.mark.parametrize("k0, w, L, tol", [
-        (8.0, 16.0, 0.1, 1e-8),
-        (8.5, 15.0, 0.12, 1e-8),
-        (8.0, 16.0, 0.1, 1e-12),
-        (8.0, 16.0, 0.1, 1e-3),  # 4 panels would pass; the 8-panel evaluation is returned
-    ])
-    def test_equals_the_gate_from_the_doubled_rule(self, monkeypatch, k0, w, L, tol):
-        spec, b = GaussianSpectrum(k0=k0), BarrierConfig(w=w, width=L)
-        quad = QuadratureSpec(tol=tol)
-        want = report_on_plain_gate(spec, b, quad)
-        made = self.record(monkeypatch)
-        assert collision_timing_report(spec, b, quad) == want
-        assert min(panels for *_, panels in made) == 2 * quad.panels
-
     def test_failing_gate_names_the_finest_rule(self, monkeypatch):
         # an unreachable tolerance from 1 panel: the gate runs from 2 panels
         # and gives up at 64, the rule a gate from 1 panel would name
@@ -739,3 +725,29 @@ class TestCollisionReportGate:
         assert str(got.value) == str(want.value)
         assert "at 64 panels" in str(want.value)
         assert {panels for *_, panels in made} == {2, 4, 8, 16, 32, 64}
+
+
+class TestCollisionReportProbe:
+    """Rows that probe which plain gate the collision report equals: the
+    gate from the doubled rule always, and the gate from the starting rule
+    exactly where the starting rule fails its first comparison (`skips`),
+    so that skipping it changes nothing."""
+
+    @pytest.mark.parametrize("k0, w, L, tol, skips", [
+        (8.0, 16.0, 0.1, 1e-8, True),
+        (8.5, 15.0, 0.12, 1e-8, True),
+        (8.0, 16.0, 0.1, 1e-12, True),
+        (8.0, 16.0, 0.1, 1e-3, False),  # 4 panels pass; the 8-panel evaluation is returned
+    ])
+    def test_equals_the_plain_gate(self, monkeypatch, k0, w, L, tol, skips):
+        spec, b = GaussianSpectrum(k0=k0), BarrierConfig(w=w, width=L)
+        quad = QuadratureSpec(tol=tol)
+        want = report_on_plain_gate(spec, b, quad)
+        with mock.patch("tunneltimes.packets.ensure_converged",
+                        lambda synth, start, doublings: ensure_converged(synth, quad)):
+            from_start = collision_timing_report(spec, b, quad)
+        made = TestCollisionReportGate.record(monkeypatch)
+        got = collision_timing_report(spec, b, quad)
+        assert got == want
+        assert (got == from_start) == skips
+        assert min(panels for *_, panels in made) == 2 * quad.panels
